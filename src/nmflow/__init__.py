@@ -10,7 +10,7 @@ from .states import (
     bloch_from_qubit,
     qubit_from_bloch,
 )
-from .linalg import hermitian_eigenvalues, hermitian_eigensystem
+from .linalg import hermitian_eigenvalues
 from .dynamics import (
     GeneratorSpec,
     Propagator,

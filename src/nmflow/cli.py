@@ -38,67 +38,94 @@ from .states import DensityMatrix, StatePair, bloch_from_qubit, load_state, qubi
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
-COMMON_KEYS = {"model", "output", "format", "seed", "n_pairs", "sigma_threshold"}
-MODEL_KEYS = {
-    "jc": {
-        "gamma0_over_lambda",
-        "delta_over_lambda",
-        "horizon_over_lambda",
-        "step_over_lambda",
-        "delta_over_lambda_min",
-        "delta_over_lambda_max",
-        "delta_points",
-        "clamp_rate",
-    },
-    "spinbath": {
-        "n_spins",
-        "pair_a",
-        "pair_b_re",
-        "pair_b_im",
-        "horizon_times_a",
-        "step_times_a",
-    },
-    "semigroup": {"horizon_times_gamma0", "step_times_gamma0"},
-    "custom-file": {"generator_file", "horizon", "step"},
-}
-PAIR_KEYS = {"pair", "pair_bloch", "pair_files"}
-DIVISIBILITY_KEYS = {"grid_points", "cp_tol"}
+MODELS = ("jc", "spinbath", "semigroup", "custom-file")
+# Models with a master-equation generator, whose pairs the library evolves.
+EVOLVED = ("jc", "semigroup", "custom-file")
+ALL_COMMANDS = frozenset({"rate", "trajectory", "measure", "sweep", "divisibility"})
+SEARCH = ("measure", "sweep")
 
-DEFAULTS = {
-    "model": "jc",
-    "format": "csv",
-    "seed": "0",
-    "n_pairs": "1000",
-    "gamma0_over_lambda": "0.01",
-    "delta_over_lambda": "0",
-    "horizon_over_lambda": "60",
-    "step_over_lambda": "1e-3",
-    "delta_over_lambda_min": "0",
-    "delta_over_lambda_max": "10",
-    "delta_points": "11",
-    "clamp_rate": "false",
-    "n_spins": "20",
-    "pair_a": "0",
-    "pair_b_re": "1",
-    "pair_b_im": "0",
-    "horizon_times_a": "4.9",
-    "step_times_a": "5e-4",
-    "horizon_times_gamma0": "5",
-    "step_times_gamma0": "1e-3",
-    "horizon": "1",
-    "step": "1e-3",
-    "pair": "z",
-    "grid_points": "20",
-    "cp_tol": "1e-7",
-}
 
-# Time/step keys per model, in the model's reduced units (lambda = A = 1).
-UNIT_KEYS = {
-    "jc": ("horizon_over_lambda", "step_over_lambda"),
-    "spinbath": ("horizon_times_a", "step_times_a"),
-    "semigroup": ("horizon_times_gamma0", "step_times_gamma0"),
-    "custom-file": ("horizon", "step"),
-}
+@dataclass(frozen=True)
+class Key:
+    """One configuration key and its command-line flag.
+
+    kind is float, int or str for a typed value, bool for a switch flag
+    that sets "true", or a tuple of allowed strings. A key applies, and may
+    be given, only where a command in commands reads it for a model in
+    models; default None means the key is unset unless given.
+    """
+
+    name: str
+    kind: object
+    default: Optional[str]
+    flag: str
+    models: frozenset
+    commands: frozenset
+    help: str
+
+    @property
+    def dest(self):
+        return self.flag[2:].replace("-", "_")
+
+
+def _keys(models, commands, *rows):
+    return [Key(name, kind, default, flag, frozenset(models), frozenset(commands), help)
+            for name, kind, default, flag, help in rows]
+
+
+# The one list of keys: defaults, flags, allowed keys and the parser all
+# come from here. --horizon and --step set the time keys of the chosen model.
+KEYS = (
+    *_keys(MODELS, ALL_COMMANDS,
+           ("model", MODELS, "jc", "--model", "physical model"),
+           ("output", str, None, "--output", "output file path"),
+           ("format", ("csv", "json"), "csv", "--format", "output format")),
+    *_keys(MODELS, SEARCH,
+           ("seed", int, "0", "--seed", "pair-sampling seed"),
+           ("sigma_threshold", float, None, "--sigma-threshold",
+            "growth threshold on sigma (default: relative to its peak)")),
+    *_keys(EVOLVED, SEARCH,
+           ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs")),
+    *_keys({"jc"}, ALL_COMMANDS,
+           ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda"),
+           ("step_over_lambda", float, "1e-3", "--step", "jc: step in units of 1/lambda"),
+           ("gamma0_over_lambda", float, "0.01", "--gamma0", "jc coupling in units of lambda")),
+    *_keys({"jc"}, ALL_COMMANDS - {"sweep"},
+           ("delta_over_lambda", float, "0", "--delta", "jc detuning in units of lambda")),
+    *_keys({"jc"}, {"rate", "sweep"},
+           ("delta_over_lambda_min", float, "0", "--delta-min", "first detuning of a range"),
+           ("delta_over_lambda_max", float, "10", "--delta-max", "last detuning of a range"),
+           ("delta_points", int, "11", "--delta-points", "detunings in the range")),
+    *_keys({"jc"}, ALL_COMMANDS - {"rate"},
+           ("clamp_rate", bool, "false", "--clamp-rate", "clamp the jc rate at zero")),
+    *_keys({"spinbath"}, {"rate", "trajectory", "measure"},
+           ("horizon_times_a", float, "4.9", "--horizon", "spinbath: horizon in units of 1/A"),
+           ("step_times_a", float, "5e-4", "--step", "spinbath: step in units of 1/A"),
+           ("n_spins", int, "20", "--n-spins", "bath spins")),
+    *_keys({"spinbath"}, {"trajectory", "measure"},
+           ("pair_a", float, "0", "--pair-a", "population difference of the pair"),
+           ("pair_b_re", float, "1", "--pair-b-re", "coherence difference, real part"),
+           ("pair_b_im", float, "0", "--pair-b-im", "coherence difference, imaginary part")),
+    *_keys({"semigroup"}, ALL_COMMANDS - {"sweep"},
+           ("horizon_times_gamma0", float, "5", "--horizon",
+            "semigroup: horizon in units of 1/gamma0"),
+           ("step_times_gamma0", float, "1e-3", "--step", "semigroup: step in units of 1/gamma0")),
+    *_keys({"custom-file"}, {"trajectory", "measure", "divisibility"},
+           ("horizon", float, "1", "--horizon", "custom-file: horizon"),
+           ("step", float, "1e-3", "--step", "custom-file: step"),
+           ("generator_file", str, None, "--generator-file", "constant generator as JSON")),
+    *_keys(EVOLVED, {"trajectory"},
+           ("pair", ("z", "x"), "z", "--pair", "canonical initial pair"),
+           ("pair_bloch", str, None, "--pair-bloch", "'x,y,z;x,y,z'"),
+           ("pair_files", str, None, "--pair-files", "'file1;file2'")),
+    *_keys(EVOLVED, {"divisibility"},
+           ("grid_points", int, "20", "--grid-points", "intervals of the divisibility grid"),
+           ("cp_tol", float, "1e-7", "--cp-tol", "tolerance on the least Choi eigenvalue")),
+)
+KEY_TABLE = {key.name: key for key in KEYS}
+FLAGS = {flag: [key for key in KEYS if key.flag == flag]
+         for flag in dict.fromkeys(key.flag for key in KEYS)}
+
 TIME_COLUMN = {
     "jc": "t_lambda",
     "spinbath": "t_times_a",
@@ -175,54 +202,39 @@ def _to_int(key, value):
         raise ConfigError(f"key {key}: expected an integer, got {value!r}")
 
 
-def resolve_config(args, command):
-    raw = dict(DEFAULTS)
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    model = args.model or file_cfg.get("model") or raw["model"]
-    if model not in MODEL_KEYS:
-        raise ConfigError(
-            f"unknown model {model!r}; expected one of {sorted(MODEL_KEYS)}"
-        )
-    allowed = COMMON_KEYS | MODEL_KEYS[model] | PAIR_KEYS | DIVISIBILITY_KEYS
-    for key in file_cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} for model {model!r}")
-    raw.update(file_cfg)
-    raw["model"] = model
+def _flag_key(flag, model):
+    """The key a flag sets for a model: --horizon and --step have one per model."""
+    keys = FLAGS[flag]
+    return next((key for key in keys if model in key.models), keys[0])
 
-    horizon_key, step_key = UNIT_KEYS[model]
+
+def resolve_config(args, command):
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    model = args.model or file_cfg.get("model") or KEY_TABLE["model"].default
+    if model not in MODELS:
+        raise ConfigError(f"unknown model {model!r}; expected one of {sorted(MODELS)}")
+    for key in file_cfg:
+        if key not in KEY_TABLE:
+            raise ConfigError(f"unknown config key {key!r} for model {model!r}")
+    given = dict(file_cfg)
     # Flags win over the config file.
-    flag_map = {
-        "horizon": horizon_key,
-        "step": step_key,
-        "seed": "seed",
-        "n_pairs": "n_pairs",
-        "output": "output",
-        "format": "format",
-        "sigma_threshold": "sigma_threshold",
-        "delta": "delta_over_lambda",
-        "gamma0": "gamma0_over_lambda",
-        "n_spins": "n_spins",
-        "pair": "pair",
-        "pair_bloch": "pair_bloch",
-        "pair_files": "pair_files",
-        "pair_a": "pair_a",
-        "pair_b_re": "pair_b_re",
-        "pair_b_im": "pair_b_im",
-        "delta_min": "delta_over_lambda_min",
-        "delta_max": "delta_over_lambda_max",
-        "delta_points": "delta_points",
-        "clamp_rate": "clamp_rate",
-        "grid_points": "grid_points",
-        "cp_tol": "cp_tol",
-        "generator_file": "generator_file",
-    }
-    provided = set(file_cfg)
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for flag in FLAGS:
+        key = _flag_key(flag, model)
+        value = getattr(args, key.dest, None)
         if value is not None:
-            raw[key] = str(value)
-            provided.add(key)
+            given[key.name] = str(value)
+    for name in given:
+        key = KEY_TABLE[name]
+        if model not in key.models or command not in key.commands:
+            raise ConfigError(
+                f"key {name!r} ({key.flag}) does not apply to model {model!r} "
+                f"with command {command!r}"
+            )
+    raw = {key.name: key.default for key in KEYS if key.default is not None}
+    raw.update(given)
+    raw["model"] = model
+    provided = set(given)
+    horizon_key, step_key = (_flag_key(flag, model).name for flag in ("--horizon", "--step"))
 
     if "output" not in raw:
         raise ConfigError("no output path given (key 'output' or flag --output)")
@@ -231,7 +243,7 @@ def resolve_config(args, command):
     if out_dir:
         output = os.path.join(out_dir, os.path.basename(output))
     fmt = raw["format"]
-    if fmt not in ("csv", "json"):
+    if fmt not in KEY_TABLE["format"].kind:
         raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
     cfg = RunConfig(
@@ -641,32 +653,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
+        # Not a key: the file of key = value lines.
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--model", choices=sorted(MODEL_KEYS))
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-pairs", dest="n_pairs", type=int)
-        p.add_argument("--horizon", type=float, help="in the model's reduced time unit")
-        p.add_argument("--step", type=float, help="in the model's reduced time unit")
-        p.add_argument("--sigma-threshold", dest="sigma_threshold", type=float)
-        p.add_argument("--delta", type=float, help="jc detuning in units of lambda")
-        p.add_argument("--gamma0", type=float, help="jc coupling in units of lambda")
-        p.add_argument("--clamp-rate", dest="clamp_rate", action="store_const",
-                       const="true", help="clamp the jc rate at zero")
-        p.add_argument("--n-spins", dest="n_spins", type=int)
-        p.add_argument("--pair", choices=["z", "x"])
-        p.add_argument("--pair-bloch", dest="pair_bloch", help="'x,y,z;x,y,z'")
-        p.add_argument("--pair-files", dest="pair_files", help="'file1;file2'")
-        p.add_argument("--pair-a", dest="pair_a", type=float)
-        p.add_argument("--pair-b-re", dest="pair_b_re", type=float)
-        p.add_argument("--pair-b-im", dest="pair_b_im", type=float)
-        p.add_argument("--delta-min", dest="delta_min", type=float)
-        p.add_argument("--delta-max", dest="delta_max", type=float)
-        p.add_argument("--delta-points", dest="delta_points", type=int)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--cp-tol", dest="cp_tol", type=float)
-        p.add_argument("--generator-file", dest="generator_file")
+        for flag, keys in FLAGS.items():
+            kind = keys[0].kind
+            help = "; ".join(f"{key.help} [{key.name}]" for key in keys)
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const="true", help=help)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help)
+            else:
+                p.add_argument(flag, type=kind, help=help)
     return parser
 
 

@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import InvariantViolation
+from .exceptions import InvariantViolation, NumericalError
 from .linalg import hermitian_eigenvalues, hermiticity_defect
 from .states import DensityMatrix, check_complex_matrix
 
@@ -95,7 +95,7 @@ def _eval_rates(rate_fn, times):
             out = np.asarray(rate_fn(times), dtype=float)
             if out.shape != times.shape:
                 raise TypeError
-        except Exception:
+        except (TypeError, ValueError):
             out = np.array([float(rate_fn(t)) for t in times])
     if not np.all(np.isfinite(out)):
         bad = times[~np.isfinite(out)][0]
@@ -186,14 +186,6 @@ def _check_uniform_grid(t_grid):
     if np.max(np.abs(steps - h)) > 1e-12 * max(1.0, abs(t[-1])):
         raise ValueError("time grid must be uniform")
     return t, float(h)
-
-
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4_linear_step(ka, km, kb, y, h):
@@ -294,13 +286,6 @@ class Propagator:
         m = rho.matrix if isinstance(rho, DensityMatrix) else check_complex_matrix(rho)
         v = self.superoperator @ m.reshape(-1, order="F")
         return v.reshape(self.dim, self.dim, order="F")
-
-    def apply_state(self, rho, positivity_tol=EVOLVE_POSITIVITY_TOL):
-        out = self.apply(rho)
-        out = 0.5 * (out + out.conj().T)
-        return DensityMatrix(
-            out, positivity_tol=positivity_tol, trace_tol=TRACE_DRIFT_TOL
-        )
 
 
 def propagator_between(gen, t1, t2, h):
@@ -430,7 +415,10 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
         try:
             p = propagator_between(gen, t[k], t[k + 1], step)
             ok, least = is_cp(p, tol)
-        except Exception as exc:
-            raise type(exc)(f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}") from exc
+        except (NumericalError, ValueError) as exc:
+            # Name the interval in place: rebuilding the exception would need
+            # its constructor's signature, and its type sets the exit code.
+            exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
+            raise
         verdicts.append(IntervalVerdict(float(t[k]), float(t[k + 1]), ok, least))
     return DivisibilityReport(verdicts)

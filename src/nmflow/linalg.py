@@ -1,144 +1,38 @@
-"""Dense Hermitian eigensolvers for small matrices.
+"""Hermitian eigenvalues for the trace distance and the Choi test.
 
-The dimensions handled here are tiny (d <= ~64, typically 2 or 4), so we use
-a closed form for 2x2 matrices and a cyclic Jacobi sweep with complex
-rotations for everything larger. Robustness beats asymptotic speed at these
-sizes.
+A checked wrapper around LAPACK's eigvalsh: one matrix or a stack of shape
+(..., d, d) is rejected unless every matrix is square, finite and Hermitian
+to the tolerance, so bad input fails loudly instead of being read through
+its lower triangle.
 """
 import numpy as np
 
 from .exceptions import ConvergenceError
 
 HERMITICITY_TOL = 1e-10
-JACOBI_OFFDIAG_TOL = 1e-13
-MAX_JACOBI_SWEEPS = 60
 
 
 def hermiticity_defect(m):
-    """Max-norm of m - m^dagger."""
+    """Max-norm of m - m^dagger, over every matrix of a stack."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
 
 
-def _check_hermitian(m, tol=HERMITICITY_TOL):
+def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
+    """Real eigenvalues, sorted ascending, of a Hermitian matrix or of each
+    matrix in a stack of shape (..., d, d)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} > {tol:.1e}"
         )
-
-
-def eigvals_2x2_hermitian(a, b, c):
-    """Eigenvalues of [[a, c], [conj(c), b]] with a, b real.
-
-    Closed form: mean +/- sqrt(((a-b)/2)^2 + |c|^2). Returned ascending.
-    Accepts scalars or broadcasting arrays.
-    """
-    mean = 0.5 * (a + b)
-    radius = np.sqrt((0.5 * (a - b)) ** 2 + np.abs(c) ** 2)
-    return mean - radius, mean + radius
-
-
-def _jacobi_rotate(a, v, p, q):
-    """Zero a[p, q] (complex) with a unitary plane rotation, updating a and v."""
-    apq = a[p, q]
-    phase = apq / abs(apq)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-    if tau >= 0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Columns transform by the rotation, rows by its conjugate transpose.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * phase * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * np.conj(phase) * row_p + c * row_q
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-    v[:, q] = s * phase * vcol_p + c * vcol_q
-
-
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def hermitian_eigensystem(m, tol=HERMITICITY_TOL):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Returns (w, v) with m = v @ diag(w) @ v^dagger. Closed form for d <= 2,
-    cyclic complex Jacobi otherwise, iterated until the off-diagonal Frobenius
-    norm drops below JACOBI_OFFDIAG_TOL relative to the matrix scale.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    _check_hermitian(m, tol)
-    d = m.shape[0]
-
-    if d == 1:
-        return np.array([m[0, 0].real]), np.eye(1, dtype=complex)
-    if d == 2:
-        a, b, c = m[0, 0].real, m[1, 1].real, m[0, 1]
-        lo, hi = eigvals_2x2_hermitian(a, b, c)
-        w = np.array([lo, hi])
-        v = np.empty((2, 2), dtype=complex)
-        for k in (0, 1):
-            # Null vector of m - w[k] I, taking the better-conditioned row.
-            r0 = np.array([a - w[k], c])
-            r1 = np.array([np.conj(c), b - w[k]])
-            row = r0 if np.linalg.norm(r0) >= np.linalg.norm(r1) else r1
-            if np.linalg.norm(row) < 1e-300:
-                vec = np.eye(2, dtype=complex)[:, k]
-            else:
-                vec = np.array([-row[1], row[0]])
-                vec = vec / np.linalg.norm(vec)
-            v[:, k] = vec
-        return w, v
-
-    a = m.copy()
-    v = np.eye(d, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    threshold = JACOBI_OFFDIAG_TOL * scale
-    for _ in range(MAX_JACOBI_SWEEPS):
-        if _offdiag_norm(a) <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) > threshold / (d * d):
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweep did not converge in {MAX_JACOBI_SWEEPS} sweeps: "
-            f"off-diagonal norm {_offdiag_norm(a):.3e} > {threshold:.1e}"
-        )
-    w = np.diag(a).real
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
-def hermitian_eigenvalues(m, tol=HERMITICITY_TOL, validate=False):
-    """Real eigenvalues of a Hermitian matrix, sorted ascending.
-
-    With validate=True the reconstruction residual ||m - V W V^dag||_max is
-    checked against 1e-9.
-    """
-    w, v = hermitian_eigensystem(m, tol)
-    if validate:
-        residual = np.max(np.abs(np.asarray(m) - (v * w) @ v.conj().T))
-        if residual > 1e-9:
-            raise ConvergenceError(
-                f"eigendecomposition residual {residual:.3e} exceeds 1e-9"
-            )
-    return w
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError is a ValueError, which the CLI would report as bad input.
+        raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc

@@ -107,11 +107,10 @@ def trajectory(gen, pair, horizon, step, flow=None):
         d_values = _qubit_distance_grid(diffs)
     else:
         d = gen.dim
-        d_values = np.empty(times.size)
-        for k in range(times.size):
-            m = diffs[k].reshape(d, d, order="F")
-            m = 0.5 * (m + m.conj().T)
-            d_values[k] = 0.5 * np.sum(np.abs(hermitian_eigenvalues(m, tol=1e-8)))
+        # Row-major reshape then swap: each matrix unstacks its columns.
+        m = diffs.reshape(-1, d, d).swapaxes(1, 2)
+        m = 0.5 * (m + m.swapaxes(1, 2).conj())
+        d_values = 0.5 * np.sum(np.abs(hermitian_eigenvalues(m, tol=1e-8)), axis=1)
     overshoot = float(np.max(d_values)) - 1.0
     if overshoot > 1e-8:
         k = int(np.argmax(d_values > 1.0 + 1e-8))
@@ -202,7 +201,8 @@ class MeasureResult:
     diverging: bool = False
 
 
-def _result_from_trajectory(traj, pair, threshold):
+def n_from_trajectory(traj, pair, threshold=None):
+    """MeasureResult for a precomputed trajectory (e.g. an analytic model)."""
     intervals = growth_intervals(traj, threshold)
     n_value = float(sum(iv.contribution for iv in intervals))
     diverging = bool(intervals) and intervals[-1].contribution > DIVERGENCE_CONTRIBUTION
@@ -215,15 +215,10 @@ def _result_from_trajectory(traj, pair, threshold):
     )
 
 
-def n_from_trajectory(traj, pair, threshold=None):
-    """MeasureResult for a precomputed trajectory (e.g. an analytic model)."""
-    return _result_from_trajectory(traj, pair, threshold)
-
-
 def n_for_pair(gen, pair, horizon, step, threshold=None, flow=None):
     """Summed trace-distance growth for one fixed initial pair."""
     traj = trajectory(gen, pair, horizon, step, flow=flow)
-    return _result_from_trajectory(traj, pair, threshold)
+    return n_from_trajectory(traj, pair, threshold)
 
 
 def _basis_state(dim, index):
@@ -304,12 +299,12 @@ def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
     for i, pair in enumerate(canonical_pairs(gen.dim)):
         try:
             consider(pair, is_canonical_z=(i == 0))
-        except Exception as exc:
+        except (NumericalError, ValueError) as exc:
             failures.append(f"{pair.label}: {exc}")
     for i in range(n_pairs):
         try:
             consider(sample_pair(gen.dim, seed, i), is_sample=True)
-        except Exception as exc:
+        except (NumericalError, ValueError) as exc:
             failures.append(f"sample-{i}: {exc}")
 
     if best is None:
@@ -381,6 +376,6 @@ def sweep(gen_family, parameters, settings):
                     diverging=search.best.diverging,
                 )
             )
-        except Exception as exc:
+        except (NumericalError, ValueError) as exc:
             records.append(SweepRecord(parameter=float(value), error=str(exc)))
     return records

@@ -3,8 +3,9 @@
 Everything here is deliberately coded apart from the library implementations
 it checks: the Volterra memory-kernel solver for the cavity amplitude, a
 second Hilbert-Schmidt sampler, a direct dissipator evaluation, the
-closed-form amplitude-damping solution, and a brute-force bath average for
-the central-spin model.
+closed-form amplitude-damping solution, a brute-force bath average for
+the central-spin model, and a cyclic Jacobi eigenvalue sweep in place of
+LAPACK.
 """
 import numpy as np
 
@@ -88,3 +89,35 @@ def spin_bath_coherence_factor(coupling, n_spins, t):
         x >>= 1
     m = n_spins - 2 * ones
     return np.mean(np.exp(-2j * coupling * t * m))
+
+
+def jacobi_eigenvalues(m, tol=1e-13, max_sweeps=60):
+    """Eigenvalues (ascending) of a Hermitian matrix by cyclic complex Jacobi.
+
+    Each rotation zeroes one off-diagonal entry a[p, q]; sweeps repeat until
+    the off-diagonal Frobenius norm falls below tol times the matrix scale.
+    """
+    a = np.array(m, dtype=complex)
+    d = a.shape[0]
+    threshold = tol * max(1.0, float(np.linalg.norm(a)))
+    for _ in range(max_sweeps):
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= threshold:
+            return np.sort(np.diag(a).real)
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if abs(apq) <= threshold / (d * d):
+                    continue
+                phase = apq / abs(apq)
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
+                t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # Columns transform by the rotation, rows by its adjoint.
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * np.conj(phase) * col_q
+                a[:, q] = s * phase * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * np.conj(phase) * row_p + c * row_q
+    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")

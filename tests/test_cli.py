@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nmflow.cli import main, read_csv_grid
+from nmflow.cli import build_parser, main, read_csv_grid, resolve_config
 from nmflow.models import JCParams, SpinBathParams, jc_rate, spinbath_f
 from nmflow.states import DensityMatrix, save_state
 
@@ -25,6 +28,40 @@ class TestConfigHandling:
         cfg.write_text("model = jc\nn_spins = 10\n")
         assert run("rate", "--config", str(cfg),
                    "--output", str(tmp_path / "o.csv")) == 2
+
+    @pytest.mark.parametrize("argv, key, model, command", [
+        ("measure --model semigroup --delta 5 --n-spins 3 --pair x",
+         "delta_over_lambda", "semigroup", "measure"),
+        ("rate --model jc --n-pairs 5", "n_pairs", "jc", "rate"),
+        ("rate --model jc --clamp-rate", "clamp_rate", "jc", "rate"),
+        ("measure --model spinbath --n-pairs 5", "n_pairs", "spinbath", "measure"),
+        ("divisibility --model semigroup --pair z", "pair", "semigroup", "divisibility"),
+        ("measure --model jc --grid-points 4", "grid_points", "jc", "measure"),
+    ])
+    def test_key_not_read_by_command_rejected(self, tmp_path, capsys,
+                                              argv, key, model, command):
+        code = run(*argv.split(), "--output", str(tmp_path / "o.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key!r}" in err and f"{model!r}" in err and f"{command!r}" in err
+
+    def test_config_file_key_not_read_by_command_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = jc\ncp_tol = 1e-6\n")
+        assert run("trajectory", "--config", str(cfg),
+                   "--output", str(tmp_path / "o.csv")) == 2
+        assert "'cp_tol'" in capsys.readouterr().err
+
+    def test_readme_examples_are_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Examples", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("nmflow ")]
+        assert len(commands) >= 5
+        for line in commands:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            resolve_config(args, args.command)
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

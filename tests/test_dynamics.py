@@ -17,7 +17,7 @@ from nmflow.dynamics import (
     propagator_between,
     propagator_grid,
 )
-from nmflow.exceptions import InvariantViolation
+from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.models import JCParams, jc_generator, semigroup_generator
 from nmflow.states import (
     SIGMA_MINUS,
@@ -258,6 +258,41 @@ class TestDivisibility:
     def test_needs_two_grid_points(self):
         with pytest.raises(ValueError):
             divisibility_report(semigroup_generator(1.0), [0.0])
+
+    def test_failure_keeps_its_type_and_names_the_interval(self):
+        class RateBlowUp(NumericalError):
+            def __init__(self, t, why):
+                super().__init__(t, why)
+
+        def rate(t):
+            t = np.asarray(t, dtype=float)
+            if np.any(t > 0.5):
+                raise RateBlowUp(float(np.max(t)), "singular")
+            return np.ones_like(t)
+
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        with pytest.raises(RateBlowUp, match=r"interval 1 \[0\.5, 1\.0\]"):
+            divisibility_report(gen, [0.0, 0.5, 1.0], h=0.1)
+
+
+class TestRateEvaluation:
+    def test_vectorized_rate_failure_propagates_at_once(self):
+        calls = []
+
+        def rate(t):
+            calls.append(np.ndim(t))
+            raise NumericalError("rate is singular")
+
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        with pytest.raises(NumericalError, match="singular"):
+            propagator_grid(gen, np.linspace(0.0, 1.0, 11))
+        assert calls == [1]
+
+    def test_scalar_only_rate_is_evaluated_pointwise(self):
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, lambda t: float(t))])
+        ref = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, lambda t: t)])
+        grid = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(propagator_grid(gen, grid), propagator_grid(ref, grid))
 
 
 class TestContractionAndMonotonicity:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmflow.dynamics import divisibility_report
+from nmflow.dynamics import constant_generator, divisibility_report, propagator_grid
 from nmflow.exceptions import NumericalError
 from nmflow.measure import (
     GrowthInterval,
@@ -27,7 +27,7 @@ from nmflow.models import (
     semigroup_generator,
     spinbath_trace_distance,
 )
-from nmflow.states import StatePair
+from nmflow.states import StatePair, random_mixed_state, random_pure_state
 
 Z_PAIR, X_PAIR = canonical_pairs(2)
 
@@ -55,6 +55,26 @@ class TestTrajectory:
     def test_grid_resolution_guard(self):
         with pytest.raises(ValueError, match=">= 10"):
             trajectory(semigroup_generator(1.0), Z_PAIR, 1.0, 0.5)
+
+    def test_d4_distance_matches_per_point_loop(self):
+        rng = np.random.default_rng(11)
+
+        def ginibre():
+            return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+
+        a = ginibre()
+        gen = constant_generator(
+            0.5 * (a + a.conj().T), [(ginibre() / 4.0, rate) for rate in (0.3, 0.7)]
+        )
+        pair = StatePair(random_pure_state(4, 5), random_mixed_state(4, 6))
+        traj = trajectory(gen, pair, 0.5, 1e-2)
+        flow = propagator_grid(gen, traj.times)
+        diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
+        expected = []
+        for phi in flow:
+            m = (phi @ diff0).reshape(4, 4, order="F")
+            expected.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))))
+        assert np.max(np.abs(traj.d_values - np.array(expected))) < 1e-12
 
     def test_detuned_model_matches_decay_exponent(self):
         from nmflow.models import jc_decay_exponent
@@ -207,6 +227,16 @@ class TestPairSearch:
         with pytest.raises(NumericalError, match="all pair evaluations failed"):
             search_pairs(gen, 2, 5.0, 1e-2, seed=0)
 
+    def test_programming_error_is_not_a_failed_pair(self, monkeypatch):
+        import nmflow.measure
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken trajectory")
+
+        monkeypatch.setattr(nmflow.measure, "trajectory", broken)
+        with pytest.raises(TypeError, match="broken trajectory"):
+            search_pairs(semigroup_generator(1.0), 2, 5.0, 1e-2, seed=0)
+
     def test_divisible_dynamics_scores_zero(self):
         # CP-divisibility on a fine grid implies no pair can ever gain
         # distinguishability; both facts are checked on the same generator.
@@ -253,6 +283,14 @@ class TestSweep:
         assert records[0].error is None
         assert "boom" in records[1].error
         assert np.isnan(records[1].n_value)
+
+    def test_programming_error_is_not_recorded(self):
+        def family(d):
+            return d.no_such_attribute
+
+        settings = MeasureSettings(horizon=5.0, step=1e-2, n_pairs=1, seed=0)
+        with pytest.raises(AttributeError):
+            sweep(family, [0.0], settings)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
