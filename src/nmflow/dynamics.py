@@ -2,7 +2,7 @@
 
 The generator is d rho/dt = -i[H(t), rho] + sum_i gamma_i(t) (A_i rho A_i^dag
 - {A_i^dag A_i, rho}/2) with rates that may go negative. Two-parameter
-propagators Phi(t2, t1) are built by composing fixed-step RK4 flows; their
+propagators Phi(t2, t1) are products of fixed-step RK4 step maps; their
 complete positivity is decided through the Choi matrix.
 
 Superoperators act on column-stacked density matrices: vec(rho) stacks the
@@ -22,6 +22,8 @@ TRACE_DRIFT_TOL = 1e-8
 EVOLVE_POSITIVITY_TOL = 1e-8
 PROPAGATOR_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-7
+# RK4 steps whose step maps are built together; bounds the stage-matrix memory.
+STEP_BLOCK = 256
 
 
 @dataclass
@@ -119,21 +121,14 @@ class _CompiledGenerator:
         )
         if not self.static:
             return
-        eye = np.eye(d, dtype=complex)
         h = _check_operator(gen.hamiltonian, d, "hamiltonian")
         if hermiticity_defect(h) > 1e-10:
             raise ValueError("hamiltonian not Hermitian")
-        self.k_const = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        self.k_channels = []
-        self.rate_fns = []
-        for op, rate_fn in gen.channels:
-            op = _check_operator(op, d, "jump operator")
-            anti = op.conj().T @ op
-            self.k_channels.append(
-                np.kron(op.conj(), op)
-                - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
-            )
-            self.rate_fns.append(rate_fn)
+        self.k_const = _hamiltonian_part(h)
+        self.k_channels = [
+            _dissipator(_check_operator(op, d, "jump operator")) for op, _ in gen.channels
+        ]
+        self.rate_fns = [rate_fn for _, rate_fn in gen.channels]
 
     def matrices(self, times):
         """Stacked K(t) for an array of times, shape (len(times), d^2, d^2)."""
@@ -160,18 +155,24 @@ def apply_generator(gen, t, rho):
     return out
 
 
+def _hamiltonian_part(h):
+    """Superoperator of -i[H, rho]."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def _dissipator(op):
+    """Superoperator of A rho A^dag - {A^dag A, rho}/2."""
+    eye = np.eye(op.shape[0], dtype=complex)
+    anti = op.conj().T @ op
+    return np.kron(op.conj(), op) - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
+
+
 def generator_matrix(gen, t):
     """The d^2 x d^2 superoperator of apply_generator at time t."""
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    h = _eval_hamiltonian(gen, t)
-    k = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    k = _hamiltonian_part(_eval_hamiltonian(gen, t))
     for op, rate in _eval_channels(gen, t):
-        anti = op.conj().T @ op
-        k += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
-        )
+        k += rate * _dissipator(op)
     return k
 
 
@@ -188,22 +189,50 @@ def _check_uniform_grid(t_grid):
     return t, float(h)
 
 
-def _rk4_linear_step(ka, km, kb, y, h):
-    """One classical RK4 step of dy/dt = K(t) y with K sampled at the left
-    point, midpoint and right point of the step."""
+def _rk4_increment(ka, km, kb, y, h):
+    """y(t + h) - y(t) for one classical RK4 step of dy/dt = K(t) y, with K
+    sampled at the left point, midpoint and right point of the step."""
     k1 = ka @ y
     k2 = km @ (y + 0.5 * h * k1)
     k3 = km @ (y + 0.5 * h * k2)
     k4 = kb @ (y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_matrices(gen, t_grid):
-    """K(t) at every grid point and midpoint: index 2k is t_k, 2k+1 the
-    midpoint of step k."""
-    t, h = _check_uniform_grid(t_grid)
-    stage_times = t[0] + 0.5 * h * np.arange(2 * (t.size - 1) + 1)
-    return _CompiledGenerator(gen).matrices(stage_times), h
+def _step_maps(gen, t0, h, n):
+    """Increments R_k - I of the RK4 step maps R_k = Phi(t0 + (k+1) h, t0 + k h),
+    k < n, as (first k, stacked increments) per block of STEP_BLOCK steps.
+
+    RK4 is linear, so its increment on the identity is the map's. Adding
+    E_k v to v, instead of forming R_k v, keeps the rounding of the 1 + O(h)
+    entries of R_k out of every step.
+    """
+    compiled = _CompiledGenerator(gen)
+    eye = np.eye(gen.dim * gen.dim, dtype=complex)
+    for k0 in range(0, n, STEP_BLOCK):
+        m = min(STEP_BLOCK, n - k0)
+        # Index 2j is the left point of step k0 + j, 2j + 1 its midpoint.
+        ks = compiled.matrices(t0 + 0.5 * h * np.arange(2 * k0, 2 * (k0 + m) + 1))
+        yield k0, _rk4_increment(ks[:-1:2], ks[1::2], ks[2::2], eye, h)
+
+
+def _flow(gen, t0, h, n):
+    """Phi(t0 + k h, t0) for k = 0..n, composed from the RK4 step maps.
+
+    Raises InvariantViolation at the first time where Phi has a non-finite
+    entry (a generator that blows up at this step).
+    """
+    d2 = gen.dim * gen.dim
+    phis = np.empty((n + 1, d2, d2), dtype=complex)
+    phis[0] = np.eye(d2, dtype=complex)
+    for k0, increments in _step_maps(gen, t0, h, n):
+        for k, e in enumerate(increments, k0):
+            np.add(phis[k], e @ phis[k], out=phis[k + 1])
+        bad = ~np.isfinite(phis[k0 + 1 : k0 + len(increments) + 1]).all(axis=(1, 2))
+        if bad.any():
+            t_bad = t0 + (k0 + 1 + np.argmax(bad)) * h
+            raise InvariantViolation(f"propagator has non-finite entries at t={t_bad:.6g}")
+    return phis
 
 
 def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
@@ -220,16 +249,15 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     if rho0.shape[0] != gen.dim:
         raise ValueError(f"state dimension {rho0.shape[0]} != generator dim {gen.dim}")
 
-    ks, h = _stage_matrices(gen, t)
     d = gen.dim
     states = [rho0.copy()]
     v = rho0.reshape(-1, order="F")
-    for k in range(t.size - 1):
-        v = _rk4_linear_step(ks[2 * k], ks[2 * k + 1], ks[2 * k + 2], v, h)
-        rho = v.reshape(d, d, order="F")
-        rho = 0.5 * (rho + rho.conj().T)
-        v = rho.reshape(-1, order="F")
-        states.append(rho)
+    for _, increments in _step_maps(gen, t[0], h, t.size - 1):
+        for e in increments:
+            rho = (v + e @ v).reshape(d, d, order="F")
+            rho = 0.5 * (rho + rho.conj().T)
+            v = rho.reshape(-1, order="F")
+            states.append(rho)
 
     out = []
     for tk, m in zip(t, states):
@@ -301,10 +329,7 @@ def propagator_between(gen, t1, t2, h):
         if h <= 0:
             raise ValueError(f"step must be positive, got {h}")
         n = max(1, int(math.ceil((t2 - t1) / h - 1e-12)))
-        hh = (t2 - t1) / n
-        ks, _ = _stage_matrices(gen, t1 + hh * np.arange(n + 1))
-        for k in range(n):
-            s = _rk4_linear_step(ks[2 * k], ks[2 * k + 1], ks[2 * k + 2], s, hh)
+        s = _flow(gen, t1, (t2 - t1) / n, n)[-1]
     return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
 
 
@@ -314,16 +339,8 @@ def propagator_grid(gen, t_grid):
     Returns an array of shape (len(t_grid), d^2, d^2). The grid step is the
     integration step, as in evolve_state.
     """
-    t, _ = _check_uniform_grid(t_grid)
-    d = gen.dim
-    ks, h = _stage_matrices(gen, t)
-    phis = np.empty((t.size, d * d, d * d), dtype=complex)
-    s = np.eye(d * d, dtype=complex)
-    phis[0] = s
-    for k in range(t.size - 1):
-        s = _rk4_linear_step(ks[2 * k], ks[2 * k + 1], ks[2 * k + 2], s, h)
-        phis[k + 1] = s
-    return phis
+    t, h = _check_uniform_grid(t_grid)
+    return _flow(gen, t[0], h, t.size - 1)
 
 
 @dataclass
@@ -354,15 +371,9 @@ class ChoiMatrix:
 def choi_of(p):
     """Choi matrix of a propagator, assembled from images of the matrix units."""
     d = p.dim
-    s = p.superoperator
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            # vec(E_jk) is the basis vector at column-stacked index j + d*k.
-            image = s[:, j + d * k].reshape(d, d, order="F")
-            e_jk = np.zeros((d, d), dtype=complex)
-            e_jk[j, k] = 1.0
-            c += np.kron(e_jk, image)
+    # s4[a, b, j, k] = Phi(E_jk)[a, b]: column j + d*k of S is vec(Phi(E_jk)).
+    s4 = p.superoperator.reshape(d, d, d, d, order="F")
+    c = s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
     c = 0.5 * (c + c.conj().T)
     tr = np.trace(c).real
     if abs(tr - d) > 1e-8:

@@ -9,12 +9,13 @@ canonical qubit pairs always evaluated first, so known maximizers are never
 missed. Everything is truncated at a finite horizon; a run whose last
 interval still contributes more than 0.5 is flagged as diverging.
 """
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .dynamics import GeneratorSpec, propagator_grid
+from .dynamics import GeneratorSpec, _check_uniform_grid, propagator_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import hermitian_eigenvalues
 from .states import DensityMatrix, StatePair, random_mixed_state, random_pure_state
@@ -34,19 +35,13 @@ class TrajectoryGrid:
     sigma_values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t, _ = _check_uniform_grid(self.times)
         d = np.asarray(self.d_values, dtype=float)
         s = np.asarray(self.sigma_values, dtype=float)
         if not (t.size == d.size == s.size):
             raise ValueError("times, d_values and sigma_values must match in length")
-        if t.size < 2:
-            raise ValueError("trajectory needs at least two points")
-        steps = np.diff(t)
-        if np.any(steps <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(t[-1])):
-            raise ValueError("times must be uniformly spaced")
-        if np.min(d) < -D_VALUE_TOL or np.max(d) > 1.0 + D_VALUE_TOL:
+        # Written so that NaN fails it too.
+        if not np.all(np.abs(d - 0.5) <= 0.5 + D_VALUE_TOL):
             raise ValueError("trace-distance values leave [0, 1] beyond tolerance")
         self.times, self.d_values, self.sigma_values = t, d, s
 
@@ -101,22 +96,24 @@ def trajectory(gen, pair, horizon, step, flow=None):
         flow = propagator_grid(gen, times)
     if flow.shape[0] != times.size:
         raise ValueError("precomputed flow does not match the time grid")
+    d = gen.dim
     diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
-    diffs = flow @ diff0
-    if gen.dim == 2:
+    # One matrix-vector product over all grid points.
+    diffs = (flow.reshape(-1, d * d) @ diff0).reshape(times.size, d * d)
+    if d == 2:
         d_values = _qubit_distance_grid(diffs)
     else:
-        d = gen.dim
         # Row-major reshape then swap: each matrix unstacks its columns.
         m = diffs.reshape(-1, d, d).swapaxes(1, 2)
         m = 0.5 * (m + m.swapaxes(1, 2).conj())
         d_values = 0.5 * np.sum(np.abs(hermitian_eigenvalues(m, tol=1e-8)), axis=1)
-    overshoot = float(np.max(d_values)) - 1.0
-    if overshoot > 1e-8:
-        k = int(np.argmax(d_values > 1.0 + 1e-8))
+    bad = ~(d_values <= 1.0 + 1e-8)  # also catches NaN
+    if bad.any():
+        k = int(np.argmax(bad))
         raise InvariantViolation(
-            f"trace distance {1.0 + overshoot:.6g} exceeds 1 at t={times[k]:.6g} "
-            "(step too coarse, or the generator is not positivity preserving)"
+            f"trace distance {d_values[k]:.6g} exceeds 1 or is not finite at "
+            f"t={times[k]:.6g} (step too coarse, or the generator is not "
+            "positivity preserving)"
         )
     d_values = np.clip(d_values, 0.0, 1.0)
     return trajectory_from_values(times, d_values)
@@ -279,47 +276,38 @@ def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
     times = make_time_grid(horizon, step)
     flow = propagator_grid(gen, times)
 
+    canonical = canonical_pairs(gen.dim)
+    samples = (sample_pair(gen.dim, seed, i) for i in range(n_pairs))
     best = None
     n_canonical = 0.0
     n_sampled_max = 0.0
-    evaluated = 0
     failures = []
-
-    def consider(pair, is_canonical_z=False, is_sample=False):
-        nonlocal best, n_canonical, n_sampled_max, evaluated
-        result = n_for_pair(gen, pair, horizon, step, threshold=threshold, flow=flow)
-        evaluated += 1
-        if is_canonical_z:
+    canonical_failure = None
+    for index, pair in enumerate(itertools.chain(canonical, samples)):
+        try:
+            result = n_for_pair(gen, pair, horizon, step, threshold=threshold, flow=flow)
+        except (NumericalError, ValueError) as exc:
+            failures.append(f"{pair.label}: {exc}")
+            if index < len(canonical):
+                canonical_failure = canonical_failure or failures[-1]
+            continue
+        if index == 0:
             n_canonical = result.n_value
-        if is_sample:
+        elif index >= len(canonical):
             n_sampled_max = max(n_sampled_max, result.n_value)
         if best is None or result.n_value > best.n_value:
             best = result
 
-    for i, pair in enumerate(canonical_pairs(gen.dim)):
-        try:
-            consider(pair, is_canonical_z=(i == 0))
-        except (NumericalError, ValueError) as exc:
-            failures.append(f"{pair.label}: {exc}")
-    for i in range(n_pairs):
-        try:
-            consider(sample_pair(gen.dim, seed, i), is_sample=True)
-        except (NumericalError, ValueError) as exc:
-            failures.append(f"sample-{i}: {exc}")
-
     if best is None:
-        raise NumericalError(
-            "all pair evaluations failed; first failure: " + failures[0]
-        )
+        raise NumericalError("all pair evaluations failed; first failure: " + failures[0])
+    if canonical_failure:
+        # The canonical pairs hold the known maximizers: without one of them
+        # the reported maximum cannot be trusted.
+        raise NumericalError("canonical pair failed: " + canonical_failure)
+    evaluated = len(canonical) + n_pairs - len(failures)
     best.samples_evaluated = evaluated
     best.seed = seed
-    return PairSearch(
-        best=best,
-        n_canonical=n_canonical,
-        n_sampled_max=n_sampled_max,
-        samples_evaluated=evaluated,
-        failures=failures,
-    )
+    return PairSearch(best, n_canonical, n_sampled_max, evaluated, failures)
 
 
 def n_measure(gen, n_pairs, horizon, step, threshold=None, seed=0):

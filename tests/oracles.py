@@ -4,8 +4,8 @@ Everything here is deliberately coded apart from the library implementations
 it checks: the Volterra memory-kernel solver for the cavity amplitude, a
 second Hilbert-Schmidt sampler, a direct dissipator evaluation, the
 closed-form amplitude-damping solution, a brute-force bath average for
-the central-spin model, and a cyclic Jacobi eigenvalue sweep in place of
-LAPACK.
+the central-spin model, a cyclic Jacobi eigenvalue sweep in place of
+LAPACK, and a step-by-step RK4 flow.
 """
 import numpy as np
 
@@ -121,3 +121,26 @@ def jacobi_eigenvalues(m, tol=1e-13, max_sweeps=60):
                 a[p, :] = c * row_p - s * phase * row_q
                 a[q, :] = s * np.conj(phase) * row_p + c * row_q
     raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+
+
+def rk4_flow(superoperator_at, t_grid):
+    """Phi(t_k, t_0) on a uniform grid by one classical RK4 step per interval.
+
+    superoperator_at(t) gives the d^2 x d^2 generator matrix K(t). The whole
+    stage stack (every grid point and midpoint) is built first, then each
+    step advances the running propagator S by dS/dt = K(t) S.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    h = t[1] - t[0]
+    ks = [superoperator_at(t[0] + 0.5 * h * j) for j in range(2 * t.size - 1)]
+    s = np.eye(ks[0].shape[0], dtype=complex)
+    flow = [s]
+    for k in range(t.size - 1):
+        ka, km, kb = ks[2 * k], ks[2 * k + 1], ks[2 * k + 2]
+        k1 = ka @ s
+        k2 = km @ (s + 0.5 * h * k1)
+        k3 = km @ (s + 0.5 * h * k2)
+        k4 = kb @ (s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        flow.append(s)
+    return np.stack(flow)

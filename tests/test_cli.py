@@ -279,6 +279,43 @@ class TestMeasure:
                    "--output", str(tmp_path / "m.json")) == 2
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["measure", "trajectory", "divisibility"])
+    def test_non_finite_flow_is_exit_3(self, tmp_path, capsys, command):
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        gen_file.write_text(json.dumps({
+            "dim": 2,
+            "hamiltonian": {"re": zeros, "im": zeros},
+            "channels": [{
+                "operator": {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros},
+                "rate": -1e5,
+            }],
+        }))
+        extra = ["--grid-points", "1"] if command == "divisibility" else []
+        code = run(command, "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--horizon", "1", "--step", "1e-2", *extra,
+                   "--output", str(tmp_path / "out.json"), "--format", "json")
+        assert code == 3
+        assert "non-finite entries at t=" in capsys.readouterr().err
+
+    def test_failed_canonical_pair_is_exit_3(self, tmp_path, capsys):
+        code = run("measure", "--model", "jc", "--gamma0", "5", "--delta", "0",
+                   "--n-pairs", "10", "--horizon", "20", "--step", "1e-3",
+                   "--format", "json", "--output", str(tmp_path / "m.json"))
+        assert code == 3
+        assert "canonical pair failed: canonical-z" in capsys.readouterr().err
+
+    def test_failed_canonical_pair_is_a_sweep_error(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", "jc", "--gamma0", "5", "--delta-min", "0",
+                   "--delta-max", "8", "--delta-points", "2", "--n-pairs", "2",
+                   "--horizon", "20", "--step", "1e-3", "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        assert rows[0][5].startswith("canonical pair failed: canonical-z")
+        assert rows[1][5] == "" and rows[1][3] > 0.0
+
+
 class TestSweep:
     def test_detuning_sweep_columns_and_monotone_onset(self, tmp_path):
         out = tmp_path / "sweep.csv"

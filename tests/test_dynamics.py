@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import amplitude_damping_solution, lindblad_rhs
+from oracles import amplitude_damping_solution, lindblad_rhs, rk4_flow
 
 from nmflow.dynamics import (
+    STEP_BLOCK,
     GeneratorSpec,
     Propagator,
     apply_generator,
@@ -193,6 +194,69 @@ class TestPropagator:
         rho0 = random_mixed_state(2, 17)
         states = evolve_state(gen, rho0, grid)
         assert np.max(np.abs(p.apply(rho0) - states[-1].matrix)) < 1e-9
+
+
+def random_d4_generator():
+    """Random d = 4 generator: random H, two channels, one time-dependent rate."""
+    rng = np.random.default_rng(23)
+    ops = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+           for _ in range(2)]
+    ops = [op / np.linalg.norm(op) for op in ops]
+    rate = lambda t: 0.6 + 0.4 * np.cos(3.0 * np.asarray(t))
+    return GeneratorSpec(4, 0.5 * random_hermitian(rng, 4), [(ops[0], 0.3), (ops[1], rate)])
+
+
+FLOW_GENERATORS = {
+    "jc-delta-8": lambda: jc_generator(JCParams(delta=8.0)),
+    "random-d4": random_d4_generator,
+}
+# One below, at and one above the block size, and a grid spanning several blocks.
+FLOW_STEPS = [STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 3 * STEP_BLOCK + 17]
+
+
+@pytest.mark.parametrize("steps", FLOW_STEPS)
+@pytest.mark.parametrize("name", sorted(FLOW_GENERATORS))
+class TestFlowMatchesStepByStepOracle:
+    """The blocked step-map flow against a per-step RK4 loop (tol 1e-12)."""
+
+    h = 1e-2
+
+    def oracle(self, gen, t_grid):
+        return rk4_flow(lambda t: generator_matrix(gen, t), t_grid)
+
+    def test_propagator_grid(self, name, steps):
+        gen = FLOW_GENERATORS[name]()
+        grid = self.h * np.arange(steps + 1)
+        phis = propagator_grid(gen, grid)
+        assert phis.shape == (steps + 1, gen.dim ** 2, gen.dim ** 2)
+        assert np.max(np.abs(phis - self.oracle(gen, grid))) < 1e-12
+
+    def test_propagator_between(self, name, steps):
+        gen = FLOW_GENERATORS[name]()
+        t1 = 0.3
+        t2 = t1 + steps * self.h
+        p = propagator_between(gen, t1, t2, self.h)
+        expected = self.oracle(gen, t1 + (t2 - t1) / steps * np.arange(steps + 1))[-1]
+        assert np.max(np.abs(p.superoperator - expected)) < 1e-12
+
+    def test_evolve_state(self, name, steps):
+        gen = FLOW_GENERATORS[name]()
+        grid = self.h * np.arange(steps + 1)
+        rho0 = random_mixed_state(gen.dim, 31)
+        states = evolve_state(gen, rho0, grid)
+        expected = self.oracle(gen, grid) @ rho0.matrix.reshape(-1, order="F")
+        got = np.stack([s.matrix.reshape(-1, order="F") for s in states])
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+class TestNonFiniteFlow:
+    def test_blow_up_names_the_first_non_finite_time(self):
+        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1e5)])
+        grid = np.linspace(0.0, 1.0, 101)
+        with pytest.raises(InvariantViolation, match=r"non-finite entries at t=0\.3$"):
+            propagator_grid(gen, grid)
+        with pytest.raises(InvariantViolation, match="non-finite entries at t="):
+            propagator_between(gen, 0.0, 1.0, 1e-2)
 
 
 class TestChoi:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nmflow.dynamics import constant_generator, divisibility_report, propagator_grid
-from nmflow.exceptions import NumericalError
+from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.measure import (
     GrowthInterval,
     MeasureSettings,
+    _qubit_distance_grid,
     canonical_pairs,
     default_threshold,
     growth_intervals,
@@ -27,9 +28,14 @@ from nmflow.models import (
     semigroup_generator,
     spinbath_trace_distance,
 )
-from nmflow.states import StatePair, random_mixed_state, random_pure_state
+from nmflow.states import SIGMA_MINUS, StatePair, random_mixed_state, random_pure_state
 
 Z_PAIR, X_PAIR = canonical_pairs(2)
+
+
+def blow_up_generator():
+    """sigma_minus channel at rate -1e5: the RK4 flow overflows at step 1e-2."""
+    return constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1e5)])
 
 
 def spinbath_trajectory(params, horizon, step):
@@ -75,6 +81,28 @@ class TestTrajectory:
             m = (phi @ diff0).reshape(4, 4, order="F")
             expected.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))))
         assert np.max(np.abs(traj.d_values - np.array(expected))) < 1e-12
+
+    def test_d2_distance_matches_per_point_products(self):
+        gen = jc_generator(JCParams(delta=8.0))
+        flow = propagator_grid(gen, make_time_grid(5.0, 1e-3))
+        for pair in (Z_PAIR, X_PAIR, sample_pair(2, 4, 2), sample_pair(2, 4, 3)):
+            traj = trajectory(gen, pair, 5.0, 1e-3, flow=flow)
+            diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
+            expected = _qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
+            assert np.max(np.abs(traj.d_values - expected)) < 1e-15
+
+    def test_non_finite_flow_is_invariant_violation(self):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            n_for_pair(blow_up_generator(), X_PAIR, 1.0, 1e-2)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            search_pairs(blow_up_generator(), 3, 1.0, 1e-2)
+
+    def test_non_finite_precomputed_flow_rejected(self):
+        gen = semigroup_generator(1.0)
+        flow = propagator_grid(gen, make_time_grid(1.0, 1e-2))
+        flow[40] = np.nan
+        with pytest.raises(InvariantViolation, match=r"not finite at t=0\.4 "):
+            trajectory(gen, X_PAIR, 1.0, 1e-2, flow=flow)
 
     def test_detuned_model_matches_decay_exponent(self):
         from nmflow.models import jc_decay_exponent
@@ -226,6 +254,13 @@ class TestPairSearch:
         gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1.0)])
         with pytest.raises(NumericalError, match="all pair evaluations failed"):
             search_pairs(gen, 2, 5.0, 1e-2, seed=0)
+
+    def test_failed_canonical_pair_raises(self):
+        # Strong coupling on resonance: RK4 crosses a zero of G(t), where the
+        # rate diverges, and the canonical z pair leaves [0, 1].
+        gen = jc_generator(JCParams(gamma0=2.0, delta=0.0))
+        with pytest.raises(NumericalError, match="canonical pair failed: canonical-z: "):
+            search_pairs(gen, 2, 10.0, 1e-2, seed=0)
 
     def test_programming_error_is_not_a_failed_pair(self, monkeypatch):
         import nmflow.measure
