@@ -31,6 +31,7 @@ from .models import (
     jc_decay_exponent,
     jc_generator,
     spinbath_f,
+    spinbath_flow,
     spinbath_trace_distance,
     spinbath_rate,
     spinbath_generator,
@@ -40,14 +41,12 @@ from .measure import (
     TrajectoryGrid,
     GrowthInterval,
     MeasureResult,
-    MeasureSettings,
     SweepRecord,
     trajectory,
     trajectory_from_values,
     growth_intervals,
     n_from_trajectory,
     n_for_pair,
-    n_measure,
     search_pairs,
     sweep,
 )

@@ -21,25 +21,17 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .dynamics import constant_generator, divisibility_report
+from .dynamics import constant_generator, divisibility_report, propagator_grid
 from .exceptions import ConfigError, NumericalError
-from .measure import (
-    MeasureSettings,
-    canonical_pairs,
-    make_time_grid,
-    n_from_trajectory,
-    search_pairs,
-    sweep,
-    trajectory,
-    trajectory_from_values,
-)
-from .states import DensityMatrix, StatePair, bloch_from_qubit, load_state, qubit_from_bloch
+from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
+from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
 MODELS = ("jc", "spinbath", "semigroup", "custom-file")
-# Models with a master-equation generator, whose pairs the library evolves.
+# Models with a master-equation generator: divisibility integrates its
+# two-time maps.
 EVOLVED = ("jc", "semigroup", "custom-file")
 ALL_COMMANDS = frozenset({"rate", "trajectory", "measure", "sweep", "divisibility"})
 SEARCH = ("measure", "sweep")
@@ -84,7 +76,7 @@ KEYS = (
            ("seed", int, "0", "--seed", "pair-sampling seed"),
            ("sigma_threshold", float, None, "--sigma-threshold",
             "growth threshold on sigma (default: relative to its peak)")),
-    *_keys(EVOLVED, SEARCH,
+    *_keys(MODELS, SEARCH,
            ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs")),
     *_keys({"jc"}, ALL_COMMANDS,
            ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda"),
@@ -102,10 +94,6 @@ KEYS = (
            ("horizon_times_a", float, "4.9", "--horizon", "spinbath: horizon in units of 1/A"),
            ("step_times_a", float, "5e-4", "--step", "spinbath: step in units of 1/A"),
            ("n_spins", int, "20", "--n-spins", "bath spins")),
-    *_keys({"spinbath"}, {"trajectory", "measure"},
-           ("pair_a", float, "0", "--pair-a", "population difference of the pair"),
-           ("pair_b_re", float, "1", "--pair-b-re", "coherence difference, real part"),
-           ("pair_b_im", float, "0", "--pair-b-im", "coherence difference, imaginary part")),
     *_keys({"semigroup"}, ALL_COMMANDS - {"sweep"},
            ("horizon_times_gamma0", float, "5", "--horizon",
             "semigroup: horizon in units of 1/gamma0"),
@@ -114,7 +102,7 @@ KEYS = (
            ("horizon", float, "1", "--horizon", "custom-file: horizon"),
            ("step", float, "1e-3", "--step", "custom-file: step"),
            ("generator_file", str, None, "--generator-file", "constant generator as JSON")),
-    *_keys(EVOLVED, {"trajectory"},
+    *_keys(MODELS, {"trajectory"},
            ("pair", ("z", "x"), "z", "--pair", "canonical initial pair"),
            ("pair_bloch", str, None, "--pair-bloch", "'x,y,z;x,y,z'"),
            ("pair_files", str, None, "--pair-files", "'file1;file2'")),
@@ -125,6 +113,11 @@ KEYS = (
 KEY_TABLE = {key.name: key for key in KEYS}
 FLAGS = {flag: [key for key in KEYS if key.flag == flag]
          for flag in dict.fromkeys(key.flag for key in KEYS)}
+# Alternative ways to give one input: keys from two of them clash.
+ALTERNATIVES = (
+    (("pair",), ("pair_bloch",), ("pair_files",)),
+    (("delta_over_lambda",), ("delta_over_lambda_min", "delta_over_lambda_max", "delta_points")),
+)
 
 TIME_COLUMN = {
     "jc": "t_lambda",
@@ -234,6 +227,11 @@ def resolve_config(args, command):
     raw.update(given)
     raw["model"] = model
     provided = set(given)
+    for groups in ALTERNATIVES:
+        if sum(bool(provided.intersection(group)) for group in groups) > 1:
+            clash = [name for group in groups for name in group if name in provided]
+            raise ConfigError(f"keys {', '.join(map(repr, clash))} give the same input; "
+                              "give only one of them")
     horizon_key, step_key = (_flag_key(flag, model).name for flag in ("--horizon", "--step"))
 
     if "output" not in raw:
@@ -268,6 +266,8 @@ def resolve_config(args, command):
         raise ConfigError("n_pairs must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
+    if cfg.threshold is not None and not cfg.threshold >= 0:
+        raise ConfigError("sigma_threshold must be nonnegative")
     return cfg
 
 
@@ -322,9 +322,18 @@ def build_generator(cfg):
     raise ConfigError(f"model {cfg.model!r} has no master-equation generator")
 
 
+def build_flow(cfg, times):
+    """Flow Phi(t_k, 0) of the model on times: exact for the spin bath, RK4
+    integration of the generator for the others."""
+    if cfg.model == "spinbath":
+        params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.get_int("n_spins"))
+        return models.spinbath_flow(params, times)
+    return propagator_grid(build_generator(cfg), times)
+
+
 def resolve_pair(cfg):
     """Initial pair from a canonical name, Bloch vectors, or state files."""
-    if "pair_bloch" in cfg.raw and cfg.raw.get("pair_bloch"):
+    if cfg.raw.get("pair_bloch"):
         spec = cfg.get("pair_bloch")
         halves = spec.split(";")
         if len(halves) != 2:
@@ -339,7 +348,7 @@ def resolve_pair(cfg):
             except ValueError as exc:
                 raise ConfigError(f"pair_bloch: {exc}")
         return StatePair(states[0], states[1], label="bloch")
-    if "pair_files" in cfg.raw and cfg.raw.get("pair_files"):
+    if cfg.raw.get("pair_files"):
         paths = cfg.get("pair_files").split(";")
         if len(paths) != 2:
             raise ConfigError("pair_files needs two ';'-separated paths")
@@ -354,14 +363,6 @@ def resolve_pair(cfg):
     if name == "x":
         return canonical_pairs(2)[1]
     raise ConfigError(f"unknown pair {name!r}; expected z, x, pair_bloch or pair_files")
-
-
-def spinbath_pair_difference(cfg):
-    a = cfg.get_float("pair_a")
-    b = complex(cfg.get_float("pair_b_re"), cfg.get_float("pair_b_im"))
-    if a * a + abs(b) ** 2 > 1.0 + 1e-12:
-        raise ConfigError(f"pair differences a={a}, |b|={abs(b)} exceed valid states")
-    return a, b
 
 
 def format_number(x):
@@ -443,12 +444,11 @@ def cmd_rate(cfg):
         return 0
     if cfg.model == "spinbath":
         params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.get_int("n_spins"))
-        rows = []
-        for t in times:
-            if models.spinbath_pole_distance(params, t) <= models.POLE_TOL:
-                rows.append([float(t), float("nan"), "pole"])
-            else:
-                rows.append([float(t), float(models.spinbath_rate(params, t)), ""])
+        pole = models.spinbath_pole_distance(params, times) <= models.POLE_TOL
+        gammas = np.full(times.size, np.nan)
+        gammas[~pole] = models.spinbath_rate(params, times[~pole])
+        rows = [[float(t), float(g), "pole" if p else ""]
+                for t, g, p in zip(times, gammas, pole)]
         write_table(cfg, [time_col, "gamma_over_a", "flag"], rows, "rate")
         return 0
     if cfg.model == "semigroup":
@@ -458,22 +458,11 @@ def cmd_rate(cfg):
     raise ConfigError(f"model {cfg.model!r} does not support an analytic rate")
 
 
-def _spinbath_trajectory(cfg):
-    params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.get_int("n_spins"))
-    a, b = spinbath_pair_difference(cfg)
-    times = make_time_grid(cfg.horizon, cfg.step)
-    d_values = models.spinbath_trace_distance(params, a, b, times)
-    return trajectory_from_values(times, d_values)
-
-
 def cmd_trajectory(cfg):
     """Columns t, D, sigma for one initial pair."""
-    if cfg.model == "spinbath":
-        traj = _spinbath_trajectory(cfg)
-    else:
-        gen = build_generator(cfg)
-        pair = resolve_pair(cfg)
-        traj = trajectory(gen, pair, cfg.horizon, cfg.step)
+    pair = resolve_pair(cfg)
+    times = make_time_grid(cfg.horizon, cfg.step)
+    traj = trajectory(build_flow(cfg, times), pair, times)
     time_col = TIME_COLUMN[cfg.model]
     rows = [
         [float(t), float(d), float(s)]
@@ -512,31 +501,19 @@ def _measure_payload(result, extra):
 
 def cmd_measure(cfg):
     """Structured report: truncated measure value, intervals, best pair."""
-    if cfg.model == "spinbath":
-        traj = _spinbath_trajectory(cfg)
-        a, b = spinbath_pair_difference(cfg)
-        # Representative pair whose entrywise difference is [[a, b], [b~, -a]].
-        half_diff = 0.5 * np.array([[a, b], [np.conj(b), -a]], dtype=complex)
-        rho1 = DensityMatrix(0.5 * np.eye(2, dtype=complex) + half_diff)
-        rho2 = DensityMatrix(0.5 * np.eye(2, dtype=complex) - half_diff)
-        pair = StatePair(rho1, rho2, label=f"spinbath a={a} b={b}")
-        result = n_from_trajectory(traj, pair, threshold=cfg.threshold)
-        result.seed = cfg.seed
-        payload = _measure_payload(result, {"model": cfg.model})
-    else:
-        gen = build_generator(cfg)
-        search = search_pairs(
-            gen, cfg.n_pairs, cfg.horizon, cfg.step, threshold=cfg.threshold, seed=cfg.seed
-        )
-        payload = _measure_payload(
-            search.best,
-            {
-                "model": cfg.model,
-                "n_canonical_pair": search.n_canonical,
-                "n_sampled_max": search.n_sampled_max,
-                "failures": search.failures,
-            },
-        )
+    times = make_time_grid(cfg.horizon, cfg.step)
+    search = search_pairs(
+        build_flow(cfg, times), cfg.n_pairs, times, threshold=cfg.threshold, seed=cfg.seed
+    )
+    payload = _measure_payload(
+        search.best,
+        {
+            "model": cfg.model,
+            "n_canonical_pair": search.n_canonical,
+            "n_sampled_max": search.n_sampled_max,
+            "failures": search.failures,
+        },
+    )
     if cfg.format == "csv":
         header = ["a", "b", "contribution"]
         rows = [[iv["a"], iv["b"], iv["contribution"]] for iv in payload["intervals"]]
@@ -558,18 +535,15 @@ def cmd_sweep(cfg):
     )
     gamma0 = cfg.get_float("gamma0_over_lambda")
     clamp = cfg.get_bool("clamp_rate")
-    family = lambda delta: models.jc_generator(
-        models.JCParams(gamma0=gamma0, lam=1.0, delta=float(delta)),
-        nonnegative_rate=clamp,
+    times = make_time_grid(cfg.horizon, cfg.step)
+    family = lambda delta: propagator_grid(
+        models.jc_generator(
+            models.JCParams(gamma0=gamma0, lam=1.0, delta=float(delta)),
+            nonnegative_rate=clamp,
+        ),
+        times,
     )
-    settings = MeasureSettings(
-        horizon=cfg.horizon,
-        step=cfg.step,
-        n_pairs=cfg.n_pairs,
-        threshold=cfg.threshold,
-        seed=cfg.seed,
-    )
-    records = sweep(family, deltas, settings)
+    records = sweep(family, deltas, times, cfg.n_pairs, cfg.threshold, cfg.seed)
     rows = [
         [
             rec.parameter,

@@ -1,5 +1,9 @@
 """Trace-distance growth analysis: sigma(t), growth intervals, and the
-non-Markovianity functional.
+non-Markovianity functional of a dynamical map.
+
+The map enters only as its flow Phi(t_k, 0) on a uniform time grid, an array
+of shape (T, d^2, d^2) acting on column-stacked density matrices, however it
+was obtained (RK4 integration of a generator or a closed form).
 
 The measure is the maximal total growth of the trace distance over all
 intervals where its derivative sigma is positive, maximized over pairs of
@@ -10,12 +14,13 @@ missed. Everything is truncated at a finite horizon; a run whose last
 interval still contributes more than 0.5 is flagged as diverging.
 """
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .dynamics import GeneratorSpec, _check_uniform_grid, propagator_grid
+from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import hermitian_eigenvalues
 from .states import DensityMatrix, StatePair, random_mixed_state, random_pure_state
@@ -82,21 +87,22 @@ def make_time_grid(horizon, step):
     return np.arange(n + 1) * step
 
 
-def trajectory(gen, pair, horizon, step, flow=None):
-    """Evolve both states of the pair and record D(t) and sigma(t).
+def _flow_dim(flow, times):
+    """State dimension d of a flow Phi(t_k, 0) of shape (T, d^2, d^2) on T times."""
+    d = math.isqrt(flow.shape[-1])
+    if flow.shape != (np.size(times), d * d, d * d):
+        raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {np.size(times)} times")
+    return d
 
-    flow may carry precomputed propagators Phi(t_k, 0) from propagator_grid
-    for this generator and grid; the trace distance needs only the evolved
-    difference, which the propagators give by linearity.
-    """
-    if pair.dim != gen.dim:
-        raise ValueError(f"pair dimension {pair.dim} != generator dim {gen.dim}")
-    times = make_time_grid(horizon, step)
-    if flow is None:
-        flow = propagator_grid(gen, times)
-    if flow.shape[0] != times.size:
-        raise ValueError("precomputed flow does not match the time grid")
-    d = gen.dim
+
+def trajectory(flow, pair, times):
+    """D(t) and sigma(t) for the pair under the flow Phi(t_k, 0) on times; the
+    trace distance needs only the evolved difference, which the flow gives by
+    linearity."""
+    times = np.asarray(times, dtype=float)
+    d = _flow_dim(flow, times)
+    if pair.dim != d:
+        raise ValueError(f"pair dimension {pair.dim} != flow dimension {d}")
     diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
     # One matrix-vector product over all grid points.
     diffs = (flow.reshape(-1, d * d) @ diff0).reshape(times.size, d * d)
@@ -134,6 +140,12 @@ class GrowthInterval:
             raise ValueError(f"negative contribution {self.contribution}")
 
 
+def _check_threshold(threshold):
+    """None (relative to the peak |sigma|) or a nonnegative number."""
+    if threshold is not None and not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+
+
 def default_threshold(traj):
     """Noise floor for sigma: 1e-9 of the peak |sigma|, floored at 1e-12."""
     return max(THRESHOLD_FLOOR, THRESHOLD_SCALE * float(np.max(np.abs(traj.sigma_values))))
@@ -147,10 +159,9 @@ def growth_intervals(traj, threshold=None):
     interpolated at the refined endpoints, so the interval sum and the
     quadrature of positive sigma agree to the discretization order.
     """
+    _check_threshold(threshold)
     if threshold is None:
         threshold = default_threshold(traj)
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     t, d, s = traj.times, traj.d_values, traj.sigma_values
     mask = s > threshold
     if not mask.any():
@@ -212,9 +223,9 @@ def n_from_trajectory(traj, pair, threshold=None):
     )
 
 
-def n_for_pair(gen, pair, horizon, step, threshold=None, flow=None):
+def n_for_pair(flow, pair, times, threshold=None):
     """Summed trace-distance growth for one fixed initial pair."""
-    traj = trajectory(gen, pair, horizon, step, flow=flow)
+    traj = trajectory(flow, pair, times)
     return n_from_trajectory(traj, pair, threshold)
 
 
@@ -264,8 +275,9 @@ class PairSearch:
     failures: List[str] = field(default_factory=list)
 
 
-def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
-    """Evaluate canonical plus n_pairs sampled pairs, tracking the maximum.
+def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
+    """Evaluate canonical plus n_pairs sampled pairs under the flow on times,
+    tracking the maximum.
 
     Ties are broken in favor of the first evaluated pair (canonical pairs
     first, then sample order), so the result is deterministic and the best
@@ -273,11 +285,10 @@ def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    times = make_time_grid(horizon, step)
-    flow = propagator_grid(gen, times)
-
-    canonical = canonical_pairs(gen.dim)
-    samples = (sample_pair(gen.dim, seed, i) for i in range(n_pairs))
+    _check_threshold(threshold)
+    dim = _flow_dim(flow, times)
+    canonical = canonical_pairs(dim)
+    samples = (sample_pair(dim, seed, i) for i in range(n_pairs))
     best = None
     n_canonical = 0.0
     n_sampled_max = 0.0
@@ -285,7 +296,7 @@ def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
     canonical_failure = None
     for index, pair in enumerate(itertools.chain(canonical, samples)):
         try:
-            result = n_for_pair(gen, pair, horizon, step, threshold=threshold, flow=flow)
+            result = n_for_pair(flow, pair, times, threshold)
         except (NumericalError, ValueError) as exc:
             failures.append(f"{pair.label}: {exc}")
             if index < len(canonical):
@@ -310,11 +321,6 @@ def search_pairs(gen, n_pairs, horizon, step, threshold=None, seed=0):
     return PairSearch(best, n_canonical, n_sampled_max, evaluated, failures)
 
 
-def n_measure(gen, n_pairs, horizon, step, threshold=None, seed=0):
-    """The truncated non-Markovianity value, maximized over initial pairs."""
-    return search_pairs(gen, n_pairs, horizon, step, threshold, seed).best
-
-
 @dataclass
 class SweepRecord:
     """One parameter point of a sweep: overall, canonical and sampled maxima."""
@@ -328,32 +334,18 @@ class SweepRecord:
     error: Optional[str] = None
 
 
-@dataclass
-class MeasureSettings:
-    horizon: float
-    step: float
-    n_pairs: int = 1000
-    threshold: Optional[float] = None
-    seed: int = 0
-
-
-def sweep(gen_family, parameters, settings):
-    """n_measure across a parameter grid; per-point failures are recorded in
-    the output instead of aborting the sweep."""
+def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
+    """search_pairs on the flow flow_family(value) for each parameter value;
+    per-point failures, building the flow included, are recorded in the
+    output instead of aborting the sweep."""
     parameters = list(parameters)
     if not parameters:
         raise ValueError("parameter grid is empty")
+    _check_threshold(threshold)
     records = []
     for value in parameters:
         try:
-            search = search_pairs(
-                gen_family(value),
-                settings.n_pairs,
-                settings.horizon,
-                settings.step,
-                threshold=settings.threshold,
-                seed=settings.seed,
-            )
+            search = search_pairs(flow_family(value), n_pairs, times, threshold, seed)
             records.append(
                 SweepRecord(
                     parameter=float(value),

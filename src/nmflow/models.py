@@ -7,7 +7,8 @@ goes negative at large detuning; its integral Gamma(t) = -2 ln|G(t)| stays
 nonnegative, so the full map remains CP.
 
 Central spin dephasing in a bath of N spins (maximally mixed bath):
-populations are frozen and coherences are multiplied by f(t) = cos^N(2At).
+populations are frozen and coherences are multiplied by f(t) = cos^N(2At),
+which spinbath_flow gives exactly on a time grid.
 The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi, so that
 generator is exposed for demonstrations only, never integrated across poles.
 """
@@ -138,6 +139,16 @@ def spinbath_trace_distance(params, a, b, t):
     f = spinbath_f(params, t)
     out = np.sqrt(a * a + f * f * abs(b) ** 2)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def spinbath_flow(params, times):
+    """Exact flow Phi(t_k, 0) = diag(1, f, f, 1) on column-stacked 2x2
+    matrices: populations frozen, both coherences scaled by f(t_k)."""
+    f = np.atleast_1d(spinbath_f(params, times))
+    flow = np.zeros((f.size, 4, 4), dtype=complex)
+    flow[:, 0, 0] = flow[:, 3, 3] = 1.0
+    flow[:, 1, 1] = flow[:, 2, 2] = f
+    return flow
 
 
 def spinbath_pole_distance(params, t):

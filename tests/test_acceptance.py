@@ -47,6 +47,12 @@ from nmflow.states import (
 Z_PAIR = canonical_pairs(2)[0]
 
 
+def grid_flow(gen, horizon, step):
+    """RK4 flow of the generator on the uniform grid, and the grid."""
+    times = make_time_grid(horizon, step)
+    return propagator_grid(gen, times), times
+
+
 def mask_edges(mask):
     """Indices where a boolean grid mask switches value."""
     return np.flatnonzero(np.diff(mask.astype(np.int8)))
@@ -59,7 +65,8 @@ def test_criterion_1_growth_set_equals_negative_rate_set():
     nonempty = 0
     for delta in (3.0, 5.0, 8.0):
         params = JCParams(gamma0=0.01, lam=1.0, delta=delta)
-        traj = trajectory(jc_generator(params), Z_PAIR, 20.0, step)
+        flow, times = grid_flow(jc_generator(params), 20.0, step)
+        traj = trajectory(flow, Z_PAIR, times)
         eps = default_threshold(traj)
         grow = traj.sigma_values > eps
         negative = jc_rate(params, traj.times) < 0.0
@@ -76,7 +83,8 @@ def test_criterion_1_growth_set_equals_negative_rate_set():
 
 def test_criterion_2_sigma_identity():
     params = JCParams(gamma0=0.01, lam=1.0, delta=5.0)
-    traj = trajectory(jc_generator(params), Z_PAIR, 20.0, 1e-3)
+    flow, times = grid_flow(jc_generator(params), 20.0, 1e-3)
+    traj = trajectory(flow, Z_PAIR, times)
     predicted = -jc_rate(params, traj.times) * np.exp(
         -jc_decay_exponent(params, traj.times)
     )
@@ -131,7 +139,8 @@ def test_criterion_5_markovian_models_score_zero():
         (jc_generator(JCParams(delta=5.0), nonnegative_rate=True), 20.0, 1e-3),
     ]
     for gen, horizon, step in cases:
-        search = search_pairs(gen, 200, horizon, step, seed=0)
+        flow, times = grid_flow(gen, horizon, step)
+        search = search_pairs(flow, 200, times, seed=0)
         assert search.failures == []
         assert search.best.n_value == 0.0
         report = divisibility_report(gen, np.linspace(0.0, horizon, 21), h=step)
@@ -143,7 +152,8 @@ def test_criterion_6_detuning_sweep_structure():
     canonical = []
     for delta in deltas:
         gen = jc_generator(JCParams(gamma0=0.01, lam=1.0, delta=float(delta)))
-        search = search_pairs(gen, 1000, 40.0, 1e-3, seed=0)
+        flow, times = grid_flow(gen, 40.0, 1e-3)
+        search = search_pairs(flow, 1000, times, seed=0)
         assert search.failures == []
         # (a) no sampled pair beats the antipodal z-axis pair meaningfully.
         assert search.n_sampled_max <= search.n_canonical + 1e-6

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from nmflow.cli import build_parser, main, read_csv_grid, resolve_config
-from nmflow.models import JCParams, SpinBathParams, jc_rate, spinbath_f
+from nmflow.models import (
+    POLE_TOL,
+    JCParams,
+    SpinBathParams,
+    jc_rate,
+    spinbath_f,
+    spinbath_pole_distance,
+    spinbath_rate,
+    spinbath_trace_distance,
+)
 from nmflow.states import DensityMatrix, save_state
 
 
@@ -34,7 +43,7 @@ class TestConfigHandling:
          "delta_over_lambda", "semigroup", "measure"),
         ("rate --model jc --n-pairs 5", "n_pairs", "jc", "rate"),
         ("rate --model jc --clamp-rate", "clamp_rate", "jc", "rate"),
-        ("measure --model spinbath --n-pairs 5", "n_pairs", "spinbath", "measure"),
+        ("measure --model spinbath --grid-points 4", "grid_points", "spinbath", "measure"),
         ("divisibility --model semigroup --pair z", "pair", "semigroup", "divisibility"),
         ("measure --model jc --grid-points 4", "grid_points", "jc", "measure"),
     ])
@@ -62,6 +71,30 @@ class TestConfigHandling:
         for line in commands:
             args = build_parser().parse_args(shlex.split(line)[1:])
             resolve_config(args, args.command)
+
+    @pytest.mark.parametrize("argv, keys", [
+        ("trajectory --pair x --pair-bloch 0,0,1;0,0,-1 --pair-files nonexistent1;nonexistent2",
+         ["pair", "pair_bloch", "pair_files"]),
+        ("trajectory --model spinbath --pair z --pair-bloch 0,0,1;0,0,-1",
+         ["pair", "pair_bloch"]),
+        ("rate --model jc --delta 5 --delta-max 2 --delta-points 2",
+         ["delta_over_lambda", "delta_over_lambda_max", "delta_points"]),
+    ])
+    def test_alternative_inputs_clash(self, tmp_path, capsys, argv, keys):
+        code = run(*argv.split(), "--output", str(tmp_path / "o.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(f"{key!r}" in err for key in keys)
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["measure", "sweep"])
+    def test_negative_sigma_threshold_is_exit_2(self, tmp_path, capsys, command):
+        code = run(command, "--model", "jc", "--sigma-threshold", "-1",
+                   "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
+                   "--output", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "sigma_threshold must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -137,6 +170,20 @@ class TestRate:
         assert np.isnan(flagged[0][1])
         assert flagged[0][0] == pytest.approx(np.pi / 4)
 
+    def test_spinbath_rows_match_per_point_loop(self, tmp_path):
+        out = tmp_path / "rate.csv"
+        step = np.pi / 40.0
+        assert run("rate", "--model", "spinbath", "--n-spins", "5", "--horizon", str(60 * step),
+                   "--step", str(step), "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        params = SpinBathParams(coupling_a=1.0, n_spins=5)
+        for t, gamma, flag in rows:
+            if spinbath_pole_distance(params, t) <= POLE_TOL:
+                assert np.isnan(gamma) and flag == "pole"
+            else:
+                assert gamma == spinbath_rate(params, t) and flag == ""
+        assert sum(row[2] == "pole" for row in rows) == 3
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "rate.json"
         assert run("rate", "--model", "semigroup", "--horizon", "2",
@@ -149,13 +196,25 @@ class TestRate:
 class TestTrajectory:
     def test_spinbath_distance_is_coherence_magnitude(self, tmp_path):
         out = tmp_path / "traj.csv"
-        assert run("trajectory", "--model", "spinbath", "--n-spins", "20",
+        assert run("trajectory", "--model", "spinbath", "--n-spins", "20", "--pair", "x",
                    "--horizon", "3", "--step", "0.001", "--output", str(out)) == 0
         header, rows = read_csv_grid(str(out))
         assert header == ["t_times_a", "trace_distance", "sigma"]
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
         for row in rows[::300]:
             assert row[1] == pytest.approx(abs(spinbath_f(params, row[0])), abs=1e-12)
+
+    def test_spinbath_bloch_pair_matches_closed_form(self, tmp_path):
+        # Population gap a and coherence gap b of rho1 - rho2, as Bloch vectors.
+        a, b = 0.3, 0.5 - 0.4j
+        out = tmp_path / "traj.csv"
+        assert run("trajectory", "--model", "spinbath", "--n-spins", "7",
+                   "--pair-bloch", f"{b.real},{-b.imag},{a};{-b.real},{b.imag},{-a}",
+                   "--horizon", "3", "--step", "0.001", "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        times = np.array([row[0] for row in rows])
+        closed = spinbath_trace_distance(SpinBathParams(n_spins=7), a, b, times)
+        assert np.max(np.abs(np.array([row[1] for row in rows]) - closed)) <= 1e-14
 
     def test_semigroup_z_pair_decay(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -223,6 +282,18 @@ class TestMeasure:
         assert payload["n_value"] == pytest.approx(3.0, abs=1e-5)
         assert payload["diverging"] is True
         assert len(payload["intervals"]) == 3
+
+    def test_spinbath_searches_canonical_and_sampled_pairs(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run("measure", "--model", "spinbath", "--n-pairs", "6", "--seed", "2",
+                   "--horizon", "2", "--step", "1e-3",
+                   "--format", "json", "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["samples_evaluated"] == 8
+        assert payload["failures"] == []
+        assert payload["best_pair"]["label"] == "canonical-x"
+        assert payload["n_canonical_pair"] == 0.0  # the z pair differs in populations only
+        assert payload["n_value"] >= payload["n_sampled_max"] > 0.0
 
     def test_detuned_jc_positive_value(self, tmp_path):
         out = tmp_path / "m.json"

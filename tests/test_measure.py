@@ -5,7 +5,6 @@ from nmflow.dynamics import constant_generator, divisibility_report, propagator_
 from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.measure import (
     GrowthInterval,
-    MeasureSettings,
     _qubit_distance_grid,
     canonical_pairs,
     default_threshold,
@@ -13,7 +12,6 @@ from nmflow.measure import (
     make_time_grid,
     n_for_pair,
     n_from_trajectory,
-    n_measure,
     sample_pair,
     search_pairs,
     sweep,
@@ -26,9 +24,16 @@ from nmflow.models import (
     jc_generator,
     jc_rate,
     semigroup_generator,
+    spinbath_flow,
     spinbath_trace_distance,
 )
-from nmflow.states import SIGMA_MINUS, StatePair, random_mixed_state, random_pure_state
+from nmflow.states import (
+    SIGMA_MINUS,
+    StatePair,
+    qubit_from_bloch,
+    random_mixed_state,
+    random_pure_state,
+)
 
 Z_PAIR, X_PAIR = canonical_pairs(2)
 
@@ -36,6 +41,12 @@ Z_PAIR, X_PAIR = canonical_pairs(2)
 def blow_up_generator():
     """sigma_minus channel at rate -1e5: the RK4 flow overflows at step 1e-2."""
     return constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1e5)])
+
+
+def grid_flow(gen, horizon, step):
+    """RK4 flow of the generator on the uniform grid, and the grid."""
+    times = make_time_grid(horizon, step)
+    return propagator_grid(gen, times), times
 
 
 def spinbath_trajectory(params, horizon, step):
@@ -46,7 +57,8 @@ def spinbath_trajectory(params, horizon, step):
 
 class TestTrajectory:
     def test_semigroup_distance_is_exponential(self):
-        traj = trajectory(semigroup_generator(1.0), Z_PAIR, 5.0, 1e-3)
+        flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-3)
+        traj = trajectory(flow, Z_PAIR, times)
         assert np.max(np.abs(traj.d_values - np.exp(-traj.times))) < 1e-7
         assert np.all(traj.sigma_values <= 1e-9)
 
@@ -54,13 +66,41 @@ class TestTrajectory:
         from nmflow.dynamics import constant_generator
 
         gen = constant_generator(np.zeros((2, 2)), [])
-        traj = trajectory(gen, Z_PAIR, 1.0, 1e-2)
+        flow, times = grid_flow(gen, 1.0, 1e-2)
+        traj = trajectory(flow, Z_PAIR, times)
         assert np.all(traj.d_values == 1.0)
         assert np.max(np.abs(traj.sigma_values)) < 1e-12
 
     def test_grid_resolution_guard(self):
         with pytest.raises(ValueError, match=">= 10"):
-            trajectory(semigroup_generator(1.0), Z_PAIR, 1.0, 0.5)
+            grid_flow(semigroup_generator(1.0), 1.0, 0.5)
+
+    def test_flow_must_fit_times_and_pair(self):
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
+        with pytest.raises(ValueError, match="flow shape"):
+            trajectory(flow[:-1], Z_PAIR, times)
+        with pytest.raises(ValueError, match="^flow shape"):
+            search_pairs(flow[:-1], 2, times)
+        d4_pair = StatePair(random_pure_state(4, 1), random_pure_state(4, 2))
+        with pytest.raises(ValueError, match="pair dimension 4 != flow dimension 2"):
+            trajectory(flow, d4_pair, times)
+
+    def test_spinbath_flow_matches_closed_form_distance(self):
+        params = SpinBathParams(coupling_a=1.0, n_spins=20)
+        times = make_time_grid(3.0, 1e-3)
+        flow = spinbath_flow(params, times)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(50):
+            a = rng.uniform(-1.0, 1.0)
+            b = rng.uniform(0.0, 0.999 * np.sqrt(1.0 - a * a)) * np.exp(
+                1j * rng.uniform(0.0, 2.0 * np.pi))
+            # Bloch vectors +-(Re b, -Im b, a) have rho1 - rho2 = [[a, b], [b~, -a]].
+            pair = StatePair(qubit_from_bloch(b.real, -b.imag, a),
+                             qubit_from_bloch(-b.real, b.imag, -a))
+            closed = spinbath_trace_distance(params, a, b, times)
+            worst = max(worst, np.max(np.abs(trajectory(flow, pair, times).d_values - closed)))
+        assert worst <= 1e-14
 
     def test_d4_distance_matches_per_point_loop(self):
         rng = np.random.default_rng(11)
@@ -73,8 +113,8 @@ class TestTrajectory:
             0.5 * (a + a.conj().T), [(ginibre() / 4.0, rate) for rate in (0.3, 0.7)]
         )
         pair = StatePair(random_pure_state(4, 5), random_mixed_state(4, 6))
-        traj = trajectory(gen, pair, 0.5, 1e-2)
-        flow = propagator_grid(gen, traj.times)
+        flow, times = grid_flow(gen, 0.5, 1e-2)
+        traj = trajectory(flow, pair, times)
         diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
         expected = []
         for phi in flow:
@@ -84,31 +124,33 @@ class TestTrajectory:
 
     def test_d2_distance_matches_per_point_products(self):
         gen = jc_generator(JCParams(delta=8.0))
-        flow = propagator_grid(gen, make_time_grid(5.0, 1e-3))
+        flow, times = grid_flow(gen, 5.0, 1e-3)
         for pair in (Z_PAIR, X_PAIR, sample_pair(2, 4, 2), sample_pair(2, 4, 3)):
-            traj = trajectory(gen, pair, 5.0, 1e-3, flow=flow)
+            traj = trajectory(flow, pair, times)
             diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
             expected = _qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
             assert np.max(np.abs(traj.d_values - expected)) < 1e-15
 
     def test_non_finite_flow_is_invariant_violation(self):
         with pytest.raises(InvariantViolation, match="non-finite"):
-            n_for_pair(blow_up_generator(), X_PAIR, 1.0, 1e-2)
+            flow, times = grid_flow(blow_up_generator(), 1.0, 1e-2)
+            n_for_pair(flow, X_PAIR, times)
         with pytest.raises(InvariantViolation, match="non-finite"):
-            search_pairs(blow_up_generator(), 3, 1.0, 1e-2)
+            flow, times = grid_flow(blow_up_generator(), 1.0, 1e-2)
+            search_pairs(flow, 3, times)
 
     def test_non_finite_precomputed_flow_rejected(self):
-        gen = semigroup_generator(1.0)
-        flow = propagator_grid(gen, make_time_grid(1.0, 1e-2))
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
         flow[40] = np.nan
         with pytest.raises(InvariantViolation, match=r"not finite at t=0\.4 "):
-            trajectory(gen, X_PAIR, 1.0, 1e-2, flow=flow)
+            trajectory(flow, X_PAIR, times)
 
     def test_detuned_model_matches_decay_exponent(self):
         from nmflow.models import jc_decay_exponent
 
         params = JCParams(delta=5.0)
-        traj = trajectory(jc_generator(params), Z_PAIR, 10.0, 1e-3)
+        flow, times = grid_flow(jc_generator(params), 10.0, 1e-3)
+        traj = trajectory(flow, Z_PAIR, times)
         expected = np.exp(-jc_decay_exponent(params, traj.times))
         assert np.max(np.abs(traj.d_values - expected)) < 1e-6
 
@@ -131,7 +173,8 @@ class TestGrowthIntervals:
 
     def test_interval_count_follows_negative_rate_windows(self):
         params = JCParams(delta=10.0)
-        traj = trajectory(jc_generator(params), Z_PAIR, 15.0, 1e-3)
+        flow, times = grid_flow(jc_generator(params), 15.0, 1e-3)
+        traj = trajectory(flow, Z_PAIR, times)
         ivs = growth_intervals(traj)
         assert len(ivs) >= 2
         # Every detected interval sits inside a window where gamma < 0; probe
@@ -142,7 +185,8 @@ class TestGrowthIntervals:
 
     def test_interval_sum_matches_positive_slope_quadrature(self):
         params = JCParams(delta=8.0)
-        traj = trajectory(jc_generator(params), Z_PAIR, 20.0, 1e-3)
+        flow, times = grid_flow(jc_generator(params), 20.0, 1e-3)
+        traj = trajectory(flow, Z_PAIR, times)
         ivs = growth_intervals(traj)
         total = sum(iv.contribution for iv in ivs)
         h = traj.times[1] - traj.times[0]
@@ -170,7 +214,8 @@ class TestGrowthIntervals:
 
 class TestPerPairValue:
     def test_semigroup_value_is_zero(self):
-        result = n_for_pair(semigroup_generator(1.0), Z_PAIR, 5.0, 1e-3)
+        flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-3)
+        result = n_for_pair(flow, Z_PAIR, times)
         assert result.n_value == 0.0
         assert not result.diverging
 
@@ -184,22 +229,26 @@ class TestPerPairValue:
             assert result.diverging
 
     def test_detuned_value_positive_and_not_diverging(self):
-        result = n_for_pair(jc_generator(JCParams(delta=8.0)), Z_PAIR, 60.0, 1e-3)
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 60.0, 1e-3)
+        result = n_for_pair(flow, Z_PAIR, times)
         assert result.n_value > 1e-5
         assert not result.diverging
 
     def test_horizon_monotonicity(self):
         gen = jc_generator(JCParams(delta=8.0))
-        values = [n_for_pair(gen, Z_PAIR, horizon, 1e-3).n_value
-                  for horizon in (10.0, 20.0, 40.0)]
+        values = []
+        for horizon in (10.0, 20.0, 40.0):
+            flow, times = grid_flow(gen, horizon, 1e-3)
+            values.append(n_for_pair(flow, Z_PAIR, times).n_value)
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
 
     def test_pair_exchange_symmetry(self):
         gen = jc_generator(JCParams(delta=8.0))
         swapped = StatePair(Z_PAIR.rho2, Z_PAIR.rho1, label="swapped")
-        a = n_for_pair(gen, Z_PAIR, 20.0, 1e-3)
-        b = n_for_pair(gen, swapped, 20.0, 1e-3)
+        flow, times = grid_flow(gen, 20.0, 1e-3)
+        a = n_for_pair(flow, Z_PAIR, times)
+        b = n_for_pair(flow, swapped, times)
         assert a.n_value == b.n_value
 
 
@@ -225,7 +274,8 @@ class TestPairSearch:
         assert kinds[3] == (False, False)
 
     def test_search_reports_canonical_and_sampled(self):
-        search = search_pairs(jc_generator(JCParams(delta=8.0)), 8, 40.0, 2e-3, seed=0)
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
+        search = search_pairs(flow, 8, times, seed=0)
         assert search.samples_evaluated == 10  # 2 canonical + 8 samples
         assert search.failures == []
         assert search.best.n_value >= search.n_canonical
@@ -233,16 +283,16 @@ class TestPairSearch:
         assert search.best.n_value > 0.0
 
     def test_best_value_monotone_in_n_pairs(self):
-        gen = jc_generator(JCParams(delta=8.0))
-        small = n_measure(gen, 4, 40.0, 2e-3, seed=0)
-        large = n_measure(gen, 12, 40.0, 2e-3, seed=0)
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
+        small = search_pairs(flow, 4, times, seed=0).best
+        large = search_pairs(flow, 12, times, seed=0).best
         assert large.n_value >= small.n_value
         assert large.samples_evaluated == 14
 
     def test_search_is_bitwise_deterministic(self):
-        gen = jc_generator(JCParams(delta=8.0))
-        a = n_measure(gen, 6, 40.0, 2e-3, seed=3)
-        b = n_measure(gen, 6, 40.0, 2e-3, seed=3)
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
+        a = search_pairs(flow, 6, times, seed=3).best
+        b = search_pairs(flow, 6, times, seed=3).best
         assert a.n_value == b.n_value
         assert a.best_pair.label == b.best_pair.label
         assert np.array_equal(a.best_pair.rho1.matrix, b.best_pair.rho1.matrix)
@@ -253,14 +303,35 @@ class TestPairSearch:
 
         gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1.0)])
         with pytest.raises(NumericalError, match="all pair evaluations failed"):
-            search_pairs(gen, 2, 5.0, 1e-2, seed=0)
+            flow, times = grid_flow(gen, 5.0, 1e-2)
+            search_pairs(flow, 2, times, seed=0)
 
     def test_failed_canonical_pair_raises(self):
         # Strong coupling on resonance: RK4 crosses a zero of G(t), where the
         # rate diverges, and the canonical z pair leaves [0, 1].
         gen = jc_generator(JCParams(gamma0=2.0, delta=0.0))
+        flow, times = grid_flow(gen, 10.0, 1e-2)
         with pytest.raises(NumericalError, match="canonical pair failed: canonical-z: "):
-            search_pairs(gen, 2, 10.0, 1e-2, seed=0)
+            search_pairs(flow, 2, times, seed=0)
+
+    def test_negative_threshold_rejected_before_any_pair(self):
+        flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-2)
+        with pytest.raises(ValueError, match="^threshold must be nonnegative, got -1.0$"):
+            search_pairs(flow, 2, times, threshold=-1.0)
+        with pytest.raises(ValueError, match="^threshold must be nonnegative, got -1.0$"):
+            sweep(lambda d: flow, [0.0, 1.0], times, 2, threshold=-1.0)
+
+    def test_spinbath_search_matches_closed_form_canonical_pair(self):
+        params = SpinBathParams(coupling_a=1.0, n_spins=20)
+        horizon = 3 * np.pi / 2 + 0.3
+        times = make_time_grid(horizon, 5e-4)
+        search = search_pairs(spinbath_flow(params, times), 20, times, seed=0)
+        closed = n_from_trajectory(spinbath_trajectory(params, horizon, 5e-4), X_PAIR)
+        assert search.failures == []
+        assert search.best.best_pair.label == "canonical-x"
+        assert abs(search.best.n_value - closed.n_value) <= 1e-12
+        assert len(search.best.intervals) == 3
+        assert search.best.diverging
 
     def test_programming_error_is_not_a_failed_pair(self, monkeypatch):
         import nmflow.measure
@@ -269,8 +340,9 @@ class TestPairSearch:
             raise TypeError("broken trajectory")
 
         monkeypatch.setattr(nmflow.measure, "trajectory", broken)
+        flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-2)
         with pytest.raises(TypeError, match="broken trajectory"):
-            search_pairs(semigroup_generator(1.0), 2, 5.0, 1e-2, seed=0)
+            search_pairs(flow, 2, times, seed=0)
 
     def test_divisible_dynamics_scores_zero(self):
         # CP-divisibility on a fine grid implies no pair can ever gain
@@ -278,15 +350,21 @@ class TestPairSearch:
         gen = jc_generator(JCParams(delta=5.0), nonnegative_rate=True)
         report = divisibility_report(gen, np.linspace(0.0, 10.0, 101), h=1e-3)
         assert report.divisible
-        result = n_measure(gen, 12, 10.0, 1e-3, seed=0)
+        flow, times = grid_flow(gen, 10.0, 1e-3)
+        result = search_pairs(flow, 12, times, seed=0).best
         assert result.n_value == 0.0
+
+
+def jc_flows(times):
+    """Family of jc RK4 flows on times, by detuning."""
+    return lambda d: propagator_grid(jc_generator(JCParams(delta=d)), times)
 
 
 class TestSweep:
     def test_single_point_equals_direct_search(self):
-        settings = MeasureSettings(horizon=40.0, step=2e-3, n_pairs=4, seed=0)
-        records = sweep(lambda d: jc_generator(JCParams(delta=d)), [8.0], settings)
-        direct = search_pairs(jc_generator(JCParams(delta=8.0)), 4, 40.0, 2e-3, seed=0)
+        times = make_time_grid(40.0, 2e-3)
+        records = sweep(jc_flows(times), [8.0], times, 4, seed=0)
+        direct = search_pairs(jc_flows(times)(8.0), 4, times, seed=0)
         assert len(records) == 1
         rec = records[0]
         assert rec.error is None
@@ -295,26 +373,26 @@ class TestSweep:
         assert rec.n_sampled_max == direct.n_sampled_max
 
     def test_deterministic_across_runs(self):
-        settings = MeasureSettings(horizon=30.0, step=2e-3, n_pairs=2, seed=1)
-        family = lambda d: jc_generator(JCParams(delta=d))
-        a = sweep(family, [0.0, 6.0], settings)
-        b = sweep(family, [0.0, 6.0], settings)
+        times = make_time_grid(30.0, 2e-3)
+        a = sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=1)
+        b = sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=1)
         assert [r.n_value for r in a] == [r.n_value for r in b]
 
     def test_resonant_point_is_markovian(self):
-        settings = MeasureSettings(horizon=20.0, step=2e-3, n_pairs=2, seed=0)
-        records = sweep(lambda d: jc_generator(JCParams(delta=d)), [0.0, 8.0], settings)
+        times = make_time_grid(20.0, 2e-3)
+        records = sweep(jc_flows(times), [0.0, 8.0], times, 2, seed=0)
         assert records[0].n_value == 0.0
         assert records[1].n_value > 0.0
 
     def test_bad_point_recorded_not_raised(self):
+        times = make_time_grid(5.0, 1e-2)
+
         def family(d):
             if d > 0:
                 raise ValueError("boom")
-            return semigroup_generator(1.0)
+            return propagator_grid(semigroup_generator(1.0), times)
 
-        settings = MeasureSettings(horizon=5.0, step=1e-2, n_pairs=1, seed=0)
-        records = sweep(family, [0.0, 1.0], settings)
+        records = sweep(family, [0.0, 1.0], times, 1, seed=0)
         assert records[0].error is None
         assert "boom" in records[1].error
         assert np.isnan(records[1].n_value)
@@ -323,11 +401,10 @@ class TestSweep:
         def family(d):
             return d.no_such_attribute
 
-        settings = MeasureSettings(horizon=5.0, step=1e-2, n_pairs=1, seed=0)
         with pytest.raises(AttributeError):
-            sweep(family, [0.0], settings)
+            sweep(family, [0.0], make_time_grid(5.0, 1e-2), 1, seed=0)
 
     def test_empty_grid_rejected(self):
+        times = make_time_grid(5.0, 1e-2)
         with pytest.raises(ValueError, match="empty"):
-            sweep(lambda d: semigroup_generator(1.0), [],
-                  MeasureSettings(horizon=5.0, step=1e-2))
+            sweep(lambda d: propagator_grid(semigroup_generator(1.0), times), [], times, 1000)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nmflow.dynamics import propagator_grid
 from nmflow.measure import growth_intervals, make_time_grid, n_for_pair, trajectory
 from nmflow.models import JCParams, jc_generator
-from nmflow.states import StatePair, qubit_from_bloch
+from nmflow.states import DensityMatrix, StatePair, qubit_from_bloch
 
 HORIZON = 10.0
 STEP = 1e-3
@@ -33,16 +33,16 @@ detunings = st.floats(0.0, 10.0)
 
 
 def flow_for(delta):
-    gen = jc_generator(JCParams(delta=delta))
-    return gen, propagator_grid(gen, make_time_grid(HORIZON, STEP))
+    times = make_time_grid(HORIZON, STEP)
+    return propagator_grid(jc_generator(JCParams(delta=delta)), times), times
 
 
 @PROPERTY_SETTINGS
 @given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings)
 def test_swapping_the_pair_leaves_n_exactly_unchanged(rho1, rho2, delta):
-    gen, flow = flow_for(delta)
-    a = n_for_pair(gen, StatePair(rho1, rho2), HORIZON, STEP, flow=flow)
-    b = n_for_pair(gen, StatePair(rho2, rho1), HORIZON, STEP, flow=flow)
+    flow, times = flow_for(delta)
+    a = n_for_pair(flow, StatePair(rho1, rho2), times)
+    b = n_for_pair(flow, StatePair(rho2, rho1), times)
     assert a.n_value == b.n_value
     assert [(iv.a, iv.b) for iv in a.intervals] == [(iv.a, iv.b) for iv in b.intervals]
 
@@ -50,8 +50,38 @@ def test_swapping_the_pair_leaves_n_exactly_unchanged(rho1, rho2, delta):
 @PROPERTY_SETTINGS
 @given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings)
 def test_interval_sum_equals_quadrature_of_positive_sigma(rho1, rho2, delta):
-    gen, flow = flow_for(delta)
-    traj = trajectory(gen, StatePair(rho1, rho2), HORIZON, STEP, flow=flow)
+    flow, times = flow_for(delta)
+    traj = trajectory(flow, StatePair(rho1, rho2), times)
     total = sum(iv.contribution for iv in growth_intervals(traj))
     quad = float(np.sum(np.maximum(traj.sigma_values, 0.0)) * traj.step)
     assert abs(total - quad) < 1e-6
+
+
+# Both checks hold to rounding; 1e-12 leaves room for the summation order.
+N_TOL = 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings, c=st.floats(0.1, 1.0))
+def test_n_is_homogeneous_in_the_pair_difference(rho1, rho2, delta, c):
+    # rho1 - ((1 - c) rho1 + c rho2) = c (rho1 - rho2): D and sigma scale by
+    # c, and so does the default threshold, relative to the peak of sigma.
+    flow, times = flow_for(delta)
+    mixed = DensityMatrix((1.0 - c) * rho1.matrix + c * rho2.matrix)
+    full = n_for_pair(flow, StatePair(rho1, rho2), times)
+    scaled = n_for_pair(flow, StatePair(rho1, mixed), times)
+    assert abs(scaled.n_value - c * full.n_value) <= N_TOL
+
+
+@PROPERTY_SETTINGS
+@given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings,
+       phi=st.floats(0.0, 2.0 * np.pi))
+def test_n_is_invariant_under_a_unitary_commuting_with_the_generator(rho1, rho2, delta, phi):
+    # U = diag(1, e^{i phi}) maps sigma_minus to a phase times itself, so it
+    # commutes with the jc generator (H = 0, one sigma_minus channel).
+    flow, times = flow_for(delta)
+    u = np.diag([1.0, np.exp(1j * phi)])
+    rotated = StatePair(*(DensityMatrix(u @ rho.matrix @ u.conj().T) for rho in (rho1, rho2)))
+    a = n_for_pair(flow, StatePair(rho1, rho2), times)
+    b = n_for_pair(flow, rotated, times)
+    assert abs(a.n_value - b.n_value) <= N_TOL
