@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -75,8 +75,7 @@ KEYS = (
     *_keys(MODELS, SEARCH,
            ("seed", int, "0", "--seed", "pair-sampling seed"),
            ("sigma_threshold", float, None, "--sigma-threshold",
-            "growth threshold on sigma (default: relative to its peak)")),
-    *_keys(MODELS, SEARCH,
+            "growth threshold on sigma (default: relative to its peak)"),
            ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs")),
     *_keys({"jc"}, ALL_COMMANDS,
            ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda"),
@@ -533,15 +532,9 @@ def cmd_sweep(cfg):
         cfg.get_float("delta_over_lambda_max"),
         cfg.get_int("delta_points"),
     )
-    gamma0 = cfg.get_float("gamma0_over_lambda")
-    clamp = cfg.get_bool("clamp_rate")
     times = make_time_grid(cfg.horizon, cfg.step)
-    family = lambda delta: propagator_grid(
-        models.jc_generator(
-            models.JCParams(gamma0=gamma0, lam=1.0, delta=float(delta)),
-            nonnegative_rate=clamp,
-        ),
-        times,
+    family = lambda delta: build_flow(
+        replace(cfg, raw={**cfg.raw, "delta_over_lambda": repr(float(delta))}), times
     )
     records = sweep(family, deltas, times, cfg.n_pairs, cfg.threshold, cfg.seed)
     rows = [

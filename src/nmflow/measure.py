@@ -89,6 +89,8 @@ def make_time_grid(horizon, step):
 
 def _flow_dim(flow, times):
     """State dimension d of a flow Phi(t_k, 0) of shape (T, d^2, d^2) on T times."""
+    if np.size(times) < 11:
+        raise ValueError(f"{np.size(times) - 1} grid intervals; sigma needs >= 10")
     d = math.isqrt(flow.shape[-1])
     if flow.shape != (np.size(times), d * d, d * d):
         raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {np.size(times)} times")

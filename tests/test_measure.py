@@ -72,8 +72,12 @@ class TestTrajectory:
         assert np.max(np.abs(traj.sigma_values)) < 1e-12
 
     def test_grid_resolution_guard(self):
+        times = np.linspace(0.0, 1.0, 3)
+        flow = propagator_grid(semigroup_generator(1.0), times)
         with pytest.raises(ValueError, match=">= 10"):
-            grid_flow(semigroup_generator(1.0), 1.0, 0.5)
+            trajectory(flow, Z_PAIR, times)
+        with pytest.raises(ValueError, match=">= 10"):
+            search_pairs(flow, 2, times)
 
     def test_flow_must_fit_times_and_pair(self):
         flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
@@ -133,10 +137,12 @@ class TestTrajectory:
 
     def test_non_finite_flow_is_invariant_violation(self):
         with pytest.raises(InvariantViolation, match="non-finite"):
-            flow, times = grid_flow(blow_up_generator(), 1.0, 1e-2)
+            grid_flow(blow_up_generator(), 1.0, 1e-2)
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
+        flow[40] = np.nan
+        with pytest.raises(InvariantViolation, match="not finite"):
             n_for_pair(flow, X_PAIR, times)
-        with pytest.raises(InvariantViolation, match="non-finite"):
-            flow, times = grid_flow(blow_up_generator(), 1.0, 1e-2)
+        with pytest.raises(NumericalError, match="all pair evaluations failed.*not finite"):
             search_pairs(flow, 3, times)
 
     def test_non_finite_precomputed_flow_rejected(self):
