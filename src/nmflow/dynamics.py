@@ -189,50 +189,87 @@ def _check_uniform_grid(t_grid):
     return t, float(h)
 
 
-def _rk4_increment(ka, km, kb, y, h):
-    """y(t + h) - y(t) for one classical RK4 step of dy/dt = K(t) y, with K
-    sampled at the left point, midpoint and right point of the step."""
-    k1 = ka @ y
-    k2 = km @ (y + 0.5 * h * k1)
-    k3 = km @ (y + 0.5 * h * k2)
-    k4 = kb @ (y + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_maps(gen, t0, h, n):
-    """Increments R_k - I of the RK4 step maps R_k = Phi(t0 + (k+1) h, t0 + k h),
-    k < n, as (first k, stacked increments) per block of STEP_BLOCK steps.
+def _rk4_increments(compiled, times, h):
+    """Increments R - I of classical RK4 step maps R of dS/dt = K(t) S, shape
+    (m, g, d^2, d^2), for steps of g intervals: row 2j of times, shape
+    (2m + 1, g), is the left point of step j, row 2j + 1 its midpoint and row
+    2j + 2 its right point; h has shape (g,).
 
     RK4 is linear, so its increment on the identity is the map's. Adding
-    E_k v to v, instead of forming R_k v, keeps the rounding of the 1 + O(h)
-    entries of R_k out of every step.
+    E v to v, instead of forming R v, keeps the rounding of the 1 + O(h)
+    entries of R out of every step. The stage sum k1 + 2 k2 + 2 k3 + k4 is
+    accumulated in that order as the stages are made, so that at most two
+    stages are held at once.
     """
-    compiled = _CompiledGenerator(gen)
-    eye = np.eye(gen.dim * gen.dim, dtype=complex)
-    for k0 in range(0, n, STEP_BLOCK):
-        m = min(STEP_BLOCK, n - k0)
-        # Index 2j is the left point of step k0 + j, 2j + 1 its midpoint.
-        ks = compiled.matrices(t0 + 0.5 * h * np.arange(2 * k0, 2 * (k0 + m) + 1))
-        yield k0, _rk4_increment(ks[:-1:2], ks[1::2], ks[2::2], eye, h)
+    d2 = compiled.gen.dim ** 2
+    ks = compiled.matrices(times.ravel()).reshape(times.shape + (d2, d2))
+    ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
+    h = h[:, None, None]
+    eye = np.eye(d2, dtype=complex)
+    acc = ka @ eye
+    k = km @ (eye + 0.5 * h * acc)
+    acc += 2.0 * k
+    k = km @ (eye + 0.5 * h * k)
+    acc += 2.0 * k
+    k = kb @ (eye + h * k)
+    acc += k
+    acc *= h / 6.0
+    return acc
 
 
-def _flow(gen, t0, h, n):
-    """Phi(t0 + k h, t0) for k = 0..n, composed from the RK4 step maps.
+def _step_maps(compiled, t0, h, n):
+    """Increments of the RK4 step maps Phi(t0 + (k+1) h, t0 + k h), k < n, of
+    g <= STEP_BLOCK intervals at once (t0 and h of shape (g,)), as (k0,
+    increments of shape (m, g, d^2, d^2)) per block of m = STEP_BLOCK // g
+    steps from step k0, so that a block holds at most STEP_BLOCK steps' stage
+    matrices however the steps split into intervals."""
+    block = STEP_BLOCK // t0.size
+    for k0 in range(0, n, block):
+        m = min(block, n - k0)
+        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * (k0 + m) + 1)[:, None]
+        yield k0, _rk4_increments(compiled, times, h)
 
-    Raises InvariantViolation at the first time where Phi has a non-finite
+
+def _running_maps(compiled, t0, h, n):
+    """Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in lockstep (one
+    batched product per step), as (k0, maps) per block of _step_maps, with
+    maps[j] = Phi(t0 + (k0 + j + 1) h, t0) of shape (g, d^2, d^2).
+
+    Raises InvariantViolation at the first time where a map has a non-finite
     entry (a generator that blows up at this step).
     """
-    d2 = gen.dim * gen.dim
-    phis = np.empty((n + 1, d2, d2), dtype=complex)
-    phis[0] = np.eye(d2, dtype=complex)
-    for k0, increments in _step_maps(gen, t0, h, n):
-        for k, e in enumerate(increments, k0):
-            np.add(phis[k], e @ phis[k], out=phis[k + 1])
-        bad = ~np.isfinite(phis[k0 + 1 : k0 + len(increments) + 1]).all(axis=(1, 2))
+    d2 = compiled.gen.dim ** 2
+    s = np.broadcast_to(np.eye(d2, dtype=complex), (t0.size, d2, d2))
+    for k0, maps in _step_maps(compiled, t0, h, n):
+        # Each increment's slot takes the map it leads to.
+        for e in maps:
+            s = np.add(s, e @ s, out=e)
+        bad = ~np.isfinite(maps).all(axis=(2, 3))
         if bad.any():
-            t_bad = t0 + (k0 + 1 + np.argmax(bad)) * h
+            j, i = np.unravel_index(np.argmax(bad), bad.shape)
+            t_bad = t0[i] + (k0 + 1 + j) * h[i]
             raise InvariantViolation(f"propagator has non-finite entries at t={t_bad:.6g}")
-    return phis
+        yield k0, maps
+
+
+def _interval_maps(compiled, t0, h, n):
+    """Phi(t0 + n h, t0) of g intervals with the same step count n >= 1,
+    stacked (g, d^2, d^2). Only the running maps are kept, so memory does not
+    grow with n."""
+    for _, maps in _running_maps(compiled, t0, h, n):
+        pass
+    return maps[-1]
+
+
+def _substeps(span, h):
+    """RK4 step count ceil(span / h), at least 1, and the equal step span / count
+    that fills each span exactly."""
+    if not np.all(np.isfinite(span)):
+        raise ValueError(f"interval length must be finite, got {span}")
+    if not np.all(np.asarray(h) > 0):
+        raise ValueError(f"step must be positive, got {h}")
+    n = np.maximum(1, np.ceil(span / h - 1e-12)).astype(int)
+    return n, span / n
 
 
 def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
@@ -252,8 +289,9 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     d = gen.dim
     states = [rho0.copy()]
     v = rho0.reshape(-1, order="F")
-    for _, increments in _step_maps(gen, t[0], h, t.size - 1):
-        for e in increments:
+    steps = _step_maps(_CompiledGenerator(gen), t[:1], np.array([h]), t.size - 1)
+    for _, increments in steps:
+        for e in increments[:, 0]:
             rho = (v + e @ v).reshape(d, d, order="F")
             rho = 0.5 * (rho + rho.conj().T)
             v = rho.reshape(-1, order="F")
@@ -293,20 +331,7 @@ class Propagator:
         d = self.dim
         if s.shape[0] != d * d:
             raise ValueError(f"superoperator shape {s.shape} != ({d * d}, {d * d})")
-        # Trace preservation: the adjoint must fix vec(identity).
-        w = np.eye(d, dtype=complex).reshape(-1, order="F")
-        tp_defect = np.max(np.abs(s.conj().T @ w - w))
-        if tp_defect > PROPAGATOR_TOL:
-            raise InvariantViolation(
-                f"propagator not trace preserving: defect {tp_defect:.3e}"
-            )
-        # Hermiticity preservation, entrywise: S[(i,j),(k,l)] = conj(S[(j,i),(l,k)]).
-        s4 = s.reshape(d, d, d, d, order="F")
-        hp_defect = np.max(np.abs(s4 - s4.transpose(1, 0, 3, 2).conj()))
-        if hp_defect > PROPAGATOR_TOL:
-            raise InvariantViolation(
-                f"propagator not Hermiticity preserving: defect {hp_defect:.3e}"
-            )
+        _check_maps(s[None], d)
         self.superoperator = s
 
     def apply(self, rho):
@@ -316,8 +341,27 @@ class Propagator:
         return v.reshape(self.dim, self.dim, order="F")
 
 
+def _check_maps(s, d):
+    """Raise InvariantViolation unless every map of the stack s, shape
+    (g, d^2, d^2), preserves trace and Hermiticity."""
+    # Trace preservation: the adjoint must fix vec(identity).
+    w = np.eye(d, dtype=complex).reshape(-1)
+    tp_defect = np.max(np.abs(w @ s - w))
+    if tp_defect > PROPAGATOR_TOL:
+        raise InvariantViolation(f"propagator not trace preserving: defect {tp_defect:.3e}")
+    # Hermiticity preservation, entrywise: S[(i,j),(k,l)] = conj(S[(j,i),(l,k)]);
+    # s5[g, j, i, l, k] = S[(i,j),(k,l)].
+    s5 = s.reshape(-1, d, d, d, d)
+    hp_defect = np.max(np.abs(s5 - s5.transpose(0, 2, 1, 4, 3).conj()))
+    if hp_defect > PROPAGATOR_TOL:
+        raise InvariantViolation(
+            f"propagator not Hermiticity preserving: defect {hp_defect:.3e}"
+        )
+
+
 def propagator_between(gen, t1, t2, h):
-    """Phi(t2, t1) by RK4 on dS/dt = K(t) S from the identity.
+    """Phi(t2, t1) by RK4 on dS/dt = K(t) S from the identity, in
+    ceil((t2 - t1) / h) equal steps; memory does not grow with the step count.
 
     The degenerate interval t1 == t2 returns the identity map.
     """
@@ -326,10 +370,8 @@ def propagator_between(gen, t1, t2, h):
     d = gen.dim
     s = np.eye(d * d, dtype=complex)
     if t2 > t1:
-        if h <= 0:
-            raise ValueError(f"step must be positive, got {h}")
-        n = max(1, int(math.ceil((t2 - t1) / h - 1e-12)))
-        s = _flow(gen, t1, (t2 - t1) / n, n)[-1]
+        n, step = _substeps(np.array([t2 - t1], dtype=float), h)
+        s = _interval_maps(_CompiledGenerator(gen), np.array([t1], dtype=float), step, n[0])[0]
     return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
 
 
@@ -337,10 +379,16 @@ def propagator_grid(gen, t_grid):
     """Phi(t_k, 0) for every grid point, one RK4 step per grid interval.
 
     Returns an array of shape (len(t_grid), d^2, d^2). The grid step is the
-    integration step, as in evolve_state.
+    integration step, as in evolve_state. Raises InvariantViolation at the
+    first time where Phi has a non-finite entry.
     """
     t, h = _check_uniform_grid(t_grid)
-    return _flow(gen, t[0], h, t.size - 1)
+    d2 = gen.dim * gen.dim
+    phis = np.empty((t.size, d2, d2), dtype=complex)
+    phis[0] = np.eye(d2, dtype=complex)
+    for k0, maps in _running_maps(_CompiledGenerator(gen), t[:1], np.array([h]), t.size - 1):
+        phis[k0 + 1 : k0 + 1 + len(maps)] = maps[:, 0]
+    return phis
 
 
 @dataclass
@@ -368,25 +416,36 @@ class ChoiMatrix:
         return float(hermitian_eigenvalues(self.matrix, tol=1e-9)[0])
 
 
+def _choi_matrices(s, d):
+    """Choi matrices of the stack of maps s, shape (g, d^2, d^2), made exactly
+    Hermitian; raises InvariantViolation if a trace is not d."""
+    # s5[g, b, a, k, j] = Phi(E_jk)[a, b]: column j + d*k of S is vec(Phi(E_jk)).
+    s5 = s.reshape(-1, d, d, d, d)
+    c = s5.transpose(0, 4, 2, 3, 1).reshape(-1, d * d, d * d)
+    c = 0.5 * (c + c.conj().swapaxes(1, 2))
+    tr = np.trace(c, axis1=1, axis2=2).real
+    bad = np.abs(tr - d) > 1e-8
+    if bad.any():
+        raise InvariantViolation(
+            f"Choi trace {tr[np.argmax(bad)]} differs from {d} beyond 1e-8 "
+            "(map not trace preserving)"
+        )
+    return c
+
+
 def choi_of(p):
     """Choi matrix of a propagator, assembled from images of the matrix units."""
-    d = p.dim
-    # s4[a, b, j, k] = Phi(E_jk)[a, b]: column j + d*k of S is vec(Phi(E_jk)).
-    s4 = p.superoperator.reshape(d, d, d, d, order="F")
-    c = s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    c = 0.5 * (c + c.conj().T)
-    tr = np.trace(c).real
-    if abs(tr - d) > 1e-8:
-        raise InvariantViolation(
-            f"Choi trace {tr} differs from {d} beyond 1e-8 (map not trace preserving)"
-        )
-    return ChoiMatrix(c)
+    return ChoiMatrix(_choi_matrices(p.superoperator[None], p.dim)[0])
+
+
+def _check_cp_tol(tol):
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
 
 
 def is_cp(p, tol=DEFAULT_CP_TOL):
     """Complete-positivity verdict: (least Choi eigenvalue >= -tol, that eigenvalue)."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_cp_tol(tol)
     least = choi_of(p).least_eigenvalue()
     return least >= -tol, least
 
@@ -408,28 +467,59 @@ class DivisibilityReport:
         return all(v.is_cp for v in self.intervals)
 
 
+def _lockstep_groups(n):
+    """(start, stop) of the runs of consecutive intervals with the same step
+    count n[k], cut so that a group of more than one interval holds at most
+    STEP_BLOCK steps."""
+    a = 0
+    while a < n.size:
+        b = a + 1
+        while b < n.size and b - a < STEP_BLOCK // n[a] and n[b] == n[a]:
+            b += 1
+        yield a, b
+        a = b
+
+
 def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     """CP verdict for Phi(t_{k+1}, t_k) on every consecutive grid interval.
 
     h is the RK4 substep used to build each interval propagator; it defaults
-    to 1/100 of the interval length.
+    to 1/100 of the interval length. The generator is compiled once, and
+    consecutive intervals with the same step count are integrated in lockstep,
+    in groups of at most STEP_BLOCK steps whose Choi matrices go to one
+    stacked eigensolve. A group that fails is re-run one interval at a time,
+    so that the exception names the first failing interval.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         raise ValueError("divisibility grid needs at least two points")
-    if np.any(np.diff(t) <= 0):
+    span = np.diff(t)
+    if np.any(span <= 0):
         raise ValueError("divisibility grid must be strictly increasing")
-    verdicts = []
-    for k in range(t.size - 1):
-        span = t[k + 1] - t[k]
-        step = h if h is not None else span / 100.0
+    _check_cp_tol(tol)
+    n, step = _substeps(span, span / 100.0 if h is None else h)
+    compiled = _CompiledGenerator(gen)
+
+    def least_choi_eigenvalues(a, b):
+        maps = _interval_maps(compiled, t[a:b], step[a:b], n[a])
+        _check_maps(maps, gen.dim)
+        return hermitian_eigenvalues(_choi_matrices(maps, gen.dim), tol=1e-9)[:, 0]
+
+    least = []
+    for a, b in _lockstep_groups(n):
         try:
-            p = propagator_between(gen, t[k], t[k + 1], step)
-            ok, least = is_cp(p, tol)
-        except (NumericalError, ValueError) as exc:
-            # Name the interval in place: rebuilding the exception would need
-            # its constructor's signature, and its type sets the exit code.
-            exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
-            raise
-        verdicts.append(IntervalVerdict(float(t[k]), float(t[k + 1]), ok, least))
-    return DivisibilityReport(verdicts)
+            least.extend(least_choi_eigenvalues(a, b))
+        except (NumericalError, ValueError):
+            for k in range(a, b):
+                try:
+                    least.extend(least_choi_eigenvalues(k, k + 1))
+                except (NumericalError, ValueError) as exc:
+                    # Name the interval in place: rebuilding the exception would
+                    # need its constructor's signature, and its type sets the
+                    # exit code.
+                    exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
+                    raise
+    return DivisibilityReport([
+        IntervalVerdict(float(t[k]), float(t[k + 1]), bool(v >= -tol), float(v))
+        for k, v in enumerate(least)
+    ])

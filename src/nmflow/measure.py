@@ -31,6 +31,11 @@ THRESHOLD_SCALE = 1e-9
 DIVERGENCE_CONTRIBUTION = 0.5
 
 
+class _UniformGrid(np.ndarray):
+    """A time grid that _flow_dim has checked to be uniform, so that the pairs
+    evaluated on it do not check it again."""
+
+
 @dataclass
 class TrajectoryGrid:
     """Sampled trace distance and its rate of change on a uniform time grid."""
@@ -40,7 +45,10 @@ class TrajectoryGrid:
     sigma_values: np.ndarray
 
     def __post_init__(self):
-        t, _ = _check_uniform_grid(self.times)
+        t = self.times
+        if not isinstance(t, _UniformGrid):
+            t, _ = _check_uniform_grid(t)
+        t = np.asarray(t)
         d = np.asarray(self.d_values, dtype=float)
         s = np.asarray(self.sigma_values, dtype=float)
         if not (t.size == d.size == s.size):
@@ -58,7 +66,7 @@ class TrajectoryGrid:
 def trajectory_from_values(times, d_values):
     """TrajectoryGrid from sampled D(t); sigma by second-order differences
     (central in the interior, one-sided at the ends)."""
-    t = np.asarray(times, dtype=float)
+    t = np.asanyarray(times, dtype=float)
     d = np.asarray(d_values, dtype=float)
     sigma = np.gradient(d, t[1] - t[0], edge_order=2)
     return TrajectoryGrid(times=t, d_values=d, sigma_values=sigma)
@@ -88,21 +96,24 @@ def make_time_grid(horizon, step):
 
 
 def _flow_dim(flow, times):
-    """State dimension d of a flow Phi(t_k, 0) of shape (T, d^2, d^2) on T times."""
-    if np.size(times) < 11:
-        raise ValueError(f"{np.size(times) - 1} grid intervals; sigma needs >= 10")
+    """(d, times) for a flow Phi(t_k, 0) of shape (T, d^2, d^2) on T times,
+    which must form a uniform grid of at least 10 intervals; the times come
+    back as a _UniformGrid, which later calls take as checked."""
+    if not isinstance(times, _UniformGrid):
+        if np.size(times) < 11:
+            raise ValueError(f"{np.size(times) - 1} grid intervals; sigma needs >= 10")
+        times = _check_uniform_grid(times)[0].view(_UniformGrid)
     d = math.isqrt(flow.shape[-1])
-    if flow.shape != (np.size(times), d * d, d * d):
-        raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {np.size(times)} times")
-    return d
+    if flow.shape != (times.size, d * d, d * d):
+        raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {times.size} times")
+    return d, times
 
 
 def trajectory(flow, pair, times):
     """D(t) and sigma(t) for the pair under the flow Phi(t_k, 0) on times; the
     trace distance needs only the evolved difference, which the flow gives by
     linearity."""
-    times = np.asarray(times, dtype=float)
-    d = _flow_dim(flow, times)
+    d, times = _flow_dim(flow, times)
     if pair.dim != d:
         raise ValueError(f"pair dimension {pair.dim} != flow dimension {d}")
     diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
@@ -288,7 +299,7 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
-    dim = _flow_dim(flow, times)
+    dim, times = _flow_dim(flow, times)
     canonical = canonical_pairs(dim)
     samples = (sample_pair(dim, seed, i) for i in range(n_pairs))
     best = None

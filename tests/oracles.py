@@ -5,7 +5,8 @@ it checks: the Volterra memory-kernel solver for the cavity amplitude, a
 second Hilbert-Schmidt sampler, a direct dissipator evaluation, the
 closed-form amplitude-damping solution, a brute-force bath average for
 the central-spin model, a cyclic Jacobi eigenvalue sweep in place of
-LAPACK, and a step-by-step RK4 flow.
+LAPACK, a step-by-step RK4 flow, and the canonical decoherence rates of a
+generator.
 """
 import numpy as np
 
@@ -144,3 +145,28 @@ def rk4_flow(superoperator_at, t_grid):
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         flow.append(s)
     return np.stack(flow)
+
+
+def canonical_rates(h, ops, rates):
+    """Canonical decoherence rates of the generator with Hamiltonian h and
+    (jump operator, rate) channels at one time, ascending.
+
+    They are the eigenvalues of the decoherence matrix c_ij in an orthonormal
+    traceless operator basis F_1..F_{d^2-1}, where the dissipator reads
+    sum_ij c_ij (F_i rho F_j^dag - {F_j^dag F_i, rho}/2). The evolution is
+    CP-divisible exactly when none is negative (Hall, Cresser, Li, Andersson,
+    PRA 89, 042120 (2014)). The generator enters only through lindblad_rhs on
+    the matrix units: J = sum_ab L(E_ab) kron E_ab maps F rho G^dag to
+    |F>><<G| with |F>> = F.reshape(-1), and the parts of L of the form
+    G rho + rho G^dag only touch |I>>, so c = V^dag J V for the orthonormal
+    traceless basis vectors V.
+    """
+    d = h.shape[0]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    j = sum(np.kron(lindblad_rhs(h, ops, rates, e), e) for e in units)
+    # Orthonormal traceless basis: the orthogonal complement of |I>>.
+    identity = np.eye(d, dtype=complex).reshape(-1, 1) / np.sqrt(d)
+    q, _ = np.linalg.qr(np.hstack([identity, np.eye(d * d, dtype=complex)]))
+    v = q[:, 1 : d * d]
+    c = v.conj().T @ j @ v
+    return np.linalg.eigvalsh(0.5 * (c + c.conj().T))

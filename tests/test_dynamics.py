@@ -1,9 +1,13 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import amplitude_damping_solution, lindblad_rhs, rk4_flow
+from oracles import amplitude_damping_solution, canonical_rates, lindblad_rhs, rk4_flow
 
+from nmflow.cli import load_custom_generator
 from nmflow.dynamics import (
     STEP_BLOCK,
     GeneratorSpec,
@@ -19,9 +23,10 @@ from nmflow.dynamics import (
     propagator_grid,
 )
 from nmflow.exceptions import InvariantViolation, NumericalError
-from nmflow.models import JCParams, jc_generator, semigroup_generator
+from nmflow.models import JCParams, jc_generator, jc_rate, semigroup_generator
 from nmflow.states import (
     SIGMA_MINUS,
+    SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
     random_mixed_state,
@@ -323,6 +328,13 @@ class TestDivisibility:
         with pytest.raises(ValueError):
             divisibility_report(semigroup_generator(1.0), [0.0])
 
+    def test_infinite_interval_rejected(self):
+        gen = semigroup_generator(1.0)
+        with pytest.raises(ValueError, match="^interval length must be finite"):
+            divisibility_report(gen, [0.0, 1.0, np.inf])
+        with pytest.raises(ValueError, match="^interval length must be finite"):
+            propagator_between(gen, 0.0, np.inf, 1e-3)
+
     def test_failure_keeps_its_type_and_names_the_interval(self):
         class RateBlowUp(NumericalError):
             def __init__(self, t, why):
@@ -337,6 +349,189 @@ class TestDivisibility:
         gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
         with pytest.raises(RateBlowUp, match=r"interval 1 \[0\.5, 1\.0\]"):
             divisibility_report(gen, [0.0, 0.5, 1.0], h=0.1)
+
+
+def per_interval_report(gen, t_grid, h):
+    """(is_cp, least Choi eigenvalue) per interval, one propagator_between and
+    one is_cp call at a time."""
+    t = np.asarray(t_grid, dtype=float)
+    return [
+        is_cp(propagator_between(gen, a, b, (b - a) / 100.0 if h is None else h))
+        for a, b in zip(t[:-1], t[1:])
+    ]
+
+
+jc8 = FLOW_GENERATORS["jc-delta-8"]
+
+
+# Fixed before the batched report was written. It does the per-interval
+# arithmetic in the same order, so the values should agree to the last bit;
+# 1e-14 is far below the 1e-7 CP tolerance.
+LOCKSTEP_TOL = 1e-14
+# (generator, grid, h)
+LOCKSTEP_CASES = {
+    "jc-delta-8": (jc8, np.linspace(0.0, 4.0, 41), 1e-3),
+    "random-d4": (random_d4_generator, np.linspace(0.0, 2.0, 21), 5e-3),
+    # One-step intervals whose steps total one below, at and one above
+    # STEP_BLOCK: one group, one full group, a full group and one more.
+    "one-step-x255": (jc8, 1e-2 * np.arange(STEP_BLOCK), 1e-2),
+    "one-step-x256": (jc8, 1e-2 * np.arange(STEP_BLOCK + 1), 1e-2),
+    "one-step-x257": (jc8, 1e-2 * np.arange(STEP_BLOCK + 2), 1e-2),
+    # 20 steps each: a group of STEP_BLOCK // 20 = 12 intervals and one more.
+    "20-steps-x13": (jc8, 0.2 * np.arange(14), 1e-2),
+    # 300 steps each: every interval alone, its steps in blocks of STEP_BLOCK.
+    "300-steps-x3": (jc8, 3.0 * np.arange(4), 1e-2),
+    # Step counts 5, 5, 2, 2, 2, 10, 1, 30, 5: runs of different lengths.
+    "non-uniform": (
+        random_d4_generator,
+        np.cumsum([0.0, 0.05, 0.05, 0.02, 0.02, 0.02, 0.1, 0.01, 0.3, 0.05]),
+        1e-2,
+    ),
+    "h-none": (lambda: jc_generator(JCParams(delta=5.0)), np.linspace(0.0, 3.0, 13), None),
+}
+
+
+class TestLockstepDivisibility:
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_matches_per_interval_loop(self, name):
+        make_gen, grid, h = LOCKSTEP_CASES[name]
+        gen = make_gen()
+        report = divisibility_report(gen, grid, h=h)
+        expected = per_interval_report(gen, grid, h=h)
+        assert [(v.t_start, v.t_end) for v in report.intervals] == list(
+            zip(grid[:-1], grid[1:])
+        )
+        assert [v.is_cp for v in report.intervals] == [ok for ok, _ in expected]
+        least = np.array([v.least_choi_eigenvalue for v in report.intervals])
+        assert np.max(np.abs(least - [x for _, x in expected])) <= LOCKSTEP_TOL
+
+    def test_failure_in_a_group_names_its_interval(self):
+        class RateBlowUp(NumericalError):
+            def __init__(self, t, why):
+                super().__init__(t, why)
+
+        def rate(t):
+            t = np.asarray(t, dtype=float)
+            if np.any(t > 0.3):
+                raise RateBlowUp(float(np.max(t)), "singular")
+            return np.ones_like(t)
+
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        # Five intervals of 10 steps: one lockstep group.
+        grid = 0.125 * np.arange(6)
+        with pytest.raises(RateBlowUp, match=r"^interval 2 \[0\.25, 0\.375\]: "):
+            divisibility_report(gen, grid, h=0.0125)
+
+    def test_blow_up_in_a_group_names_its_interval(self):
+        rate = lambda t: np.where(np.asarray(t) > 0.3, -1e15, 1.0)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        grid = 0.125 * np.arange(6)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^interval 2 \[0\.25, 0\.375\]: propagator has non-finite entries at t=0\.3",
+        ):
+            divisibility_report(gen, grid, h=0.00625)
+
+    def test_one_compiled_generator_per_report(self, monkeypatch):
+        import nmflow.dynamics
+
+        built = []
+
+        class Counted(nmflow.dynamics._CompiledGenerator):
+            def __init__(self, gen):
+                built.append(gen)
+                super().__init__(gen)
+
+        monkeypatch.setattr(nmflow.dynamics, "_CompiledGenerator", Counted)
+        report = divisibility_report(jc8(), np.linspace(0.0, 6.0, 61), h=1e-3)
+        assert len(report.intervals) == 60
+        assert len(built) == 1
+
+
+class TestPropagatorMemory:
+    def test_peak_does_not_grow_with_the_step_count(self):
+        gen = random_d4_generator()
+        tracemalloc.start()
+        try:
+            p = propagator_between(gen, 0.0, 20.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.superoperator.shape == (16, 16)
+        # All 2 x 10^4 + 1 intermediate maps of 256 complex entries take 82 MB.
+        assert peak < 8e6
+
+
+def oracle_rates(gen, t):
+    """canonical_rates of the generator at time t, from its operators and rates."""
+    return canonical_rates(
+        gen.hamiltonian,
+        [op for op, _ in gen.channels],
+        [float(rate(t)) if callable(rate) else rate for _, rate in gen.channels],
+    )
+
+
+def write_generator_file(path, hamiltonian, channels):
+    """Generator file in the custom-file JSON schema."""
+    def matrix(m):
+        return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+
+    path.write_text(json.dumps({
+        "dim": hamiltonian.shape[0],
+        "hamiltonian": matrix(hamiltonian),
+        "channels": [{"operator": matrix(op), "rate": rate} for op, rate in channels],
+    }))
+    return path
+
+
+class TestCanonicalRateOracle:
+    """divisibility_report against the generator-level CP-divisibility test on
+    intervals where every canonical rate keeps one sign."""
+
+    def check(self, gen, grid, h):
+        """(report, number of intervals whose canonical rates are all >= 0,
+        number whose lowest canonical rate is < 0 throughout)."""
+        report = divisibility_report(gen, grid, h=h)
+        divisible = not_divisible = 0
+        for v in report.intervals:
+            lowest = np.array([
+                oracle_rates(gen, t)[0] for t in np.linspace(v.t_start, v.t_end, 50)
+            ])
+            if np.all(lowest >= -1e-12):
+                assert v.is_cp, (v.t_start, v.t_end, v.least_choi_eigenvalue)
+                divisible += 1
+            elif np.all(lowest < 0.0):
+                assert not v.is_cp, (v.t_start, v.t_end, v.least_choi_eigenvalue)
+                not_divisible += 1
+        return report, divisible, not_divisible
+
+    def test_semigroup(self):
+        _, divisible, _ = self.check(semigroup_generator(1.0), np.linspace(0.0, 3.0, 13), 1e-3)
+        assert divisible == 12
+
+    def test_jc_detuned(self):
+        params = JCParams(delta=5.0)
+        gen = jc_generator(params)
+        _, divisible, not_divisible = self.check(gen, np.linspace(0.0, 6.0, 61), 5e-3)
+        assert divisible >= 50
+        assert not_divisible >= 3
+        # The jc rate is the one nonzero canonical rate.
+        for t in (0.5, 2.0, 4.0):
+            expected = sorted([jc_rate(params, t), 0.0, 0.0])
+            assert np.allclose(oracle_rates(gen, t), expected, atol=1e-12)
+
+    def test_non_orthogonal_channels_with_a_negative_listed_rate(self, tmp_path):
+        # Jump operators sigma_x, (sigma_x + sigma_z)/sqrt(2), sigma_z at rates
+        # 1, -0.2, 1: a negative listed rate, canonical rates 0, 1.6 and 2.
+        ops = [SIGMA_X, (SIGMA_X + SIGMA_Z) / np.sqrt(2.0), SIGMA_Z]
+        path = write_generator_file(
+            tmp_path / "gen.json", 0.3 * SIGMA_Z, list(zip(ops, [1.0, -0.2, 1.0]))
+        )
+        gen = load_custom_generator(path)
+        assert np.allclose(oracle_rates(gen, 0.0), [0.0, 1.6, 2.0], atol=1e-12)
+        report, divisible, _ = self.check(gen, np.linspace(0.0, 2.0, 21), 1e-3)
+        assert report.divisible
+        assert divisible == 20
 
 
 class TestRateEvaluation:

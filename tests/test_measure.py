@@ -89,6 +89,35 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="pair dimension 4 != flow dimension 2"):
             trajectory(flow, d4_pair, times)
 
+    def test_non_uniform_grid_rejected(self):
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
+        bent = times.copy()
+        bent[5] += 1e-3
+        with pytest.raises(ValueError, match="^time grid must be uniform$"):
+            trajectory(flow, Z_PAIR, bent)
+        with pytest.raises(ValueError, match="^time grid must be uniform$"):
+            search_pairs(flow, 2, bent)
+        with pytest.raises(ValueError, match="^time grid must be uniform$"):
+            trajectory_from_values(bent, np.zeros(bent.size))
+
+    def test_shared_grid_is_checked_once_per_call(self, monkeypatch):
+        import nmflow.measure
+
+        calls = []
+        check = nmflow.measure._check_uniform_grid
+
+        def counted(t_grid):
+            calls.append(np.size(t_grid))
+            return check(t_grid)
+
+        monkeypatch.setattr(nmflow.measure, "_check_uniform_grid", counted)
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
+        trajectory(flow, Z_PAIR, times)
+        assert calls == [times.size]
+        search = search_pairs(flow, 5, times)
+        assert search.samples_evaluated == 7
+        assert calls == [times.size, times.size]
+
     def test_spinbath_flow_matches_closed_form_distance(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
         times = make_time_grid(3.0, 1e-3)

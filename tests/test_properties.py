@@ -7,10 +7,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmflow.dynamics import propagator_grid
+from nmflow.dynamics import divisibility_report, propagator_between, propagator_grid
 from nmflow.measure import growth_intervals, make_time_grid, n_for_pair, trajectory
 from nmflow.models import JCParams, jc_generator
-from nmflow.states import DensityMatrix, StatePair, qubit_from_bloch
+from nmflow.states import DensityMatrix, StatePair, qubit_from_bloch, trace_distance
 
 HORIZON = 10.0
 STEP = 1e-3
@@ -85,3 +85,23 @@ def test_n_is_invariant_under_a_unitary_commuting_with_the_generator(rho1, rho2,
     a = n_for_pair(flow, StatePair(rho1, rho2), times)
     b = n_for_pair(flow, rotated, times)
     assert abs(a.n_value - b.n_value) <= N_TOL
+
+
+# A map whose least Choi eigenvalue is -eps can stretch D by O(d eps), so the
+# default CP tolerance 1e-7 would admit growth far beyond 1e-12.
+CONTRACTION_CP_TOL = 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings,
+       gamma0=st.floats(0.01, 0.4), start=st.floats(0.0, 8.0), length=st.floats(0.1, 3.0))
+def test_cp_interval_maps_contract_the_trace_distance(rho1, rho2, delta, gamma0, start,
+                                                       length):
+    gen = jc_generator(JCParams(gamma0=gamma0, delta=delta))
+    grid = start + length * np.arange(5) / 4.0
+    report = divisibility_report(gen, grid, tol=CONTRACTION_CP_TOL, h=STEP)
+    before = trace_distance(rho1, rho2)
+    for v in report.intervals:
+        if v.is_cp:
+            p = propagator_between(gen, v.t_start, v.t_end, STEP)
+            assert trace_distance(p.apply(rho1), p.apply(rho2)) <= before + 1e-12
