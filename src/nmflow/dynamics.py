@@ -206,7 +206,7 @@ def _rk4_increments(compiled, times, h):
     ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
     h = h[:, None, None]
     eye = np.eye(d2, dtype=complex)
-    acc = ka @ eye
+    acc = ka + 0.0  # K itself, its -0.0 entries made +0.0 as ka @ eye makes them
     k = km @ (eye + 0.5 * h * acc)
     acc += 2.0 * k
     k = km @ (eye + 0.5 * h * k)
@@ -263,12 +263,13 @@ def _interval_maps(compiled, t0, h, n):
 
 def _substeps(span, h):
     """RK4 step count ceil(span / h), at least 1, and the equal step span / count
-    that fills each span exactly."""
+    that fills each span exactly. The slack is relative, so that the rounding
+    of span / h adds no step however far the span lies from 0."""
     if not np.all(np.isfinite(span)):
         raise ValueError(f"interval length must be finite, got {span}")
     if not np.all(np.asarray(h) > 0):
         raise ValueError(f"step must be positive, got {h}")
-    n = np.maximum(1, np.ceil(span / h - 1e-12)).astype(int)
+    n = np.maximum(1, np.ceil(span / h * (1.0 - 1e-12))).astype(int)
     return n, span / n
 
 

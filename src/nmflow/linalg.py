@@ -31,6 +31,11 @@ def hermitian_eigenvalues(m, tol=HERMITICITY_TOL):
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e} > {tol:.1e}"
         )
+    return _eigvalsh(m)
+
+
+def _eigvalsh(m):
+    """eigvalsh of complex matrices already checked to be finite and Hermitian."""
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:

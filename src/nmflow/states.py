@@ -5,12 +5,13 @@ Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
 relaxed by integrator callers). All randomness flows through explicit 64-bit
 seeds; parallel workers derive independent streams from (seed, worker index).
 """
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, hermiticity_defect
+from .linalg import _eigvalsh, hermitian_eigenvalues, hermiticity_defect
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -50,7 +51,11 @@ class DensityMatrix:
             raise ValueError(
                 f"state trace {tr} differs from 1 beyond {self.trace_tol:.1e}"
             )
-        least = hermitian_eigenvalues(m, tol=1e-10)[0]
+        if m.shape[0] == 2:
+            # Closed form of the least eigenvalue of a Hermitian 2x2 matrix.
+            least = 0.5 * tr.real - math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
+        else:
+            least = _eigvalsh(m)[0]
         if least < -self.positivity_tol:
             raise ValueError(
                 f"state has eigenvalue {least:.3e} below -{self.positivity_tol:.1e}"

@@ -10,6 +10,9 @@ from oracles import amplitude_damping_solution, canonical_rates, lindblad_rhs, r
 from nmflow.cli import load_custom_generator
 from nmflow.dynamics import (
     STEP_BLOCK,
+    _CompiledGenerator,
+    _lockstep_groups,
+    _substeps,
     GeneratorSpec,
     Propagator,
     apply_generator,
@@ -431,6 +434,24 @@ class TestLockstepDivisibility:
             match=r"^interval 2 \[0\.25, 0\.375\]: propagator has non-finite entries at t=0\.3",
         ):
             divisibility_report(gen, grid, h=0.00625)
+
+    def test_equal_intervals_get_equal_step_counts(self):
+        # span / h rounds to just above 20 on some of these intervals.
+        n, step = _substeps(np.diff(np.linspace(0.0, 12.0, 601)), 1e-3)
+        assert np.all(n == 20)
+        assert np.max(np.abs(step - 1e-3)) < 1e-15
+        assert len(list(_lockstep_groups(n))) == 50
+
+    def test_first_stage_is_k_itself_to_the_bit(self):
+        # _rk4_increments takes k1 = K + 0.0 for the product K @ I: both turn
+        # the -0.0 entries of K into +0.0, which a plain copy would keep, and
+        # the sign of an exactly zero least Choi eigenvalue can follow them.
+        ks = _CompiledGenerator(jc_generator(JCParams(delta=5.0))).matrices(
+            np.linspace(0.0, 10.0, 2001)
+        )
+        product = (ks @ np.eye(4, dtype=complex)).tobytes()
+        assert (ks + 0.0).tobytes() == product
+        assert ks.tobytes() != product
 
     def test_one_compiled_generator_per_report(self, monkeypatch):
         import nmflow.dynamics

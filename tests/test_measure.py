@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from nmflow.dynamics import constant_generator, divisibility_report, propagator_grid
+from oracles import pair_value, qubit_distance_grid
+
+from nmflow.dynamics import (
+    GeneratorSpec,
+    constant_generator,
+    divisibility_report,
+    propagator_grid,
+)
 from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.measure import (
+    PAIR_BLOCK,
     GrowthInterval,
-    _qubit_distance_grid,
+    _pair_values,
     canonical_pairs,
     default_threshold,
     growth_intervals,
@@ -29,6 +37,9 @@ from nmflow.models import (
 )
 from nmflow.states import (
     SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     StatePair,
     qubit_from_bloch,
     random_mixed_state,
@@ -161,7 +172,7 @@ class TestTrajectory:
         for pair in (Z_PAIR, X_PAIR, sample_pair(2, 4, 2), sample_pair(2, 4, 3)):
             traj = trajectory(flow, pair, times)
             diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
-            expected = _qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
+            expected = qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
             assert np.max(np.abs(traj.d_values - expected)) < 1e-15
 
     def test_non_finite_flow_is_invariant_violation(self):
@@ -374,7 +385,7 @@ class TestPairSearch:
         def broken(*args, **kwargs):
             raise TypeError("broken trajectory")
 
-        monkeypatch.setattr(nmflow.measure, "trajectory", broken)
+        monkeypatch.setattr(nmflow.measure, "_distances", broken)
         flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-2)
         with pytest.raises(TypeError, match="broken trajectory"):
             search_pairs(flow, 2, times, seed=0)
@@ -443,3 +454,136 @@ class TestSweep:
         times = make_time_grid(5.0, 1e-2)
         with pytest.raises(ValueError, match="empty"):
             sweep(lambda d: propagator_grid(semigroup_generator(1.0), times), [], times, 1000)
+
+
+# Fixed before the batched evaluation was written: the Pauli-basis and blocked
+# products round D, which lies in [0, 1], differently from a per-pair
+# matrix-vector product in the last few bits.
+PAIR_VALUE_TOL = 1e-14
+
+
+def negative_rate_d4_generator():
+    """Random d = 4 generator whose second rate is negative on windows, so
+    that pairs regain distinguishability (N > 0)."""
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    ops = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+    ops = [op / np.linalg.norm(op) for op in ops]
+    rate = lambda t: 0.1 + 0.5 * np.cos(3.0 * np.asarray(t))
+    return GeneratorSpec(4, 0.5 * (a + a.conj().T), [(ops[0], 0.3), (ops[1], rate)])
+
+
+def bloch_map_flow(times, transverse, longitudinal):
+    """Flow whose Pauli-basis map is diag(1, f, f, g)(t): the x and y Bloch
+    components scale by f, the z component by g."""
+    paulis = [np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z]
+    basis = np.stack([p.reshape(-1, order="F") for p in paulis], axis=1)
+    m = np.zeros((times.size, 4, 4))
+    m[:, 0, 0] = 1.0
+    m[:, 1, 1] = m[:, 2, 2] = transverse(times)
+    m[:, 3, 3] = longitudinal(times)
+    # The Pauli matrices are orthogonal with norm^2 2, so B^dag Phi B / 2 = m.
+    return 0.5 * basis @ m @ basis.conj().T
+
+
+BATCH_CASES = {
+    "jc-delta-8": (lambda: jc_generator(JCParams(delta=8.0)), 2, 5.0, 1e-3),
+    "random-d4": (negative_rate_d4_generator, 4, 2.0, 1e-3),
+}
+
+
+class TestBatchedPairs:
+    """The block evaluation of search_pairs against the one-pair-at-a-time
+    oracle: complex matrix-vector product, closed form or eigenvalues,
+    np.gradient and growth intervals per pair (values to PAIR_VALUE_TOL)."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_values_match_per_pair_oracle(self, name):
+        make_gen, dim, horizon, step = BATCH_CASES[name]
+        flow, times = grid_flow(make_gen(), horizon, step)
+        size = PAIR_BLOCK // (times.size * dim * dim)
+        assert size > 2
+        pairs = canonical_pairs(dim) + [sample_pair(dim, 5, i) for i in range(3 * size - 1)]
+        expected = [pair_value(flow, pair, times) for pair in pairs]
+        assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
+        # One pair, one below a block, one block, one above, several blocks.
+        for count in (1, size - 1, size, size + 1, 3 * size + 1):
+            values, failures, (rows, a, b, c) = _pair_values(flow, pairs[:count], times)
+            assert failures == []
+            assert np.max(np.abs(values - [n for n, _ in expected[:count]])) <= PAIR_VALUE_TOL
+            assert np.array_equal(rows, np.sort(rows))
+        for i, (n, intervals) in enumerate(expected):
+            got = np.column_stack([a, b, c])[rows == i]
+            assert got.shape == (len(intervals), 3)
+            if intervals:
+                assert np.max(np.abs(got[:, 2] - [x for _, _, x in intervals])) <= PAIR_VALUE_TOL
+                # A crossing time moves by the rounding of sigma over its slope.
+                assert np.max(np.abs(got[:, :2] - [(x, y) for x, y, _ in intervals])) <= 1e-9
+
+    def test_failing_pair_is_recorded_while_its_block_mates_score(self):
+        times = make_time_grid(3.0, 2e-3)
+        flow = bloch_map_flow(
+            times,
+            lambda t: np.exp(-0.25 * t) * np.cos(2.0 * t),
+            lambda t: 1.0 + 0.5 * np.sin(t),
+        )
+        swapped = StatePair(X_PAIR.rho2, X_PAIR.rho1, label="swapped-x")
+        pairs = [X_PAIR, Z_PAIR, swapped] + [sample_pair(2, 1, i) for i in range(8)]
+        assert len(pairs) < PAIR_BLOCK // (times.size * 4)
+        values, failures, _ = _pair_values(flow, pairs, times)
+        expected = [pair_value(flow, pair, times) for pair in pairs]
+        reasons = [
+            f"{pair.label}: {why} (step too coarse, or the generator is not positivity preserving)"
+            for pair, (n, why) in zip(pairs, expected)
+            if n is None
+        ]
+        assert failures == reasons
+        assert failures[0] == (
+            "canonical-z: trace distance 1.001 exceeds 1 or is not finite at t=0.002 "
+            "(step too coarse, or the generator is not positivity preserving)"
+        )
+        scored = [n is not None for n, _ in expected]
+        assert scored[:3] == [True, False, True] and 0 < sum(scored) < len(pairs)
+        assert np.array_equal(np.isnan(values), np.logical_not(scored))
+        ok = np.array(scored)
+        got = values[ok]
+        assert np.max(np.abs(got - [n for n, _ in np.array(expected, dtype=object)[ok]])) <= (
+            PAIR_VALUE_TOL
+        )
+        assert values[0] > 0.5 and values[0] == values[2]
+        with pytest.raises(NumericalError, match="^canonical pair failed: " + failures[0][:40]):
+            search_pairs(flow, 8, times, seed=1)
+
+    def test_negative_contribution_fails_only_its_pair(self):
+        # D of the x pair zigzags: a one-point run of sigma > 0 whose end lies
+        # far below its start.
+        times = make_time_grid(0.02, 1e-3)
+        zigzag = np.array([1.0] * 8 + [0.2, 0.99, 0.2, 1.0, 0.0] + [0.0] * 8)
+        flow = bloch_map_flow(times, lambda t: zigzag, np.ones_like)
+        values, failures, _ = _pair_values(flow, [Z_PAIR, X_PAIR], times)
+        assert failures == ["canonical-x: negative contribution -0.7519046867142856"]
+        assert values[0] == 0.0 and np.isnan(values[1])
+        with pytest.raises(ValueError, match="^negative contribution -0.7519046867142856$"):
+            n_for_pair(flow, X_PAIR, times)
+
+    def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
+        import nmflow.measure
+
+        def copy_of_z(dim, seed, index):
+            return StatePair(Z_PAIR.rho1, Z_PAIR.rho2, label=f"sample-{index}")
+
+        monkeypatch.setattr(nmflow.measure, "sample_pair", copy_of_z)
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 10.0, 1e-3)
+        n_pairs = 2 * (PAIR_BLOCK // (times.size * 4)) + 1
+        values, _, _ = _pair_values(flow, [Z_PAIR] + [copy_of_z(2, 0, i) for i in range(n_pairs)], times)
+        # The same pair scores the same to the bit at every place in a block.
+        assert np.all(values == values[0])
+        search = search_pairs(flow, n_pairs, times)
+        assert search.best.n_value == search.n_canonical == search.n_sampled_max > 0.0
+        assert search.best.best_pair.label == "canonical-z"
+
+    def test_best_value_is_the_plain_sum_of_its_intervals(self):
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
+        best = search_pairs(flow, 20, times, seed=0).best
+        assert len(best.intervals) > 1
+        assert best.n_value == sum(iv.contribution for iv in best.intervals)
