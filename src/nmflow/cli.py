@@ -321,6 +321,14 @@ def build_generator(cfg):
     raise ConfigError(f"model {cfg.model!r} has no master-equation generator")
 
 
+def time_grid(cfg):
+    """The time grid of a run, which must end at its horizon: a whole number
+    of steps, to a relative 1e-9."""
+    if not abs(round(cfg.horizon / cfg.step) * cfg.step - cfg.horizon) <= 1e-9 * cfg.horizon:
+        raise ConfigError(f"horizon {cfg.horizon:g} is not a whole number of steps {cfg.step:g}")
+    return make_time_grid(cfg.horizon, cfg.step)
+
+
 def build_flow(cfg, times):
     """Flow Phi(t_k, 0) of the model on times: exact for the spin bath, RK4
     integration of the generator for the others."""
@@ -417,7 +425,7 @@ def write_table(cfg, header, rows, json_key):
 def cmd_rate(cfg):
     """Columns t, gamma(t); with a detuning range, one block of rows per delta."""
     time_col = TIME_COLUMN[cfg.model]
-    times = make_time_grid(cfg.horizon, cfg.step)
+    times = time_grid(cfg)
     if cfg.model == "jc":
         range_keys = {"delta_over_lambda_min", "delta_over_lambda_max", "delta_points"}
         if cfg.provided & range_keys:
@@ -460,7 +468,7 @@ def cmd_rate(cfg):
 def cmd_trajectory(cfg):
     """Columns t, D, sigma for one initial pair."""
     pair = resolve_pair(cfg)
-    times = make_time_grid(cfg.horizon, cfg.step)
+    times = time_grid(cfg)
     traj = trajectory(build_flow(cfg, times), pair, times)
     time_col = TIME_COLUMN[cfg.model]
     rows = [
@@ -500,7 +508,7 @@ def _measure_payload(result, extra):
 
 def cmd_measure(cfg):
     """Structured report: truncated measure value, intervals, best pair."""
-    times = make_time_grid(cfg.horizon, cfg.step)
+    times = time_grid(cfg)
     search = search_pairs(
         build_flow(cfg, times), cfg.n_pairs, times, threshold=cfg.threshold, seed=cfg.seed
     )
@@ -532,7 +540,7 @@ def cmd_sweep(cfg):
         cfg.get_float("delta_over_lambda_max"),
         cfg.get_int("delta_points"),
     )
-    times = make_time_grid(cfg.horizon, cfg.step)
+    times = time_grid(cfg)
     family = lambda delta: build_flow(
         replace(cfg, raw={**cfg.raw, "delta_over_lambda": repr(float(delta))}), times
     )

@@ -13,6 +13,7 @@ canonical qubit pairs always evaluated first, so known maximizers are never
 missed. Everything is truncated at a finite horizon; a run whose last
 interval still contributes more than 0.5 is flagged as diverging.
 """
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,16 +24,16 @@ import numpy as np
 from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import hermitian_eigenvalues
-from .states import DensityMatrix, StatePair, random_mixed_state, random_pure_state
+from .states import DensityMatrix, StatePair, check_states, random_states
 
 D_VALUE_TOL = 1e-10
 THRESHOLD_FLOOR = 1e-12
 THRESHOLD_SCALE = 1e-9
 DIVERGENCE_CONTRIBUTION = 0.5
-# Entries (pairs x grid points x d^2) of the evolved differences of one block
-# of pairs (at least one pair); bounds the memory of a search. Measured on the
-# jc-measure benchmark command (T = 10,001): 3 pairs per block ran about 8%
-# faster than these 2 but raised peak RSS by 4.2% instead of 2.9%.
+# Entries of the work arrays of one block of pairs (at least one pair), which
+# bound the memory of a search: for qubits the two (pairs x grid points)
+# buffers of D and sigma, for d > 2 the (pairs x grid points x d^2) evolved
+# differences.
 PAIR_BLOCK = 100_000
 # Columns: the column-stacked Pauli matrices I, X, Y, Z.
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
@@ -116,33 +117,39 @@ def _pair_operator(flow, d):
     return flow.reshape(-1, d * d)
 
 
-def _distances(op, pairs, times):
-    """Trace distances D(t_k) of the pairs' evolved differences, shape (P, T),
-    from the _pair_operator op (the flow gives the difference by linearity),
-    and a message per pair (None if fine) where D exceeds 1 or is not
-    finite; such rows are zeroed, and the others capped at 1."""
-    diffs = np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])
-    d = diffs.shape[1]
-    vecs = diffs.transpose(0, 2, 1).reshape(len(pairs), d * d)  # column-stacked
+def _block_size(times, d):
+    """Pairs per block: PAIR_BLOCK entries of a block's work arrays."""
+    return max(1, PAIR_BLOCK // (times.size * (2 if d == 2 else d * d)))
+
+
+def _distances(op, diffs, times, work):
+    """Trace distances D(t_k) of the evolved differences rho1 - rho2, stacked
+    (P, d, d), from the _pair_operator op (the flow gives the difference by
+    linearity), written into work[0, :P]; work[1, :P] is scratch. Returns a
+    message per pair (None if fine) where D exceeds 1 or is not finite; such
+    rows are zeroed, and the others capped at 1."""
+    p, d = diffs.shape[:2]
+    dist, buf = work[0, :p], work[1, :p]
+    vecs = diffs.transpose(0, 2, 1).reshape(p, d * d)  # column-stacked
     if d == 2:
         # D = max(|trace part|, Bloch length) of the evolved Pauli
-        # coefficients, the closed form of the two eigenvalues mean +- radius.
+        # coefficients, the closed form of the two eigenvalues mean +- radius;
+        # one (P, 3) x (3, T) product per coefficient.
         x = 0.5 * (vecs @ _PAULI[:, 1:].conj()).real
-        c = x @ op  # (4, P, T): four (P, 3) x (3, T) products
-        np.abs(c[0], out=c[0])
-        np.square(c[1:], out=c[1:])
-        dist = c[1] + c[2]
-        dist += c[3]
-        np.maximum(c[0], np.sqrt(dist, out=dist), out=dist)
+        np.square(np.matmul(x, op[1], out=dist), out=dist)
+        for k in (2, 3):
+            dist += np.square(np.matmul(x, op[k], out=buf), out=buf)
+        np.sqrt(dist, out=dist)
+        np.maximum(np.abs(np.matmul(x, op[0], out=buf), out=buf), dist, out=dist)
     else:
         # Row-major reshape then swap: each matrix unstacks its columns.
-        m = (op @ vecs.T).T.reshape(len(pairs), -1, d, d).swapaxes(2, 3)
+        m = (op @ vecs.T).T.reshape(p, -1, d, d).swapaxes(2, 3)
         m = 0.5 * (m + m.swapaxes(2, 3).conj())
         finite = np.isfinite(m).all(axis=(2, 3))
         m[~finite] = 0.0
-        dist = 0.5 * np.sum(np.abs(hermitian_eigenvalues(m, tol=1e-8)), axis=2)
+        dist[:] = 0.5 * np.sum(np.abs(hermitian_eigenvalues(m, tol=1e-8)), axis=2)
         dist[~finite] = np.nan
-    errors = [None] * len(dist)
+    errors = [None] * p
     for i in np.flatnonzero(~(dist.max(axis=1) <= 1.0 + 1e-8)):  # also catches NaN
         k = int(np.argmax(~(dist[i] <= 1.0 + 1e-8)))
         errors[i] = (
@@ -152,7 +159,16 @@ def _distances(op, pairs, times):
         )
         dist[i] = 0.0
     np.minimum(dist, 1.0, out=dist)
-    return dist, errors
+    return errors
+
+
+def _sigma(d, h, out):
+    """np.gradient(d, h, axis=1, edge_order=2) of D, shape (P, T), written
+    into out: the same stencil, operation for operation."""
+    np.divide(np.subtract(d[:, 2:], d[:, :-2], out=out[:, 1:-1]), 2.0 * h, out=out[:, 1:-1])
+    out[:, 0] = -1.5 / h * d[:, 0] + 2.0 / h * d[:, 1] + -0.5 / h * d[:, 2]
+    out[:, -1] = 0.5 / h * d[:, -3] + -2.0 / h * d[:, -2] + 1.5 / h * d[:, -1]
+    return out
 
 
 def trajectory(flow, pair, times):
@@ -160,10 +176,12 @@ def trajectory(flow, pair, times):
     d, times = _flow_dim(flow, times)
     if pair.dim != d:
         raise ValueError(f"pair dimension {pair.dim} != flow dimension {d}")
-    dist, (error,) = _distances(_pair_operator(flow, d), [pair], times)
+    diff = pair.rho1.matrix - pair.rho2.matrix
+    work = np.empty((2, 1, times.size))
+    (error,) = _distances(_pair_operator(flow, d), diff[None], times, work)
     if error:
         raise InvariantViolation(error)
-    return trajectory_from_values(times, dist[0])
+    return trajectory_from_values(times, work[0, 0])
 
 
 @dataclass
@@ -192,7 +210,8 @@ def _thresholds(sigma, threshold):
     noise floor 1e-9 of the row's peak |sigma|, floored at 1e-12."""
     if threshold is not None:
         return np.full(len(sigma), float(threshold))
-    return np.maximum(THRESHOLD_FLOOR, THRESHOLD_SCALE * np.max(np.abs(sigma), axis=1))
+    peak = np.maximum(sigma.max(axis=1), -sigma.min(axis=1))  # max |sigma|
+    return np.maximum(THRESHOLD_FLOOR, THRESHOLD_SCALE * peak)
 
 
 def default_threshold(traj):
@@ -210,10 +229,11 @@ def _growth(times, d, s, threshold):
     t = np.asarray(times)
     thr = _thresholds(s, threshold)
     mask = np.zeros((len(s), t.size + 2), dtype=bool)
-    mask[:, 1:-1] = s > thr[:, None]
+    np.greater(s, thr[:, None], out=mask[:, 1:-1])
     # A row's crossings alternate: a run starts at column j, then the next
     # crossing j' ends it at column j' - 1.
-    rows, cols = np.nonzero(mask[:, 1:] != mask[:, :-1])
+    # flatnonzero and divmod: 2-D nonzero is ten times slower here.
+    rows, cols = np.divmod(np.flatnonzero(mask[:, 1:] != mask[:, :-1]), t.size + 1)
     rows, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
     thr = thr[rows]
 
@@ -304,15 +324,29 @@ def canonical_pairs(dim):
     return [z, x]
 
 
+def _sample_states(dim, seed, index):
+    """Unvalidated rho1 and rho2 stacks of the sample pairs index (an array):
+    rho1 of pair i from worker 2i, rho2 from worker 2i + 1, and indices mod 4
+    give the 2:1:1 pure/pure : pure/mixed : mixed/mixed mix."""
+    return (
+        random_states(dim, seed, 2 * index, index % 4 == 3),
+        random_states(dim, seed, 2 * index + 1, index % 4 >= 2),
+    )
+
+
 def sample_pair(dim, seed, index):
-    """Deterministic pair for a sample index: indices mod 4 give the 2:1:1
-    pure/pure : pure/mixed : mixed/mixed mix."""
-    kind = index % 4
-    draw1 = random_pure_state if kind in (0, 1, 2) else random_mixed_state
-    draw2 = random_pure_state if kind in (0, 1) else random_mixed_state
-    rho1 = draw1(dim, seed, worker=2 * index)
-    rho2 = draw2(dim, seed, worker=2 * index + 1)
+    """Deterministic pair for a sample index (see _sample_states)."""
+    rho1, rho2 = (DensityMatrix(m[0]) for m in _sample_states(dim, seed, np.array([index])))
     return StatePair(rho1, rho2, label=f"sample-{index}")
+
+
+def _sample_blocks(dim, seed, n_pairs, size):
+    """Differences rho1 - rho2 of sample pairs 0 .. n_pairs - 1 in blocks of
+    size, each block drawn and validated at once (in draw order)."""
+    for start in range(0, n_pairs, size):
+        rho1, rho2 = _sample_states(dim, seed, np.arange(start, min(start + size, n_pairs)))
+        check_states(np.stack([rho1, rho2], axis=1).reshape(-1, dim, dim))
+        yield rho1 - rho2
 
 
 @dataclass
@@ -326,34 +360,36 @@ class PairSearch:
     failures: List[str] = field(default_factory=list)
 
 
-def _pair_values(flow, pairs, times, threshold=None):
-    """(values, failures, intervals) of an iterable of pairs under the flow,
-    taken in blocks of PAIR_BLOCK difference entries: D, sigma and growth
-    intervals for a whole block at once. A failed pair has value NaN
-    and a "label: reason" in failures; its block-mates still score.
-    intervals are (rows, a, b, contributions) of the scored pairs, rows
-    indexing pairs.
+def _pair_values(flow, blocks, times, threshold=None):
+    """(values, errors, intervals) of the pairs whose differences rho1 - rho2
+    come stacked (P, d, d) in blocks of any size, under the flow. They are
+    evaluated in consecutive blocks of _block_size pairs, as they come: D and
+    sigma of a block go into two work buffers allocated once, and its growth
+    intervals are found at once. A failed pair has value NaN and its reason
+    in errors (None for the others); its block-mates still score. intervals
+    are (rows, a, b, contributions) of the scored pairs, rows indexing pairs.
     """
     d, times = _flow_dim(flow, times)
     op = _pair_operator(flow, d)
-    size = max(1, PAIR_BLOCK // (times.size * d * d))
-    pairs = iter(pairs)
-    values, failures, found = [], [], []
+    size = _block_size(times, d)
+    work = np.empty((2, size, times.size))
+    values, errors, found = [], [], []
+    pairs = itertools.chain.from_iterable(blocks)
     while block := list(itertools.islice(pairs, size)):
-        start = len(values)
-        dist, errors = _distances(op, block, times)
-        sigma = np.gradient(dist, times[1] - times[0], axis=1, edge_order=2)
+        start, p = len(values), len(block)
+        errs = _distances(op, np.stack(block), times, work)
+        dist, sigma = work[0, :p], _sigma(work[0, :p], times[1] - times[0], work[1, :p])
         rows, a, b, c = _growth(times, dist, sigma, threshold)
         for r, x in zip(rows[c < -1e-12], c[c < -1e-12]):
-            errors[r] = errors[r] or f"negative contribution {float(x)}"
-        ok = np.array([e is None for e in errors])
+            errs[r] = errs[r] or f"negative contribution {float(x)}"
+        ok = np.array([e is None for e in errs])
         # bincount adds each row's contributions in order, as sum() does.
-        totals = np.bincount(rows, weights=c, minlength=len(block))
+        totals = np.bincount(rows, weights=c, minlength=p)
         values.extend(np.where(ok, totals, np.nan))
-        failures += [f"{p.label}: {e}" for p, e in zip(block, errors) if e]
+        errors += errs
         keep = ok[rows]
         found.append((rows[keep] + start, a[keep], b[keep], c[keep]))
-    return np.array(values), failures, tuple(np.concatenate(x) for x in zip(*found))
+    return np.array(values), errors, tuple(np.concatenate(x) for x in zip(*found))
 
 
 def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
@@ -364,16 +400,25 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     first, then sample order), so the result is deterministic and the best
     value is monotone in n_pairs. Only the best pair gets its interval list.
     """
+    # Drawn block by block as they are evaluated.
+    return _search(flow, n_pairs, times, threshold, seed, _sample_blocks)
+
+
+def _search(flow, n_pairs, times, threshold, seed, draw):
+    """search_pairs, with the sample blocks from draw(dim, seed, n_pairs,
+    block size) (see _sample_blocks)."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
     dim, times = _flow_dim(flow, times)
     canonical = canonical_pairs(dim)
-    # Drawn as they are evaluated; the best is drawn again.
-    samples = (sample_pair(dim, seed, i) for i in range(n_pairs))
-    values, failures, (rows, a, b, c) = _pair_values(
-        flow, itertools.chain(canonical, samples), times, threshold
+    first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
+    samples = draw(dim, seed, n_pairs, _block_size(times, dim))
+    values, errors, (rows, a, b, c) = _pair_values(
+        flow, itertools.chain([first], samples), times, threshold
     )
+    labels = [p.label for p in canonical] + [f"sample-{i}" for i in range(n_pairs)]
+    failures = [f"{label}: {e}" for label, e in zip(labels, errors) if e]
     failed = np.isnan(values)
     if failed.all():
         raise NumericalError("all pair evaluations failed; first failure: " + failures[0])
@@ -409,15 +454,18 @@ class SweepRecord:
 def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     """search_pairs on the flow flow_family(value) for each parameter value;
     per-point failures, building the flow included, are recorded in the
-    output instead of aborting the sweep."""
+    output instead of aborting the sweep. The sample pairs are drawn and
+    validated once and evaluated at every point."""
     parameters = list(parameters)
     if not parameters:
         raise ValueError("parameter grid is empty")
     _check_threshold(threshold)
+    # Every point with the same dimension reuses the blocks drawn first.
+    draw = functools.cache(lambda *key: list(_sample_blocks(*key)))
     records = []
     for value in parameters:
         try:
-            search = search_pairs(flow_family(value), n_pairs, times, threshold, seed)
+            search = _search(flow_family(value), n_pairs, times, threshold, seed, draw)
             records.append(
                 SweepRecord(
                     parameter=float(value),

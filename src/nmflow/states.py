@@ -113,24 +113,53 @@ def state_rng(seed, worker=None):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def random_pure_state(dim, seed, worker=None):
-    """Rank-1 projector |psi><psi| with |psi| Haar-distributed on the sphere."""
+def random_states(dim, seed, workers, mixed):
+    """Stack (n, dim, dim) of unvalidated draws (see check_states), state k
+    from the stream state_rng(seed, workers[k]): a Haar pure state
+    |psi><psi|, or where mixed[k] a Hilbert-Schmidt state G G^dag / tr with
+    G square complex Ginibre."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    rng = state_rng(seed, worker)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    out = np.empty((len(workers), dim, dim), dtype=complex)
+    for k, (worker, m) in enumerate(zip(workers, mixed)):
+        rng = state_rng(seed, worker)
+        if m:
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            w = g @ g.conj().T
+            out[k] = w / np.trace(w).real
+        else:
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            out[k] = np.outer(psi, psi.conj())
+    return out
+
+
+def check_states(m):
+    """Check a stack (n, d, d) with the DensityMatrix rules at once
+    (closed-form least eigenvalue for qubits, one stacked eigensolve for
+    d > 2). A state that fails goes to DensityMatrix, in stack order, so the
+    first one raises DensityMatrix's own error."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    tr = np.trace(m, axis1=1, axis2=2)
+    if m.shape[1] == 2:
+        least = 0.5 * tr.real - np.hypot(0.5 * (m[:, 0, 0] - m[:, 1, 1]).real, np.abs(m[:, 0, 1]))
+    else:
+        least = _eigvalsh(np.where(finite[:, None, None], m, 0.0))[:, 0]
+    # Written so that NaN fails too.
+    ok = finite & (np.abs(m - m.swapaxes(1, 2).conj()).max(axis=(1, 2)) <= HERMITICITY_TOL)
+    ok &= (np.abs(tr - 1.0) <= TRACE_TOL) & (least >= -POSITIVITY_TOL)
+    for k in np.flatnonzero(~ok):
+        DensityMatrix(m[k])
+
+
+def random_pure_state(dim, seed, worker=None):
+    """Rank-1 projector |psi><psi| with |psi| Haar-distributed on the sphere."""
+    return DensityMatrix(random_states(dim, seed, [worker], [False])[0])
 
 
 def random_mixed_state(dim, seed, worker=None):
     """Hilbert-Schmidt-ensemble state: G G^dag / tr with G square complex Ginibre."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    rng = state_rng(seed, worker)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    return DensityMatrix(w / np.trace(w).real)
+    return DensityMatrix(random_states(dim, seed, [worker], [True])[0])
 
 
 def bloch_from_qubit(rho):

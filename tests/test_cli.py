@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmflow.cli import build_parser, main, read_csv_grid, resolve_config
+from nmflow.cli import build_parser, main, read_csv_grid, resolve_config, time_grid
+from nmflow.exceptions import ConfigError
 from nmflow.models import (
     POLE_TOL,
     JCParams,
@@ -95,6 +96,28 @@ class TestConfigHandling:
         assert code == 2
         assert "sigma_threshold must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_horizon_must_be_a_whole_number_of_steps(self):
+        def grid(horizon, step):
+            args = build_parser().parse_args(
+                ["measure", "--horizon", horizon, "--step", step, "--output", "o.json"])
+            return time_grid(resolve_config(args, args.command))
+
+        assert grid("2.5", "1e-3").size == 2501
+        assert grid(str(20 * np.pi / 40), str(np.pi / 40)).size == 21
+        for horizon, step in (("4", "0.3"), ("1", "0.0999999")):
+            with pytest.raises(ConfigError, match=f"^horizon {horizon} is not a whole "
+                               f"number of steps {step}$"):
+                grid(horizon, step)
+
+    @pytest.mark.parametrize("command", ["rate", "trajectory", "measure", "sweep"])
+    def test_horizon_off_the_grid_is_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        code = run(command, "--model", "jc", "--horizon", "4", "--step", "0.3",
+                   "--output", str(out))
+        assert code == 2
+        assert "horizon 4 is not a whole number of steps 0.3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -274,7 +297,8 @@ class TestMeasure:
 
     def test_spinbath_quantized_value_and_divergence_flag(self, tmp_path):
         out = tmp_path / "m.json"
-        horizon = 3 * np.pi / 2 + 0.3
+        # Past three revivals: 3 pi / 2 + 0.3 on the grid, 10025 steps.
+        horizon = 10025 * 5e-4
         assert run("measure", "--model", "spinbath",
                    "--horizon", str(horizon), "--step", "5e-4",
                    "--format", "json", "--output", str(out)) == 0

@@ -13,7 +13,10 @@ from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.measure import (
     PAIR_BLOCK,
     GrowthInterval,
+    _block_size,
     _pair_values,
+    _sample_blocks,
+    _sample_states,
     canonical_pairs,
     default_threshold,
     growth_intervals,
@@ -40,6 +43,7 @@ from nmflow.states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    DensityMatrix,
     StatePair,
     qubit_from_bloch,
     random_mixed_state,
@@ -319,6 +323,57 @@ class TestPairSearch:
         assert kinds[2] == (True, False)
         assert kinds[3] == (False, False)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stacked_draws_equal_sample_pair(self, dim):
+        n = 400
+        for seed in (0, 9):
+            states = _sample_states(dim, seed, np.arange(n))
+            diffs = np.concatenate(list(_sample_blocks(dim, seed, n, 64)))
+            for i in range(n):
+                pair = sample_pair(dim, seed, i)
+                # The 2:1:1 rule: rho1 mixed for i % 4 == 3, rho2 for i % 4 >= 2.
+                draw1 = random_mixed_state if i % 4 == 3 else random_pure_state
+                draw2 = random_mixed_state if i % 4 >= 2 else random_pure_state
+                rho1, rho2 = draw1(dim, seed, worker=2 * i), draw2(dim, seed, worker=2 * i + 1)
+                assert np.array_equal(pair.rho1.matrix, rho1.matrix)
+                assert np.array_equal(pair.rho2.matrix, rho2.matrix)
+                assert np.array_equal(states[0][i], rho1.matrix)
+                assert np.array_equal(states[1][i], rho2.matrix)
+                assert np.array_equal(diffs[i], rho1.matrix - rho2.matrix)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spoil", ["non-finite", "Hermitian", "trace", "eigenvalue"])
+    def test_invalid_draw_raises_the_state_error(self, monkeypatch, dim, spoil):
+        import nmflow.measure
+
+        def spoiled(m):
+            m = m.copy()
+            if spoil == "non-finite":
+                m[0, 0] = np.nan
+            elif spoil == "Hermitian":
+                m[0, 1] += 1e-6
+            elif spoil == "trace":
+                m *= 2.0
+            else:
+                m = np.diag([1.5, -0.5] + [0.0] * (dim - 2)).astype(complex)
+            return m
+
+        def one_bad_state(dim, seed, index):
+            # rho2 of sample 5, in the middle of its block.
+            rho1, rho2 = _sample_states(dim, seed, index)
+            for k in np.flatnonzero(index == 5):
+                rho2[k] = spoiled(rho2[k])
+            return rho1, rho2
+
+        with pytest.raises(ValueError) as expected:
+            DensityMatrix(spoiled(sample_pair(dim, 0, 5).rho2.matrix))
+        monkeypatch.setattr(nmflow.measure, "_sample_states", one_bad_state)
+        flow, times = grid_flow(constant_generator(np.zeros((dim, dim)), []), 1.0, 1e-2)
+        assert _block_size(times, dim) > 12
+        with pytest.raises(ValueError) as raised:
+            search_pairs(flow, 12, times, seed=0)
+        assert str(raised.value) == str(expected.value)
+
     def test_search_reports_canonical_and_sampled(self):
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
         search = search_pairs(flow, 8, times, seed=0)
@@ -424,6 +479,29 @@ class TestSweep:
         b = sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=1)
         assert [r.n_value for r in a] == [r.n_value for r in b]
 
+    def test_samples_are_drawn_once_for_every_point(self, monkeypatch):
+        import nmflow.measure
+
+        drawn = []
+
+        def counted(dim, seed, index):
+            drawn.extend(index)
+            return _sample_states(dim, seed, index)
+
+        monkeypatch.setattr(nmflow.measure, "_sample_states", counted)
+        times = make_time_grid(20.0, 2e-3)
+        deltas = [0.0, 6.0, 8.0]
+        records = sweep(jc_flows(times), deltas, times, 5, seed=1)
+        # Each sample once, then only the best pairs drawn again.
+        assert drawn[:5] == list(range(5))
+        assert len(drawn) - 5 == sum(r.best_pair_label.startswith("sample") for r in records)
+        for rec, delta in zip(records, deltas):
+            direct = search_pairs(jc_flows(times)(delta), 5, times, seed=1)
+            assert rec.n_value == direct.best.n_value
+            assert rec.n_canonical == direct.n_canonical
+            assert rec.n_sampled_max == direct.n_sampled_max
+            assert rec.best_pair_label == direct.best.best_pair.label
+
     def test_resonant_point_is_markovian(self):
         times = make_time_grid(20.0, 2e-3)
         records = sweep(jc_flows(times), [0.0, 8.0], times, 2, seed=0)
@@ -486,6 +564,11 @@ def bloch_map_flow(times, transverse, longitudinal):
     return 0.5 * basis @ m @ basis.conj().T
 
 
+def diffs_of(pairs):
+    """The pairs' differences rho1 - rho2 as one stacked block."""
+    return [np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])]
+
+
 BATCH_CASES = {
     "jc-delta-8": (lambda: jc_generator(JCParams(delta=8.0)), 2, 5.0, 1e-3),
     "random-d4": (negative_rate_d4_generator, 4, 2.0, 1e-3),
@@ -501,15 +584,17 @@ class TestBatchedPairs:
     def test_values_match_per_pair_oracle(self, name):
         make_gen, dim, horizon, step = BATCH_CASES[name]
         flow, times = grid_flow(make_gen(), horizon, step)
-        size = PAIR_BLOCK // (times.size * dim * dim)
-        assert size > 2
+        size = _block_size(times, dim)
+        # Qubit blocks hold two (pairs x T) work buffers, d > 2 blocks the
+        # (pairs x T x d^2) evolved differences.
+        assert size == PAIR_BLOCK // (times.size * (2 if dim == 2 else dim * dim)) > 2
         pairs = canonical_pairs(dim) + [sample_pair(dim, 5, i) for i in range(3 * size - 1)]
         expected = [pair_value(flow, pair, times) for pair in pairs]
         assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
         # One pair, one below a block, one block, one above, several blocks.
         for count in (1, size - 1, size, size + 1, 3 * size + 1):
-            values, failures, (rows, a, b, c) = _pair_values(flow, pairs[:count], times)
-            assert failures == []
+            values, errors, (rows, a, b, c) = _pair_values(flow, diffs_of(pairs[:count]), times)
+            assert errors == [None] * count
             assert np.max(np.abs(values - [n for n, _ in expected[:count]])) <= PAIR_VALUE_TOL
             assert np.array_equal(rows, np.sort(rows))
         for i, (n, intervals) in enumerate(expected):
@@ -529,15 +614,16 @@ class TestBatchedPairs:
         )
         swapped = StatePair(X_PAIR.rho2, X_PAIR.rho1, label="swapped-x")
         pairs = [X_PAIR, Z_PAIR, swapped] + [sample_pair(2, 1, i) for i in range(8)]
-        assert len(pairs) < PAIR_BLOCK // (times.size * 4)
-        values, failures, _ = _pair_values(flow, pairs, times)
+        assert len(pairs) < _block_size(times, 2)
+        values, errors, _ = _pair_values(flow, diffs_of(pairs), times)
         expected = [pair_value(flow, pair, times) for pair in pairs]
         reasons = [
-            f"{pair.label}: {why} (step too coarse, or the generator is not positivity preserving)"
-            for pair, (n, why) in zip(pairs, expected)
-            if n is None
+            f"{why} (step too coarse, or the generator is not positivity preserving)"
+            if n is None else None
+            for n, why in expected
         ]
-        assert failures == reasons
+        assert errors == reasons
+        failures = [f"{p.label}: {e}" for p, e in zip(pairs, errors) if e]
         assert failures[0] == (
             "canonical-z: trace distance 1.001 exceeds 1 or is not finite at t=0.002 "
             "(step too coarse, or the generator is not positivity preserving)"
@@ -560,8 +646,8 @@ class TestBatchedPairs:
         times = make_time_grid(0.02, 1e-3)
         zigzag = np.array([1.0] * 8 + [0.2, 0.99, 0.2, 1.0, 0.0] + [0.0] * 8)
         flow = bloch_map_flow(times, lambda t: zigzag, np.ones_like)
-        values, failures, _ = _pair_values(flow, [Z_PAIR, X_PAIR], times)
-        assert failures == ["canonical-x: negative contribution -0.7519046867142856"]
+        values, errors, _ = _pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
+        assert errors == [None, "negative contribution -0.7519046867142856"]
         assert values[0] == 0.0 and np.isnan(values[1])
         with pytest.raises(ValueError, match="^negative contribution -0.7519046867142856$"):
             n_for_pair(flow, X_PAIR, times)
@@ -569,13 +655,17 @@ class TestBatchedPairs:
     def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
         import nmflow.measure
 
-        def copy_of_z(dim, seed, index):
-            return StatePair(Z_PAIR.rho1, Z_PAIR.rho2, label=f"sample-{index}")
+        def copies_of_z(dim, seed, index):
+            """Every sample pair drawn as the canonical z pair."""
+            return (np.tile(Z_PAIR.rho1.matrix, (len(index), 1, 1)),
+                    np.tile(Z_PAIR.rho2.matrix, (len(index), 1, 1)))
 
-        monkeypatch.setattr(nmflow.measure, "sample_pair", copy_of_z)
+        monkeypatch.setattr(nmflow.measure, "_sample_states", copies_of_z)
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 10.0, 1e-3)
-        n_pairs = 2 * (PAIR_BLOCK // (times.size * 4)) + 1
-        values, _, _ = _pair_values(flow, [Z_PAIR] + [copy_of_z(2, 0, i) for i in range(n_pairs)], times)
+        n_pairs = 2 * _block_size(times, 2) + 1
+        copies = [StatePair(DensityMatrix(a), DensityMatrix(b))
+                  for a, b in zip(*copies_of_z(2, 0, range(n_pairs)))]
+        values, _, _ = _pair_values(flow, diffs_of([Z_PAIR] + copies), times)
         # The same pair scores the same to the bit at every place in a block.
         assert np.all(values == values[0])
         search = search_pairs(flow, n_pairs, times)
@@ -587,3 +677,23 @@ class TestBatchedPairs:
         best = search_pairs(flow, 20, times, seed=0).best
         assert len(best.intervals) > 1
         assert best.n_value == sum(iv.contribution for iv in best.intervals)
+
+
+class TestSearchMemory:
+    def test_qubit_search_peak_at_40001_points(self):
+        import tracemalloc
+
+        # Fixed before the work buffers were written, from the search as it was
+        # (same flow, 20 pairs): peak 6.10 MB, of which the Pauli map (96 B per
+        # grid point) is 3.84 MB. The bound keeps the map and half of the rest.
+        bound = 5.0e6
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 1e-3)
+        search_pairs(flow[:11], 1, times[:11])  # first-call imports stay out
+        tracemalloc.start()
+        try:
+            search = search_pairs(flow, 20, times, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search.failures == []
+        assert peak <= bound
