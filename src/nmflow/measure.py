@@ -71,12 +71,23 @@ class TrajectoryGrid:
         return float(self.times[1] - self.times[0])
 
 
+def _sigma(d, h, out):
+    """sigma of each row of D, shape (P, T), on a grid of step h, written into
+    out: second-order differences, central in the interior and one-sided at
+    the ends (np.gradient's edge_order=2 stencil, operation for operation)."""
+    np.divide(np.subtract(d[:, 2:], d[:, :-2], out=out[:, 1:-1]), 2.0 * h, out=out[:, 1:-1])
+    out[:, 0] = -1.5 / h * d[:, 0] + 2.0 / h * d[:, 1] + -0.5 / h * d[:, 2]
+    out[:, -1] = 0.5 / h * d[:, -3] + -2.0 / h * d[:, -2] + 1.5 / h * d[:, -1]
+    return out
+
+
 def trajectory_from_values(times, d_values):
-    """TrajectoryGrid from sampled D(t); sigma by second-order differences
-    (central in the interior, one-sided at the ends)."""
+    """TrajectoryGrid from sampled D(t), sigma by _sigma."""
     t = np.asanyarray(times, dtype=float)
     d = np.asarray(d_values, dtype=float)
-    sigma = np.gradient(d, t[1] - t[0], edge_order=2)
+    if d.ndim != 1 or d.size < 3:
+        raise ValueError(f"sigma needs a row of at least 3 values of D, got shape {d.shape}")
+    sigma = _sigma(d[None], t[1] - t[0], np.empty((1, d.size)))[0]
     return TrajectoryGrid(times=t, d_values=d, sigma_values=sigma)
 
 
@@ -160,15 +171,6 @@ def _distances(op, diffs, times, work):
         dist[i] = 0.0
     np.minimum(dist, 1.0, out=dist)
     return errors
-
-
-def _sigma(d, h, out):
-    """np.gradient(d, h, axis=1, edge_order=2) of D, shape (P, T), written
-    into out: the same stencil, operation for operation."""
-    np.divide(np.subtract(d[:, 2:], d[:, :-2], out=out[:, 1:-1]), 2.0 * h, out=out[:, 1:-1])
-    out[:, 0] = -1.5 / h * d[:, 0] + 2.0 / h * d[:, 1] + -0.5 / h * d[:, 2]
-    out[:, -1] = 0.5 / h * d[:, -3] + -2.0 / h * d[:, -2] + 1.5 / h * d[:, -1]
-    return out
 
 
 def trajectory(flow, pair, times):

@@ -5,13 +5,12 @@ Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
 relaxed by integrator callers). All randomness flows through explicit 64-bit
 seeds; parallel workers derive independent streams from (seed, worker index).
 """
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import _eigvalsh, hermitian_eigenvalues, hermiticity_defect
+from .linalg import _eigvalsh, hermitian_eigenvalues
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -43,23 +42,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = check_complex_matrix(self.matrix)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(
-                f"state trace {tr} differs from 1 beyond {self.trace_tol:.1e}"
-            )
-        if m.shape[0] == 2:
-            # Closed form of the least eigenvalue of a Hermitian 2x2 matrix.
-            least = 0.5 * tr.real - math.hypot(0.5 * (m[0, 0] - m[1, 1]).real, abs(m[0, 1]))
-        else:
-            least = _eigvalsh(m)[0]
-        if least < -self.positivity_tol:
-            raise ValueError(
-                f"state has eigenvalue {least:.3e} below -{self.positivity_tol:.1e}"
-            )
+        check_states(m[None], self.positivity_tol, self.trace_tol)
         self.matrix = m
 
     @property
@@ -134,22 +117,32 @@ def random_states(dim, seed, workers, mixed):
     return out
 
 
-def check_states(m):
-    """Check a stack (n, d, d) with the DensityMatrix rules at once
-    (closed-form least eigenvalue for qubits, one stacked eigensolve for
-    d > 2). A state that fails goes to DensityMatrix, in stack order, so the
-    first one raises DensityMatrix's own error."""
+def check_states(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
+    """Check a stack (n, d, d) of states at once: finite, Hermitian to
+    HERMITICITY_TOL, unit trace and least eigenvalue >= -positivity_tol
+    (closed form for qubits, one stacked eigensolve for d > 2). The first
+    state that fails raises the error of the first rule it breaks."""
     finite = np.isfinite(m).all(axis=(1, 2))
+    defect = np.abs(m - m.swapaxes(1, 2).conj()).max(axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2)
     if m.shape[1] == 2:
+        # Closed form of the least eigenvalue of a Hermitian 2x2 matrix.
         least = 0.5 * tr.real - np.hypot(0.5 * (m[:, 0, 0] - m[:, 1, 1]).real, np.abs(m[:, 0, 1]))
     else:
         least = _eigvalsh(np.where(finite[:, None, None], m, 0.0))[:, 0]
     # Written so that NaN fails too.
-    ok = finite & (np.abs(m - m.swapaxes(1, 2).conj()).max(axis=(1, 2)) <= HERMITICITY_TOL)
-    ok &= (np.abs(tr - 1.0) <= TRACE_TOL) & (least >= -POSITIVITY_TOL)
-    for k in np.flatnonzero(~ok):
-        DensityMatrix(m[k])
+    ok = finite & (defect <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= trace_tol)
+    ok &= least >= -positivity_tol
+    if ok.all():
+        return
+    k = np.argmin(ok)
+    if not finite[k]:
+        raise ValueError("matrix has non-finite entries")
+    if defect[k] > HERMITICITY_TOL:
+        raise ValueError(f"state is not Hermitian: defect {defect[k]:.3e}")
+    if abs(tr[k] - 1.0) > trace_tol:
+        raise ValueError(f"state trace {tr[k]} differs from 1 beyond {trace_tol:.1e}")
+    raise ValueError(f"state has eigenvalue {least[k]:.3e} below -{positivity_tol:.1e}")
 
 
 def random_pure_state(dim, seed, worker=None):

@@ -133,6 +133,16 @@ class TestTrajectory:
         assert search.samples_evaluated == 7
         assert calls == [times.size, times.size]
 
+    def test_sigma_is_numpys_second_order_gradient_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for step in (1e-3, 0.3):
+            times = np.arange(50) * step
+            d = rng.random(times.size)
+            traj = trajectory_from_values(times, d)
+            assert np.array_equal(traj.sigma_values, np.gradient(d, step, edge_order=2))
+        with pytest.raises(ValueError, match="at least 3 values"):
+            trajectory_from_values(np.arange(2.0), np.zeros(2))
+
     def test_spinbath_flow_matches_closed_form_distance(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
         times = make_time_grid(3.0, 1e-3)
