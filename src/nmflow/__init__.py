@@ -14,7 +14,6 @@ from .linalg import hermitian_eigenvalues
 from .dynamics import (
     GeneratorSpec,
     Propagator,
-    ChoiMatrix,
     apply_generator,
     evolve_state,
     propagator_between,

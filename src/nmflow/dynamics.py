@@ -6,7 +6,10 @@ propagators Phi(t2, t1) are products of fixed-step RK4 step maps; their
 complete positivity is decided through the Choi matrix.
 
 Superoperators act on column-stacked density matrices: vec(rho) stacks the
-columns, so vec(A rho B) = (B^T kron A) vec(rho).
+columns, so vec(A rho B) = (B^T kron A) vec(rho). The integrators work with
+real maps instead: a map that preserves Hermiticity is real in an orthonormal
+Hermitian operator basis B, as B^dag S B, and the public outputs go back to
+column-stacked complex maps only at the edge.
 """
 import math
 from dataclasses import dataclass
@@ -66,12 +69,14 @@ def _check_operator(m, dim, what, t=None):
     return m
 
 
-def _eval_hamiltonian(gen, t):
+def _eval_hamiltonian(gen, t=None):
+    """H(t), or the constant H for t None."""
     h = gen.hamiltonian(t) if callable(gen.hamiltonian) else gen.hamiltonian
     h = _check_operator(h, gen.dim, "hamiltonian", t)
     defect = hermiticity_defect(h)
     if defect > 1e-10:
-        raise ValueError(f"hamiltonian(t={t}) not Hermitian: defect {defect:.3e}")
+        at = "" if t is None else f"(t={t})"
+        raise ValueError(f"hamiltonian{at} not Hermitian: defect {defect:.3e}")
     return h
 
 
@@ -105,36 +110,68 @@ def _eval_rates(rate_fn, times):
     return out
 
 
+def _hermitian_basis(d):
+    """Columns: the column-stacked orthonormal Hermitian basis E_jj,
+    (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2), j < k."""
+    f = np.zeros((d * d, d, d), dtype=complex)  # f[a] is the a-th basis matrix
+    f[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    j, k = np.triu_indices(d, 1)
+    sym, anti = d + 2 * np.arange(j.size), d + 2 * np.arange(j.size) + 1
+    f[sym, j, k] = f[sym, k, j] = math.sqrt(0.5)
+    f[anti, j, k], f[anti, k, j] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    return f.transpose(0, 2, 1).reshape(d * d, d * d).T
+
+
 class _CompiledGenerator:
-    """Superoperator evaluator that hoists time-independent structure.
+    """Superoperator evaluator in the real basis B of _hermitian_basis, which
+    hoists time-independent structure.
 
     When the Hamiltonian and all jump operators are constant matrices, only
     the scalar rates vary with time, so K(t) = K_H + sum_i gamma_i(t) K_i
-    with every K piece precomputed.
+    with every K piece precomputed as the real B^dag K B.
     """
 
     def __init__(self, gen):
         self.gen = gen
         d = gen.dim
+        self.basis = b = _hermitian_basis(d)
+        # For qubits, B R B^dag of flattened real maps R is one real product
+        # with this (16, 32) matrix, which gives the interleaved real and
+        # imaginary parts of the flattened complex maps.
+        self.kron = None
+        if d == 2:
+            self.kron = (b.T[:, None, :, None] * b.T.conj()[None, :, None, :]).reshape(16, -1)
+            self.kron = self.kron.view(float)
         self.static = not callable(gen.hamiltonian) and all(
             not callable(op) for op, _ in gen.channels
         )
         if not self.static:
             return
-        h = _check_operator(gen.hamiltonian, d, "hamiltonian")
-        if hermiticity_defect(h) > 1e-10:
-            raise ValueError("hamiltonian not Hermitian")
-        self.k_const = _hamiltonian_part(h)
+        self.k_const = self.real(_hamiltonian_part(_eval_hamiltonian(gen)))
         self.k_channels = [
-            _dissipator(_check_operator(op, d, "jump operator")) for op, _ in gen.channels
+            self.real(_dissipator(_check_operator(op, d, "jump operator")))
+            for op, _ in gen.channels
         ]
         self.rate_fns = [rate_fn for _, rate_fn in gen.channels]
 
+    def real(self, s):
+        """B^dag S B of maps S that preserve Hermiticity, stacked (..., d^2, d^2)."""
+        return (self.basis.conj().T @ s @ self.basis).real
+
+    def complex(self, r, out):
+        """The column-stacked maps B R B^dag of the real maps R, stacked (m,
+        d^2, d^2), written into the complex out."""
+        if self.kron is None:
+            np.matmul(self.basis @ r, self.basis.conj().T, out=out)
+        else:
+            np.matmul(r.reshape(len(r), 16), self.kron, out=out.reshape(len(r), 16).view(float))
+        return out
+
     def matrices(self, times):
-        """Stacked K(t) for an array of times, shape (len(times), d^2, d^2)."""
+        """Stacked real K(t) for an array of times, shape (len(times), d^2, d^2)."""
         times = np.asarray(times, dtype=float)
         if not self.static:
-            return np.stack([generator_matrix(self.gen, t) for t in times])
+            return self.real(np.stack([generator_matrix(self.gen, t) for t in times]))
         ks = np.broadcast_to(self.k_const, (times.size,) + self.k_const.shape).copy()
         for k_i, rate_fn in zip(self.k_channels, self.rate_fns):
             ks += _eval_rates(rate_fn, times)[:, None, None] * k_i
@@ -190,25 +227,25 @@ def _check_uniform_grid(t_grid):
 
 
 def _rk4_increments(compiled, times, h):
-    """Increments R - I of classical RK4 step maps R of dS/dt = K(t) S, shape
-    (m, g, d^2, d^2), for steps of g intervals: row 2j of times, shape
-    (2m + 1, g), is the left point of step j, row 2j + 1 its midpoint and row
-    2j + 2 its right point; h has shape (g,).
+    """Increments R - I of classical RK4 step maps R of dS/dt = K(t) S, real
+    and shaped (m, g, d^2, d^2), for steps of g intervals: row 2j of times,
+    shape (2m + 1, g), is the left point of step j, row 2j + 1 its midpoint
+    and row 2j + 2 its right point; h has shape (g,).
 
     RK4 is linear, so its increment on the identity is the map's. Adding
     E v to v, instead of forming R v, keeps the rounding of the 1 + O(h)
     entries of R out of every step. The stage sum k1 + 2 k2 + 2 k3 + k4 is
     accumulated in that order as the stages are made, so that at most two
-    stages are held at once.
+    stages are held at once; k1 = K, and its -0.0 entries turn +0.0 in the
+    sum, as they would in the product K @ I.
     """
     d2 = compiled.gen.dim ** 2
     ks = compiled.matrices(times.ravel()).reshape(times.shape + (d2, d2))
     ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
     h = h[:, None, None]
-    eye = np.eye(d2, dtype=complex)
-    acc = ka + 0.0  # K itself, its -0.0 entries made +0.0 as ka @ eye makes them
-    k = km @ (eye + 0.5 * h * acc)
-    acc += 2.0 * k
+    eye = np.eye(d2)
+    k = km @ (eye + 0.5 * h * ka)
+    acc = ka + 2.0 * k
     k = km @ (eye + 0.5 * h * k)
     acc += 2.0 * k
     k = kb @ (eye + h * k)
@@ -231,34 +268,44 @@ def _step_maps(compiled, t0, h, n):
 
 
 def _running_maps(compiled, t0, h, n):
-    """Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in lockstep (one
-    batched product per step), as (k0, maps) per block of _step_maps, with
-    maps[j] = Phi(t0 + (k0 + j + 1) h, t0) of shape (g, d^2, d^2).
+    """Real Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in
+    lockstep, as (k0, maps) per block of _step_maps, with maps[j] = Phi(t0 +
+    (k0 + j + 1) h, t0) of shape (g, d^2, d^2).
+
+    A block's increments E_j are composed by a Hillis-Steele prefix scan that
+    never forms the identity, (I + B)(I + A) = I + (A + B + BA): ceil(log2 m)
+    batched products turn E_j into P_j - I for P_j = (I + E_j) ... (I + E_0),
+    and one more, S + (P_j - I) S, applies them to the carried map S.
 
     Raises InvariantViolation at the first time where a map has a non-finite
     entry (a generator that blows up at this step).
     """
     d2 = compiled.gen.dim ** 2
-    s = np.broadcast_to(np.eye(d2, dtype=complex), (t0.size, d2, d2))
+    s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
     for k0, maps in _step_maps(compiled, t0, h, n):
-        # Each increment's slot takes the map it leads to.
-        for e in maps:
-            s = np.add(s, e @ s, out=e)
+        shift = 1
+        while shift < len(maps):
+            later = maps[shift:] @ maps[:-shift]
+            later += maps[:-shift]
+            maps[shift:] += later
+            shift *= 2
+        np.add(s, maps @ s, out=maps)
         bad = ~np.isfinite(maps).all(axis=(2, 3))
         if bad.any():
             j, i = np.unravel_index(np.argmax(bad), bad.shape)
             t_bad = t0[i] + (k0 + 1 + j) * h[i]
             raise InvariantViolation(f"propagator has non-finite entries at t={t_bad:.6g}")
+        s = maps[-1]
         yield k0, maps
 
 
 def _interval_maps(compiled, t0, h, n):
     """Phi(t0 + n h, t0) of g intervals with the same step count n >= 1,
-    stacked (g, d^2, d^2). Only the running maps are kept, so memory does not
-    grow with n."""
+    stacked (g, d^2, d^2) and column-stacked complex. Only the running maps
+    are kept, so memory does not grow with n."""
     for _, maps in _running_maps(compiled, t0, h, n):
         pass
-    return maps[-1]
+    return compiled.complex(maps[-1], np.empty(maps[-1].shape, dtype=complex))
 
 
 def _substeps(span, h):
@@ -276,8 +323,9 @@ def _substeps(span, h):
 def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     """RK4 solution of the master equation sampled on a uniform grid from 0.
 
-    The state is re-symmetrized after every step; trace drift beyond 1e-8 or
-    an eigenvalue below -positivity_tol raises InvariantViolation naming the
+    The state is stepped in its real coordinates in the Hermitian basis, so
+    every state is Hermitian by construction; trace drift beyond 1e-8 or an
+    eigenvalue below -positivity_tol raises InvariantViolation naming the
     first offending grid time.
     """
     t, h = _check_uniform_grid(t_grid)
@@ -288,15 +336,13 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
         raise ValueError(f"state dimension {rho0.shape[0]} != generator dim {gen.dim}")
 
     d = gen.dim
-    states = [rho0.copy()]
-    v = rho0.reshape(-1, order="F")
-    steps = _step_maps(_CompiledGenerator(gen), t[:1], np.array([h]), t.size - 1)
-    for _, increments in steps:
-        for e in increments[:, 0]:
-            rho = (v + e @ v).reshape(d, d, order="F")
-            rho = 0.5 * (rho + rho.conj().T)
-            v = rho.reshape(-1, order="F")
-            states.append(rho)
+    compiled = _CompiledGenerator(gen)
+    x = np.empty((t.size, d * d))
+    x[0] = (compiled.basis.conj().T @ rho0.reshape(-1, order="F")).real
+    for k0, increments in _step_maps(compiled, t[:1], np.array([h]), t.size - 1):
+        for k, e in enumerate(increments[:, 0], start=k0):
+            np.add(x[k], e @ x[k], out=x[k + 1])
+    states = (x @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2).copy()
 
     out = []
     for tk, m in zip(t, states):
@@ -385,36 +431,12 @@ def propagator_grid(gen, t_grid):
     """
     t, h = _check_uniform_grid(t_grid)
     d2 = gen.dim * gen.dim
+    compiled = _CompiledGenerator(gen)
     phis = np.empty((t.size, d2, d2), dtype=complex)
     phis[0] = np.eye(d2, dtype=complex)
-    for k0, maps in _running_maps(_CompiledGenerator(gen), t[:1], np.array([h]), t.size - 1):
-        phis[k0 + 1 : k0 + 1 + len(maps)] = maps[:, 0]
+    for k0, maps in _running_maps(compiled, t[:1], np.array([h]), t.size - 1):
+        compiled.complex(maps[:, 0], out=phis[k0 + 1 : k0 + 1 + len(maps)])
     return phis
-
-
-@dataclass
-class ChoiMatrix:
-    """Choi matrix C = sum_jk E_jk kron Phi(E_jk) of a d-dimensional map."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = check_complex_matrix(self.matrix)
-        d2 = m.shape[0]
-        d = int(round(math.sqrt(d2)))
-        if d * d != d2:
-            raise ValueError(f"Choi matrix side {d2} is not a perfect square")
-        defect = hermiticity_defect(m)
-        if defect > 1e-10:
-            raise ValueError(f"Choi matrix not Hermitian: defect {defect:.3e}")
-        self.matrix = m
-
-    @property
-    def dim(self):
-        return int(round(math.sqrt(self.matrix.shape[0])))
-
-    def least_eigenvalue(self):
-        return float(hermitian_eigenvalues(self.matrix, tol=1e-9)[0])
 
 
 def _choi_matrices(s, d):
@@ -435,8 +457,9 @@ def _choi_matrices(s, d):
 
 
 def choi_of(p):
-    """Choi matrix of a propagator, assembled from images of the matrix units."""
-    return ChoiMatrix(_choi_matrices(p.superoperator[None], p.dim)[0])
+    """Choi matrix C = sum_jk E_jk kron Phi(E_jk) of a propagator, Hermitian,
+    assembled from images of the matrix units."""
+    return _choi_matrices(p.superoperator[None], p.dim)[0]
 
 
 def _check_cp_tol(tol):
@@ -447,7 +470,7 @@ def _check_cp_tol(tol):
 def is_cp(p, tol=DEFAULT_CP_TOL):
     """Complete-positivity verdict: (least Choi eigenvalue >= -tol, that eigenvalue)."""
     _check_cp_tol(tol)
-    least = choi_of(p).least_eigenvalue()
+    least = float(hermitian_eigenvalues(choi_of(p), tol=1e-9)[0])
     return least >= -tol, least
 
 

@@ -173,6 +173,18 @@ def canonical_rates(h, ops, rates):
     return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
 
 
+def pauli_map(flow):
+    """Real Pauli-basis map M(t) = P^dag Phi(t) P[:, 1:] / 2 of a qubit flow,
+    stored (4, 3, T), by complex products over slices of 1024 grid points;
+    P holds the column-stacked Pauli matrices I, X, Y, Z."""
+    p = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
+    op = np.empty((4, 3, len(flow)))
+    for k in range(0, len(flow), 1024):
+        m = p.conj().T @ flow[k : k + 1024] @ p[:, 1:]
+        op[..., k : k + 1024] = 0.5 * m.real.transpose(1, 2, 0)
+    return op
+
+
 def qubit_distance_grid(diff_vecs):
     """Trace distances of column-stacked 2x2 Hermitian differences, vectorized.
 

@@ -12,6 +12,9 @@ from nmflow.dynamics import (
     STEP_BLOCK,
     _CompiledGenerator,
     _lockstep_groups,
+    _rk4_increments,
+    _running_maps,
+    _step_maps,
     _substeps,
     GeneratorSpec,
     Propagator,
@@ -267,17 +270,93 @@ class TestNonFiniteFlow:
             propagator_between(gen, 0.0, 1.0, 1e-2)
 
 
+def random_d3_generator():
+    """Random constant d = 3 generator with two channels, one rate negative."""
+    rng = np.random.default_rng(41)
+    ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+    return constant_generator(0.5 * random_hermitian(rng, 3), [(ops[0], 0.4), (ops[1], -0.1)])
+
+
+def rotating_d4_generator():
+    """d = 4 generator whose jump operator turns with time, so that the
+    compiled generator takes the non-static path."""
+    rng = np.random.default_rng(43)
+    a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    op = lambda t: np.cos(t) * a + np.sin(t) * b
+    return GeneratorSpec(4, 0.5 * random_hermitian(rng, 4), [(op, 0.3)])
+
+
+REAL_BASIS_GENERATORS = {
+    "jc-delta-8": lambda: jc_generator(JCParams(delta=8.0)),
+    "semigroup": lambda: semigroup_generator(1.0),
+    "random-d3": random_d3_generator,
+    "rotating-d4": rotating_d4_generator,
+}
+
+
+class TestRealBasis:
+    """The integrators' real representation B^dag K B in the orthonormal
+    Hermitian basis B, and the prefix scan that composes the step maps."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_BASIS_GENERATORS))
+    def test_real_stacks_map_back_to_the_generator(self, name):
+        gen = REAL_BASIS_GENERATORS[name]()
+        compiled = _CompiledGenerator(gen)
+        assert compiled.static == (name != "rotating-d4")
+        b = compiled.basis
+        d2 = gen.dim ** 2
+        assert np.max(np.abs(b.conj().T @ b - np.eye(d2))) < 1e-15
+        # Every basis matrix is Hermitian.
+        f = b.T.reshape(d2, gen.dim, gen.dim)
+        assert np.array_equal(f, f.conj().swapaxes(1, 2))
+        times = np.linspace(0.0, 3.0, 7)
+        ks = compiled.matrices(times)
+        assert ks.dtype == float and ks.shape == (times.size, d2, d2)
+        for t, k in zip(times, ks):
+            assert np.max(np.abs(b @ k @ b.conj().T - generator_matrix(gen, t))) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(REAL_BASIS_GENERATORS))
+    def test_complex_maps_invert_real(self, name):
+        compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
+        r = np.random.default_rng(3).standard_normal((5,) + compiled.basis.shape)
+        s = compiled.complex(r, np.empty(r.shape, dtype=complex))
+        assert np.max(np.abs(s - compiled.basis @ r @ compiled.basis.conj().T)) < 1e-14
+        assert np.max(np.abs(compiled.real(s) - r)) < 1e-14
+
+    # (intervals g, steps n): one block of 1, 2, STEP_BLOCK - 1 and STEP_BLOCK
+    # steps, a full block and one more, and lockstep groups of g > 1.
+    @pytest.mark.parametrize("g, n", [
+        (1, 1), (1, 2), (1, STEP_BLOCK - 1), (1, STEP_BLOCK), (1, STEP_BLOCK + 1),
+        (3, 5), (12, 20), (5, STEP_BLOCK // 5 + 3),
+    ])
+    @pytest.mark.parametrize("name", ["jc-delta-8", "rotating-d4"])
+    def test_scan_equals_the_sequential_product(self, name, g, n):
+        compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
+        t0 = 0.1 * np.arange(g)
+        h = 1e-2 * (1.0 + 0.1 * np.arange(g))
+        d2 = compiled.gen.dim ** 2
+        s = np.broadcast_to(np.eye(d2), (g, d2, d2))
+        expected = []
+        for _, increments in _step_maps(compiled, t0, h, n):
+            for e in increments:
+                s = s + e @ s
+                expected.append(s)
+        got = np.concatenate([maps for _, maps in _running_maps(compiled, t0, h, n)])
+        assert got.shape == (n, g, d2, d2)
+        assert np.max(np.abs(got - np.stack(expected))) < 1e-13
+
+
 class TestChoi:
     def test_identity_map(self):
         gen = semigroup_generator(1.0)
         ident = propagator_between(gen, 0.0, 0.0, 1e-3)
         c = choi_of(ident)
-        eigs = np.linalg.eigvalsh(c.matrix)
+        eigs = np.linalg.eigvalsh(c)
         assert np.allclose(eigs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
         # Twice the maximally entangled projector.
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1.0
-        assert np.max(np.abs(c.matrix - np.outer(bell, bell.conj()))) < 1e-12
+        assert np.max(np.abs(c - np.outer(bell, bell.conj()))) < 1e-12
 
     def test_completely_depolarizing_map(self):
         # rho -> tr(rho) I/2, built directly: S = vec(I/2) vec(I)^dag.
@@ -285,7 +364,7 @@ class TestChoi:
         s = np.outer(0.5 * v_id, v_id.conj())
         p = Propagator(dim=2, t_start=0.0, t_end=1.0, superoperator=s)
         c = choi_of(p)
-        assert np.allclose(np.linalg.eigvalsh(c.matrix), [0.5] * 4, atol=1e-12)
+        assert np.allclose(np.linalg.eigvalsh(c), [0.5] * 4, atol=1e-12)
 
     def test_cpt_propagators_have_positive_choi(self):
         for delta in (0.0, 5.0):
@@ -443,15 +522,30 @@ class TestLockstepDivisibility:
         assert len(list(_lockstep_groups(n))) == 50
 
     def test_first_stage_is_k_itself_to_the_bit(self):
-        # _rk4_increments takes k1 = K + 0.0 for the product K @ I: both turn
-        # the -0.0 entries of K into +0.0, which a plain copy would keep, and
-        # the sign of an exactly zero least Choi eigenvalue can follow them.
-        ks = _CompiledGenerator(jc_generator(JCParams(delta=5.0))).matrices(
-            np.linspace(0.0, 10.0, 2001)
-        )
-        product = (ks @ np.eye(4, dtype=complex)).tobytes()
-        assert (ks + 0.0).tobytes() == product
-        assert ks.tobytes() != product
+        # The stage sum starts from k1 = K, as the product K @ I would give it:
+        # no -0.0 entry of K may reach an increment.
+        rng = np.random.default_rng(5)
+        ks = rng.standard_normal((2 * 40 + 1, 3, 4, 4))
+        ks[rng.random(ks.shape) < 0.3] = -0.0
+
+        class Stack:
+            gen = GeneratorSpec(2, np.zeros((2, 2)), [])
+
+            def matrices(self, times):
+                return ks.reshape(-1, 4, 4)
+
+        h = np.array([1e-2, 2e-2, 5e-3])
+        got = _rk4_increments(Stack(), np.zeros((2 * 40 + 1, 3)), h)
+        ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
+        h, eye = h[:, None, None], np.eye(4)
+        k1 = ka @ eye
+        k2 = km @ (eye + 0.5 * h * k1)
+        k3 = km @ (eye + 0.5 * h * k2)
+        k4 = kb @ (eye + h * k3)
+        expected = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
+        assert np.signbit(ka[ka == 0.0]).any()
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
 
     def test_one_compiled_generator_per_report(self, monkeypatch):
         import nmflow.dynamics

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import pair_value, qubit_distance_grid
+from oracles import pair_value, pauli_map, qubit_distance_grid
 
 from nmflow.dynamics import (
     GeneratorSpec,
@@ -14,6 +14,7 @@ from nmflow.measure import (
     PAIR_BLOCK,
     GrowthInterval,
     _block_size,
+    _pair_operator,
     _pair_values,
     _sample_blocks,
     _sample_states,
@@ -188,6 +189,14 @@ class TestTrajectory:
             diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
             expected = qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
             assert np.max(np.abs(traj.d_values - expected)) < 1e-15
+
+    @pytest.mark.parametrize("steps", [10_000, 40_000])
+    @pytest.mark.parametrize("delta", [0.0, 8.0])
+    def test_qubit_pauli_map_is_the_complex_products_bit_for_bit(self, delta, steps):
+        flow, _ = grid_flow(jc_generator(JCParams(delta=delta)), steps * 1e-3, 1e-3)
+        op = _pair_operator(flow, 2)
+        assert op.shape == (4, 3, steps + 1) and op.flags.c_contiguous
+        assert np.array_equal(op, pauli_map(flow))
 
     def test_non_finite_flow_is_invariant_violation(self):
         with pytest.raises(InvariantViolation, match="non-finite"):
