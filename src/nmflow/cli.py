@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,14 +37,24 @@ ALL_COMMANDS = frozenset({"rate", "trajectory", "measure", "sweep", "divisibilit
 SEARCH = ("measure", "sweep")
 
 
+# The value rules of the key table's rule column: the range a number must lie in.
+RULES = {
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    "at least 1": lambda x: x >= 1,
+}
+BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 @dataclass(frozen=True)
 class Key:
     """One configuration key and its command-line flag.
 
     kind is float, int or str for a typed value, bool for a switch flag
-    that sets "true", or a tuple of allowed strings. A key applies, and may
-    be given, only where a command in commands reads it for a model in
-    models; default None means the key is unset unless given.
+    that sets "true", or a tuple of allowed strings; rule, a name in RULES,
+    is the range a number must lie in. A key applies, and may be given, only
+    where a command in commands reads it for a model in models; default None
+    means the key is unset unless given.
     """
 
     name: str
@@ -54,60 +64,92 @@ class Key:
     models: frozenset
     commands: frozenset
     help: str
+    rule: Optional[str] = None
 
     @property
     def dest(self):
         return self.flag[2:].replace("-", "_")
 
+    def parse(self, text):
+        """The typed value of text, from a file, a flag or the default; every
+        number must be finite and obey the key's rule."""
+        kind = self.kind
+        if kind is str:
+            return text
+        if kind is bool:
+            value, expected = BOOLS.get(text.lower()), "true/1/yes or false/0/no"
+        elif isinstance(kind, tuple):
+            value, expected = (text if text in kind else None), "one of " + ", ".join(kind)
+        else:
+            expected = "a finite number" if kind is float else "an integer"
+            try:
+                value = kind(text)
+            except ValueError:
+                value = None
+            if value is not None and not math.isfinite(value):
+                value = None
+        if value is None:
+            raise ConfigError(f"key {self.name}: expected {expected}, got {text!r}")
+        if self.rule and not RULES[self.rule](value):
+            raise ConfigError(f"{self.name} must be {self.rule}, got {text!r}")
+        return value
+
 
 def _keys(models, commands, *rows):
-    return [Key(name, kind, default, flag, frozenset(models), frozenset(commands), help)
-            for name, kind, default, flag, help in rows]
+    return [Key(name, kind, default, flag, frozenset(models), frozenset(commands), *rest)
+            for name, kind, default, flag, *rest in rows]
 
 
-# The one list of keys: defaults, flags, allowed keys and the parser all
-# come from here. --horizon and --step set the time keys of the chosen model.
+# The one list of keys: defaults, flags, allowed keys, value rules and the
+# parser all come from here. --horizon and --step set the time keys of the
+# chosen model.
 KEYS = (
     *_keys(MODELS, ALL_COMMANDS,
            ("model", MODELS, "jc", "--model", "physical model"),
            ("output", str, None, "--output", "output file path"),
            ("format", ("csv", "json"), "csv", "--format", "output format")),
     *_keys(MODELS, SEARCH,
-           ("seed", int, "0", "--seed", "pair-sampling seed"),
+           ("seed", int, "0", "--seed", "pair-sampling seed", "nonnegative"),
            ("sigma_threshold", float, None, "--sigma-threshold",
-            "growth threshold on sigma (default: relative to its peak)"),
-           ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs")),
+            "growth threshold on sigma (default: relative to its peak)", "nonnegative"),
+           ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs", "at least 1")),
     *_keys({"jc"}, ALL_COMMANDS,
-           ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda"),
-           ("step_over_lambda", float, "1e-3", "--step", "jc: step in units of 1/lambda"),
+           ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda",
+            "positive"),
+           ("step_over_lambda", float, "1e-3", "--step", "jc: step in units of 1/lambda",
+            "positive"),
            ("gamma0_over_lambda", float, "0.01", "--gamma0", "jc coupling in units of lambda")),
     *_keys({"jc"}, ALL_COMMANDS - {"sweep"},
            ("delta_over_lambda", float, "0", "--delta", "jc detuning in units of lambda")),
     *_keys({"jc"}, {"rate", "sweep"},
            ("delta_over_lambda_min", float, "0", "--delta-min", "first detuning of a range"),
            ("delta_over_lambda_max", float, "10", "--delta-max", "last detuning of a range"),
-           ("delta_points", int, "11", "--delta-points", "detunings in the range")),
+           ("delta_points", int, "11", "--delta-points", "detunings in the range", "at least 1")),
     *_keys({"jc"}, ALL_COMMANDS - {"rate"},
            ("clamp_rate", bool, "false", "--clamp-rate", "clamp the jc rate at zero")),
     *_keys({"spinbath"}, {"rate", "trajectory", "measure"},
-           ("horizon_times_a", float, "4.9", "--horizon", "spinbath: horizon in units of 1/A"),
-           ("step_times_a", float, "5e-4", "--step", "spinbath: step in units of 1/A"),
+           ("horizon_times_a", float, "4.9", "--horizon", "spinbath: horizon in units of 1/A",
+            "positive"),
+           ("step_times_a", float, "5e-4", "--step", "spinbath: step in units of 1/A", "positive"),
            ("n_spins", int, "20", "--n-spins", "bath spins")),
     *_keys({"semigroup"}, ALL_COMMANDS - {"sweep"},
            ("horizon_times_gamma0", float, "5", "--horizon",
-            "semigroup: horizon in units of 1/gamma0"),
-           ("step_times_gamma0", float, "1e-3", "--step", "semigroup: step in units of 1/gamma0")),
+            "semigroup: horizon in units of 1/gamma0", "positive"),
+           ("step_times_gamma0", float, "1e-3", "--step", "semigroup: step in units of 1/gamma0",
+            "positive")),
     *_keys({"custom-file"}, {"trajectory", "measure", "divisibility"},
-           ("horizon", float, "1", "--horizon", "custom-file: horizon"),
-           ("step", float, "1e-3", "--step", "custom-file: step"),
+           ("horizon", float, "1", "--horizon", "custom-file: horizon", "positive"),
+           ("step", float, "1e-3", "--step", "custom-file: step", "positive"),
            ("generator_file", str, None, "--generator-file", "constant generator as JSON")),
     *_keys(MODELS, {"trajectory"},
            ("pair", ("z", "x"), "z", "--pair", "canonical initial pair"),
            ("pair_bloch", str, None, "--pair-bloch", "'x,y,z;x,y,z'"),
            ("pair_files", str, None, "--pair-files", "'file1;file2'")),
     *_keys(EVOLVED, {"divisibility"},
-           ("grid_points", int, "20", "--grid-points", "intervals of the divisibility grid"),
-           ("cp_tol", float, "1e-7", "--cp-tol", "tolerance on the least Choi eigenvalue")),
+           ("grid_points", int, "20", "--grid-points", "intervals of the divisibility grid",
+            "at least 1"),
+           ("cp_tol", float, "1e-7", "--cp-tol", "tolerance on the least Choi eigenvalue",
+            "positive")),
 )
 KEY_TABLE = {key.name: key for key in KEYS}
 FLAGS = {flag: [key for key in KEYS if key.flag == flag]
@@ -147,51 +189,25 @@ def parse_config_file(path):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration for one command."""
+    """Resolved configuration for one command: the typed value of every key
+    given or with a default, and the names of the keys given."""
 
-    model: str
-    horizon: float
-    step: float
-    n_pairs: int
-    seed: int
-    output: str
-    format: str
-    threshold: Optional[float] = None
-    raw: dict = field(default_factory=dict)
-    provided: set = field(default_factory=set)
+    values: dict
+    provided: frozenset
 
-    def get(self, key):
-        return self.raw[key]
+    @property
+    def model(self):
+        return self.values["model"]
 
-    def get_float(self, key):
-        return _to_float(key, self.raw[key])
+    @property
+    def horizon(self):
+        return self.values[_flag_key("--horizon", self.model).name]
 
-    def get_int(self, key):
-        return _to_int(key, self.raw[key])
-
-    def get_bool(self, key):
-        value = self.raw[key].lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key}: expected a boolean, got {self.raw[key]!r}")
-
-
-def _to_float(key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected a number, got {value!r}")
-
-
-def _to_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"key {key}: expected an integer, got {value!r}")
+    @property
+    def step(self):
+        return self.values[_flag_key("--step", self.model).name]
 
 
 def _flag_key(flag, model):
@@ -201,20 +217,20 @@ def _flag_key(flag, model):
 
 
 def resolve_config(args, command):
+    """The RunConfig of a command from the config file and the flags (which
+    win): every value, given or default, is parsed by its key once."""
     file_cfg = parse_config_file(args.config) if args.config else {}
-    model = args.model or file_cfg.get("model") or KEY_TABLE["model"].default
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}; expected one of {sorted(MODELS)}")
+    model_key = KEY_TABLE["model"]
+    model = model_key.parse(args.model or file_cfg.get("model") or model_key.default)
     for key in file_cfg:
         if key not in KEY_TABLE:
             raise ConfigError(f"unknown config key {key!r} for model {model!r}")
     given = dict(file_cfg)
-    # Flags win over the config file.
     for flag in FLAGS:
         key = _flag_key(flag, model)
         value = getattr(args, key.dest, None)
         if value is not None:
-            given[key.name] = str(value)
+            given[key.name] = value
     for name in given:
         key = KEY_TABLE[name]
         if model not in key.models or command not in key.commands:
@@ -222,52 +238,19 @@ def resolve_config(args, command):
                 f"key {name!r} ({key.flag}) does not apply to model {model!r} "
                 f"with command {command!r}"
             )
-    raw = {key.name: key.default for key in KEYS if key.default is not None}
-    raw.update(given)
-    raw["model"] = model
-    provided = set(given)
     for groups in ALTERNATIVES:
-        if sum(bool(provided.intersection(group)) for group in groups) > 1:
-            clash = [name for group in groups for name in group if name in provided]
+        if sum(any(name in given for name in group) for group in groups) > 1:
+            clash = [name for group in groups for name in group if name in given]
             raise ConfigError(f"keys {', '.join(map(repr, clash))} give the same input; "
                               "give only one of them")
-    horizon_key, step_key = (_flag_key(flag, model).name for flag in ("--horizon", "--step"))
-
-    if "output" not in raw:
+    if "output" not in given:
         raise ConfigError("no output path given (key 'output' or flag --output)")
-    output = raw["output"]
+    values = {key.name: key.parse(given.get(key.name, key.default))
+              for key in KEYS if key.name in given or key.default is not None}
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir:
-        output = os.path.join(out_dir, os.path.basename(output))
-    fmt = raw["format"]
-    if fmt not in KEY_TABLE["format"].kind:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
-
-    cfg = RunConfig(
-        model=model,
-        horizon=_to_float(horizon_key, raw[horizon_key]),
-        step=_to_float(step_key, raw[step_key]),
-        n_pairs=_to_int("n_pairs", raw["n_pairs"]),
-        seed=_to_int("seed", raw["seed"]),
-        output=output,
-        format=fmt,
-        threshold=(
-            _to_float("sigma_threshold", raw["sigma_threshold"])
-            if "sigma_threshold" in raw
-            else None
-        ),
-        raw=raw,
-        provided=provided,
-    )
-    if cfg.horizon <= 0 or cfg.step <= 0:
-        raise ConfigError("horizon and step must be positive")
-    if cfg.n_pairs < 1:
-        raise ConfigError("n_pairs must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if cfg.threshold is not None and not cfg.threshold >= 0:
-        raise ConfigError("sigma_threshold must be nonnegative")
-    return cfg
+        values["output"] = os.path.join(out_dir, os.path.basename(values["output"]))
+    return RunConfig(values, frozenset(given))
 
 
 def load_custom_generator(path):
@@ -305,19 +288,18 @@ def load_custom_generator(path):
 
 
 def build_generator(cfg):
+    values = cfg.values
     if cfg.model == "jc":
         params = models.JCParams(
-            gamma0=cfg.get_float("gamma0_over_lambda"),
-            lam=1.0,
-            delta=cfg.get_float("delta_over_lambda"),
+            gamma0=values["gamma0_over_lambda"], lam=1.0, delta=values["delta_over_lambda"]
         )
-        return models.jc_generator(params, nonnegative_rate=cfg.get_bool("clamp_rate"))
+        return models.jc_generator(params, nonnegative_rate=values["clamp_rate"])
     if cfg.model == "semigroup":
         return models.semigroup_generator(1.0)
     if cfg.model == "custom-file":
-        if "generator_file" not in cfg.raw:
+        if "generator_file" not in values:
             raise ConfigError("model custom-file needs key generator_file")
-        return load_custom_generator(cfg.get("generator_file"))
+        return load_custom_generator(values["generator_file"])
     raise ConfigError(f"model {cfg.model!r} has no master-equation generator")
 
 
@@ -333,15 +315,15 @@ def build_flow(cfg, times):
     """Flow Phi(t_k, 0) of the model on times: exact for the spin bath, RK4
     integration of the generator for the others."""
     if cfg.model == "spinbath":
-        params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.get_int("n_spins"))
+        params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.values["n_spins"])
         return models.spinbath_flow(params, times)
     return propagator_grid(build_generator(cfg), times)
 
 
 def resolve_pair(cfg):
     """Initial pair from a canonical name, Bloch vectors, or state files."""
-    if cfg.raw.get("pair_bloch"):
-        spec = cfg.get("pair_bloch")
+    spec = cfg.values.get("pair_bloch")
+    if spec:
         halves = spec.split(";")
         if len(halves) != 2:
             raise ConfigError(f"pair_bloch needs 'x,y,z;x,y,z', got {spec!r}")
@@ -355,8 +337,8 @@ def resolve_pair(cfg):
             except ValueError as exc:
                 raise ConfigError(f"pair_bloch: {exc}")
         return StatePair(states[0], states[1], label="bloch")
-    if cfg.raw.get("pair_files"):
-        paths = cfg.get("pair_files").split(";")
+    if cfg.values.get("pair_files"):
+        paths = cfg.values["pair_files"].split(";")
         if len(paths) != 2:
             raise ConfigError("pair_files needs two ';'-separated paths")
         try:
@@ -364,17 +346,13 @@ def resolve_pair(cfg):
         except ValueError as exc:
             raise ConfigError(str(exc))
         return StatePair(rho1, rho2, label="files")
-    name = cfg.get("pair")
-    if name == "z":
-        return canonical_pairs(2)[0]
-    if name == "x":
-        return canonical_pairs(2)[1]
-    raise ConfigError(f"unknown pair {name!r}; expected z, x, pair_bloch or pair_files")
+    label = "canonical-" + cfg.values["pair"]
+    return next(pair for pair in canonical_pairs(2) if pair.label == label)
 
 
 def format_number(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+    if isinstance(x, bool):
+        return "true" if x else "false"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
@@ -389,7 +367,8 @@ def write_csv(path, header, rows):
 def write_json(path, payload):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        # An iterator in the payload (see _records) is written as a list.
+        json.dump(payload, fh, indent=2, default=list)
         fh.write("\n")
 
 
@@ -414,55 +393,56 @@ def read_csv_grid(path):
     return header, rows
 
 
-def write_table(cfg, header, rows, json_key):
-    if cfg.format == "csv":
-        write_csv(cfg.output, header, rows)
+def _records(header, rows):
+    """The rows as JSON records keyed by header, made only if written."""
+    return (dict(zip(header, row)) for row in rows)
+
+
+def write_output(cfg, header, rows, payload):
+    """The one writer of every command: the rows under header as CSV, or the
+    payload as JSON, in the configured format."""
+    if cfg.values["format"] == "csv":
+        write_csv(cfg.values["output"], header, rows)
     else:
-        records = [dict(zip(header, row)) for row in rows]
-        write_json(cfg.output, {json_key: records})
+        write_json(cfg.values["output"], payload)
+
+
+def _delta_range(cfg):
+    values = cfg.values
+    return np.linspace(
+        values["delta_over_lambda_min"], values["delta_over_lambda_max"], values["delta_points"]
+    ).tolist()
 
 
 def cmd_rate(cfg):
     """Columns t, gamma(t); with a detuning range, one block of rows per delta."""
     time_col = TIME_COLUMN[cfg.model]
     times = time_grid(cfg)
+    values = cfg.values
     if cfg.model == "jc":
         range_keys = {"delta_over_lambda_min", "delta_over_lambda_max", "delta_points"}
-        if cfg.provided & range_keys:
-            deltas = np.linspace(
-                cfg.get_float("delta_over_lambda_min"),
-                cfg.get_float("delta_over_lambda_max"),
-                cfg.get_int("delta_points"),
-            )
-        else:
-            deltas = [cfg.get_float("delta_over_lambda")]
-        gamma0 = cfg.get_float("gamma0_over_lambda")
+        deltas = _delta_range(cfg) if cfg.provided & range_keys else [values["delta_over_lambda"]]
+        header = ["delta_over_lambda", time_col, "gamma_over_lambda", "flag"]
         rows = []
         for delta in deltas:
-            params = models.JCParams(gamma0=gamma0, lam=1.0, delta=float(delta))
+            params = models.JCParams(gamma0=values["gamma0_over_lambda"], lam=1.0, delta=delta)
             gammas = models.jc_rate(params, times)
-            rows.extend(
-                [float(delta), float(t), float(g), ""]
-                for t, g in zip(times, gammas)
-            )
-        write_table(
-            cfg, ["delta_over_lambda", time_col, "gamma_over_lambda", "flag"], rows, "rate"
-        )
-        return 0
-    if cfg.model == "spinbath":
-        params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.get_int("n_spins"))
+            rows.extend([delta, t, g, ""] for t, g in zip(times.tolist(), gammas.tolist()))
+    elif cfg.model == "spinbath":
+        params = models.SpinBathParams(coupling_a=1.0, n_spins=values["n_spins"])
         pole = models.spinbath_pole_distance(params, times) <= models.POLE_TOL
         gammas = np.full(times.size, np.nan)
         gammas[~pole] = models.spinbath_rate(params, times[~pole])
-        rows = [[float(t), float(g), "pole" if p else ""]
-                for t, g, p in zip(times, gammas, pole)]
-        write_table(cfg, [time_col, "gamma_over_a", "flag"], rows, "rate")
-        return 0
-    if cfg.model == "semigroup":
-        rows = [[float(t), 1.0, ""] for t in times]
-        write_table(cfg, [time_col, "gamma_over_gamma0", "flag"], rows, "rate")
-        return 0
-    raise ConfigError(f"model {cfg.model!r} does not support an analytic rate")
+        header = [time_col, "gamma_over_a", "flag"]
+        rows = [[t, g, "pole" if p else ""]
+                for t, g, p in zip(times.tolist(), gammas.tolist(), pole.tolist())]
+    elif cfg.model == "semigroup":
+        header = [time_col, "gamma_over_gamma0", "flag"]
+        rows = [[t, 1.0, ""] for t in times.tolist()]
+    else:
+        raise ConfigError(f"model {cfg.model!r} does not support an analytic rate")
+    write_output(cfg, header, rows, {"rate": _records(header, rows)})
+    return 0
 
 
 def cmd_trajectory(cfg):
@@ -470,12 +450,9 @@ def cmd_trajectory(cfg):
     pair = resolve_pair(cfg)
     times = time_grid(cfg)
     traj = trajectory(build_flow(cfg, times), pair, times)
-    time_col = TIME_COLUMN[cfg.model]
-    rows = [
-        [float(t), float(d), float(s)]
-        for t, d, s in zip(traj.times, traj.d_values, traj.sigma_values)
-    ]
-    write_table(cfg, [time_col, "trace_distance", "sigma"], rows, "trajectory")
+    header = [TIME_COLUMN[cfg.model], "trace_distance", "sigma"]
+    rows = list(zip(traj.times.tolist(), traj.d_values.tolist(), traj.sigma_values.tolist()))
+    write_output(cfg, header, rows, {"trajectory": _records(header, rows)})
     return 0
 
 
@@ -489,45 +466,31 @@ def _pair_report(pair):
     return {"label": pair.label, "dim": pair.rho1.dim}
 
 
-def _measure_payload(result, extra):
+def cmd_measure(cfg):
+    """Structured report: truncated measure value, intervals, best pair."""
+    times = time_grid(cfg)
+    values = cfg.values
+    search = search_pairs(
+        build_flow(cfg, times), values["n_pairs"], times,
+        threshold=values.get("sigma_threshold"), seed=values["seed"],
+    )
+    result = search.best
+    header = ["a", "b", "contribution"]
+    rows = [[iv.a, iv.b, iv.contribution] for iv in result.intervals]
     payload = {
         "n_value": result.n_value,
         "horizon": result.horizon,
-        "intervals": [
-            {"a": iv.a, "b": iv.b, "contribution": iv.contribution}
-            for iv in result.intervals
-        ],
+        "intervals": _records(header, rows),
         "best_pair": _pair_report(result.best_pair),
         "samples_evaluated": result.samples_evaluated,
         "seed": result.seed,
         "diverging": result.diverging,
+        "model": cfg.model,
+        "n_canonical_pair": search.n_canonical,
+        "n_sampled_max": search.n_sampled_max,
+        "failures": search.failures,
     }
-    payload.update(extra)
-    return payload
-
-
-def cmd_measure(cfg):
-    """Structured report: truncated measure value, intervals, best pair."""
-    times = time_grid(cfg)
-    search = search_pairs(
-        build_flow(cfg, times), cfg.n_pairs, times, threshold=cfg.threshold, seed=cfg.seed
-    )
-    payload = _measure_payload(
-        search.best,
-        {
-            "model": cfg.model,
-            "n_canonical_pair": search.n_canonical,
-            "n_sampled_max": search.n_sampled_max,
-            "failures": search.failures,
-        },
-    )
-    if cfg.format == "csv":
-        header = ["a", "b", "contribution"]
-        rows = [[iv["a"], iv["b"], iv["contribution"]] for iv in payload["intervals"]]
-        rows.append(["n_value", payload["n_value"], ""])
-        write_csv(cfg.output, header, rows)
-    else:
-        write_json(cfg.output, payload)
+    write_output(cfg, header, [*rows, ["n_value", result.n_value, ""]], payload)
     return 0
 
 
@@ -535,40 +498,18 @@ def cmd_sweep(cfg):
     """Columns delta, N_sampled_max, N_canonical_pair across a detuning grid."""
     if cfg.model != "jc":
         raise ConfigError("sweep is defined for the jc model only")
-    deltas = np.linspace(
-        cfg.get_float("delta_over_lambda_min"),
-        cfg.get_float("delta_over_lambda_max"),
-        cfg.get_int("delta_points"),
-    )
+    values = cfg.values
     times = time_grid(cfg)
     family = lambda delta: build_flow(
-        replace(cfg, raw={**cfg.raw, "delta_over_lambda": repr(float(delta))}), times
+        replace(cfg, values={**values, "delta_over_lambda": delta}), times
     )
-    records = sweep(family, deltas, times, cfg.n_pairs, cfg.threshold, cfg.seed)
-    rows = [
-        [
-            rec.parameter,
-            rec.n_sampled_max,
-            rec.n_canonical,
-            rec.n_value,
-            rec.best_pair_label or "",
-            rec.error or "",
-        ]
-        for rec in records
-    ]
-    write_table(
-        cfg,
-        [
-            "delta_over_lambda",
-            "n_sampled_max",
-            "n_canonical_pair",
-            "n_value",
-            "best_pair",
-            "error",
-        ],
-        rows,
-        "sweep",
-    )
+    records = sweep(family, _delta_range(cfg), times, values["n_pairs"],
+                    values.get("sigma_threshold"), values["seed"])
+    header = ["delta_over_lambda", "n_sampled_max", "n_canonical_pair", "n_value",
+              "best_pair", "error"]
+    rows = [[rec.parameter, rec.n_sampled_max, rec.n_canonical, rec.n_value,
+             rec.best_pair_label or "", rec.error or ""] for rec in records]
+    write_output(cfg, header, rows, {"sweep": _records(header, rows)})
     if all(rec.error for rec in records):
         raise NumericalError("every sweep point failed; first: " + records[0].error)
     return 0
@@ -577,37 +518,12 @@ def cmd_sweep(cfg):
 def cmd_divisibility(cfg):
     """Per-interval CP verdicts with least Choi eigenvalues."""
     gen = build_generator(cfg)
-    n_intervals = cfg.get_int("grid_points")
-    if n_intervals < 1:
-        raise ConfigError("grid_points must be >= 1")
-    grid = np.linspace(0.0, cfg.horizon, n_intervals + 1)
-    report = divisibility_report(
-        gen, grid, tol=cfg.get_float("cp_tol"), h=cfg.step
-    )
-    rows = [
-        [v.t_start, v.t_end, "true" if v.is_cp else "false", v.least_choi_eigenvalue]
-        for v in report.intervals
-    ]
-    if cfg.format == "csv":
-        write_csv(
-            cfg.output, ["t_start", "t_end", "is_cp", "least_choi_eigenvalue"], rows
-        )
-    else:
-        write_json(
-            cfg.output,
-            {
-                "divisible": report.divisible,
-                "intervals": [
-                    {
-                        "t_start": v.t_start,
-                        "t_end": v.t_end,
-                        "is_cp": v.is_cp,
-                        "least_choi_eigenvalue": v.least_choi_eigenvalue,
-                    }
-                    for v in report.intervals
-                ],
-            },
-        )
+    grid = np.linspace(0.0, cfg.horizon, cfg.values["grid_points"] + 1)
+    report = divisibility_report(gen, grid, tol=cfg.values["cp_tol"], h=cfg.step)
+    header = ["t_start", "t_end", "is_cp", "least_choi_eigenvalue"]
+    rows = [[v.t_start, v.t_end, v.is_cp, v.least_choi_eigenvalue] for v in report.intervals]
+    payload = {"divisible": report.divisible, "intervals": _records(header, rows)}
+    write_output(cfg, header, rows, payload)
     return 0
 
 
@@ -621,6 +537,7 @@ COMMANDS = {
 
 
 def build_parser():
+    """Flags take their values as strings: resolve_config parses them."""
     parser = argparse.ArgumentParser(
         prog="nmflow",
         description="Open-system dynamics and the trace-distance non-Markovianity measure",
@@ -635,10 +552,9 @@ def build_parser():
             help = "; ".join(f"{key.help} [{key.name}]" for key in keys)
             if kind is bool:
                 p.add_argument(flag, action="store_const", const="true", help=help)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, help=help)
             else:
-                p.add_argument(flag, type=kind, help=help)
+                choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+                p.add_argument(flag, metavar=choices, help=help)
     return parser
 
 

@@ -463,7 +463,8 @@ def choi_of(p):
 
 
 def _check_cp_tol(tol):
-    if tol <= 0:
+    # Written so that NaN fails it too.
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 

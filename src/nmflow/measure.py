@@ -39,11 +39,6 @@ PAIR_BLOCK = 100_000
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
 
 
-class _UniformGrid(np.ndarray):
-    """A time grid that _flow_dim has checked to be uniform, so that the pairs
-    evaluated on it do not check it again."""
-
-
 @dataclass
 class TrajectoryGrid:
     """Sampled trace distance and its rate of change on a uniform time grid."""
@@ -53,10 +48,7 @@ class TrajectoryGrid:
     sigma_values: np.ndarray
 
     def __post_init__(self):
-        t = self.times
-        if not isinstance(t, _UniformGrid):
-            t, _ = _check_uniform_grid(t)
-        t = np.asarray(t)
+        t, _ = _check_uniform_grid(self.times)
         d = np.asarray(self.d_values, dtype=float)
         s = np.asarray(self.sigma_values, dtype=float)
         if not (t.size == d.size == s.size):
@@ -83,7 +75,7 @@ def _sigma(d, h, out):
 
 def trajectory_from_values(times, d_values):
     """TrajectoryGrid from sampled D(t), sigma by _sigma."""
-    t = np.asanyarray(times, dtype=float)
+    t = np.asarray(times, dtype=float)
     d = np.asarray(d_values, dtype=float)
     if d.ndim != 1 or d.size < 3:
         raise ValueError(f"sigma needs a row of at least 3 values of D, got shape {d.shape}")
@@ -101,13 +93,12 @@ def make_time_grid(horizon, step):
 
 
 def _flow_dim(flow, times):
-    """(d, times) for a flow Phi(t_k, 0) of shape (T, d^2, d^2) on T times,
-    which must form a uniform grid of at least 10 intervals; the times come
-    back as a _UniformGrid, which later calls take as checked."""
-    if not isinstance(times, _UniformGrid):
-        if np.size(times) < 11:
-            raise ValueError(f"{np.size(times) - 1} grid intervals; sigma needs >= 10")
-        times = _check_uniform_grid(times)[0].view(_UniformGrid)
+    """(d, times as an array) for a flow Phi(t_k, 0) of shape (T, d^2, d^2)
+    on T times, at least 11 of them. That they form a uniform grid is checked
+    once per call where it is needed: by TrajectoryGrid and by _search."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 11:
+        raise ValueError(f"{times.size - 1} grid intervals; sigma needs >= 10")
     d = math.isqrt(flow.shape[-1])
     if flow.shape != (times.size, d * d, d * d):
         raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {times.size} times")
@@ -370,7 +361,8 @@ class PairSearch:
 
 def _pair_values(flow, blocks, times, threshold=None):
     """(values, errors, intervals) of the pairs whose differences rho1 - rho2
-    come stacked (P, d, d) in blocks of any size, under the flow. They are
+    come stacked (P, d, d) in blocks of any size, under the flow on times, a
+    uniform grid that the caller has checked. They are
     evaluated in consecutive blocks of _block_size pairs, as they come: D and
     sigma of a block go into two work buffers allocated once, and its growth
     intervals are found at once. A failed pair has value NaN and its reason
@@ -419,6 +411,7 @@ def _search(flow, n_pairs, times, threshold, seed, draw):
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
     dim, times = _flow_dim(flow, times)
+    _check_uniform_grid(times)
     canonical = canonical_pairs(dim)
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
     samples = draw(dim, seed, n_pairs, _block_size(times, dim))

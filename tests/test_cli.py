@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmflow.cli import build_parser, main, read_csv_grid, resolve_config, time_grid
+from nmflow.cli import KEYS, build_parser, main, read_csv_grid, resolve_config, time_grid
 from nmflow.exceptions import ConfigError
 from nmflow.models import (
     POLE_TOL,
@@ -96,6 +97,32 @@ class TestConfigHandling:
         assert code == 2
         assert "sigma_threshold must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, key", [
+        ("measure --horizon inf", "", "horizon_over_lambda"),
+        ("divisibility --step inf", "", "step_over_lambda"),
+        ("divisibility --cp-tol nan", "", "cp_tol"),
+        ("rate --delta-points 0", "", "delta_points"),
+        ("rate", "format = xml", "format"),
+        ("divisibility", "clamp_rate = maybe", "clamp_rate"),
+        ("trajectory", "pair = y", "pair"),
+    ])
+    def test_bad_value_is_exit_2(self, tmp_path, capsys, argv, config, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "o.csv"
+        code = run(*argv.split(), "--config", str(cfg), "--output", str(out))
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_configuration_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("### Examples", 1)[0]
+        section = re.sub(r"(\w+)_min/max", r"\1_min`, `\1_max", section)
+        named = {name for span in re.findall(r"`([^`]+)`", section)
+                 for name in re.split(r"[^\w]+", span)}
+        assert [key.name for key in KEYS if key.name not in named] == []
 
     def test_horizon_must_be_a_whole_number_of_steps(self):
         def grid(horizon, step):
@@ -471,3 +498,44 @@ class TestDivisibility:
         # 17 significant digits means float cells survive a write/read cycle.
         assert rows[1][0] == 0.25
         assert isinstance(rows[0][3], float)
+
+
+def _same_cell(csv_cell, json_cell):
+    """A CSV cell read back by read_csv_grid against the JSON value of the
+    same run: booleans are written true/false, NaN as nan."""
+    if isinstance(json_cell, bool):
+        return csv_cell == ("true" if json_cell else "false")
+    if isinstance(json_cell, float) and math.isnan(json_cell):
+        return isinstance(csv_cell, float) and math.isnan(csv_cell)
+    return csv_cell == json_cell
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("argv, table", [
+        ("rate --model jc --delta-min 0 --delta-max 2 --delta-points 3 --horizon 1 --step 0.1",
+         "rate"),
+        (f"rate --model spinbath --n-spins 5 --horizon {60 * np.pi / 40} --step {np.pi / 40}",
+         "rate"),
+        ("trajectory --model jc --delta 5 --horizon 1 --step 0.01", "trajectory"),
+        ("sweep --model jc --delta-min 0 --delta-max 8 --delta-points 2 --n-pairs 2 "
+         "--horizon 20 --step 0.01", "sweep"),
+        ("divisibility --model jc --delta 5 --horizon 2 --grid-points 8 --step 0.005",
+         "intervals"),
+        ("measure --model jc --delta 8 --n-pairs 2 --horizon 20 --step 0.01", "intervals"),
+    ])
+    def test_csv_holds_the_json_values(self, tmp_path, argv, table):
+        paths = {fmt: tmp_path / f"o.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            assert run(*argv.split(), "--format", fmt, "--output", str(path)) == 0
+        header, rows = read_csv_grid(str(paths["csv"]))
+        payload = json.loads(paths["json"].read_text())
+        records = [[rec[name] for name in header] for rec in payload[table]]
+        if argv.startswith("measure"):
+            assert records
+            records.append(["n_value", payload["n_value"], ""])
+        assert len(rows) == len(records) > 1
+        assert all(len(row) == len(header) for row in rows)
+        assert all(_same_cell(a, b) for row, rec in zip(rows, records)
+                   for a, b in zip(row, rec))
+        if argv.startswith("divisibility"):
+            assert {rec["is_cp"] for rec in payload[table]} == {True, False}

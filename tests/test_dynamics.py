@@ -380,6 +380,14 @@ class TestChoi:
         with pytest.raises(ValueError):
             is_cp(p, tol=0.0)
 
+    def test_nan_tolerance_is_rejected(self):
+        # A NaN tolerance would call every map non-CP: -tol <= least is false.
+        gen = semigroup_generator(1.0)
+        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+            is_cp(propagator_between(gen, 0.0, 0.5, 1e-3), tol=float("nan"))
+        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+            divisibility_report(gen, np.linspace(0.0, 1.0, 5), tol=float("nan"))
+
 
 class TestDivisibility:
     def test_semigroup_all_intervals_cp(self):
