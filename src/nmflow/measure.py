@@ -24,16 +24,16 @@ import numpy as np
 from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import hermitian_eigenvalues
-from .states import DensityMatrix, StatePair, check_states, random_states
+from .states import DensityMatrix, StatePair, check_states, random_states, state_rng
 
 D_VALUE_TOL = 1e-10
 THRESHOLD_FLOOR = 1e-12
 THRESHOLD_SCALE = 1e-9
 DIVERGENCE_CONTRIBUTION = 0.5
 # Entries of the work arrays of one block of pairs (at least one pair), which
-# bound the memory of a search: for qubits the two (pairs x grid points)
-# buffers of D and sigma, for d > 2 the (pairs x grid points x d^2) evolved
-# differences.
+# bound the memory of a search with those of one chunk of draws: for qubits the
+# two (pairs x grid points) buffers of D and sigma, for d > 2 the (pairs x grid
+# points x d^2) evolved differences.
 PAIR_BLOCK = 100_000
 # Columns: the column-stacked Pauli matrices I, X, Y, Z.
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
@@ -340,12 +340,22 @@ def sample_pair(dim, seed, index):
 
 
 def _sample_blocks(dim, seed, n_pairs, size):
-    """Differences rho1 - rho2 of sample pairs 0 .. n_pairs - 1 in blocks of
-    size, each block drawn and validated at once (in draw order)."""
+    """Differences rho1 - rho2 of sample pairs 0 .. n_pairs - 1 in chunks of
+    size, each chunk drawn and validated at once (in draw order)."""
     for start in range(0, n_pairs, size):
         rho1, rho2 = _sample_states(dim, seed, np.arange(start, min(start + size, n_pairs)))
         check_states(np.stack([rho1, rho2], axis=1).reshape(-1, dim, dim))
         yield rho1 - rho2
+
+
+def _blocks(chunks, size):
+    """Consecutive blocks of size pairs sliced from stacked chunks of any size."""
+    rest = ()
+    for chunk in chunks:
+        chunk = np.concatenate([rest, chunk]) if len(rest) else chunk
+        rest = chunk[len(chunk) - len(chunk) % size :]
+        yield from (chunk[k : k + size] for k in range(0, len(chunk) - len(rest), size))
+    yield from [rest] if len(rest) else []
 
 
 @dataclass
@@ -359,25 +369,21 @@ class PairSearch:
     failures: List[str] = field(default_factory=list)
 
 
-def _pair_values(flow, blocks, times, threshold=None):
-    """(values, errors, intervals) of the pairs whose differences rho1 - rho2
-    come stacked (P, d, d) in blocks of any size, under the flow on times, a
-    uniform grid that the caller has checked. They are
-    evaluated in consecutive blocks of _block_size pairs, as they come: D and
-    sigma of a block go into two work buffers allocated once, and its growth
-    intervals are found at once. A failed pair has value NaN and its reason
-    in errors (None for the others); its block-mates still score. intervals
-    are (rows, a, b, contributions) of the scored pairs, rows indexing pairs.
-    """
+def _pair_values(flow, chunks, times, threshold=None):
+    """(start, values, errors, intervals) of each block of _block_size pairs
+    sliced (see _blocks) from differences rho1 - rho2 stacked (P, d, d) in
+    chunks of any size, under the flow on times, a uniform grid that the caller
+    has checked. D and sigma of a block go into two work buffers allocated once,
+    and its growth intervals are found at once. A failed pair has value NaN and
+    its reason in errors (None for the others); its block-mates still score.
+    intervals: (rows, a, b, contributions) of the scored pairs, rows in block."""
     d, times = _flow_dim(flow, times)
     op = _pair_operator(flow, d)
     size = _block_size(times, d)
     work = np.empty((2, size, times.size))
-    values, errors, found = [], [], []
-    pairs = itertools.chain.from_iterable(blocks)
-    while block := list(itertools.islice(pairs, size)):
-        start, p = len(values), len(block)
-        errs = _distances(op, np.stack(block), times, work)
+    for n, block in enumerate(_blocks(chunks, size)):
+        p = len(block)
+        errs = _distances(op, block, times, work)
         dist, sigma = work[0, :p], _sigma(work[0, :p], times[1] - times[0], work[1, :p])
         rows, a, b, c = _growth(times, dist, sigma, threshold)
         for r, x in zip(rows[c < -1e-12], c[c < -1e-12]):
@@ -385,11 +391,8 @@ def _pair_values(flow, blocks, times, threshold=None):
         ok = np.array([e is None for e in errs])
         # bincount adds each row's contributions in order, as sum() does.
         totals = np.bincount(rows, weights=c, minlength=p)
-        values.extend(np.where(ok, totals, np.nan))
-        errors += errs
         keep = ok[rows]
-        found.append((rows[keep] + start, a[keep], b[keep], c[keep]))
-    return np.array(values), errors, tuple(np.concatenate(x) for x in zip(*found))
+        yield n * size, np.where(ok, totals, np.nan), errs, (rows[keep], a[keep], b[keep], c[keep])
 
 
 def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
@@ -400,39 +403,42 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     first, then sample order), so the result is deterministic and the best
     value is monotone in n_pairs. Only the best pair gets its interval list.
     """
-    # Drawn block by block as they are evaluated.
     return _search(flow, n_pairs, times, threshold, seed, _sample_blocks)
 
 
 def _search(flow, n_pairs, times, threshold, seed, draw):
-    """search_pairs, with the sample blocks from draw(dim, seed, n_pairs,
-    block size) (see _sample_blocks)."""
+    """search_pairs, with the sample chunks from draw(dim, seed, n_pairs, chunk
+    size) (see _sample_blocks); of each pair only its value and failure stay."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
     dim, times = _flow_dim(flow, times)
     _check_uniform_grid(times)
     canonical = canonical_pairs(dim)
+    labels = {i - len(canonical): p.label for i, p in enumerate(canonical)}  # by sample index
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
-    samples = draw(dim, seed, n_pairs, _block_size(times, dim))
-    values, errors, (rows, a, b, c) = _pair_values(
-        flow, itertools.chain([first], samples), times, threshold
-    )
-    labels = [p.label for p in canonical] + [f"sample-{i}" for i in range(n_pairs)]
-    failures = [f"{label}: {e}" for label, e in zip(labels, errors) if e]
-    failed = np.isnan(values)
+    # Sample chunks of at most PAIR_BLOCK entries at the peak of check_states, 20 d^2 a pair.
+    chunks = itertools.chain([first], draw(dim, seed, n_pairs, max(1, PAIR_BLOCK // (20 * dim**2))))
+    values, failures, peak = [], [], -np.inf
+    for start, vals, errs, (rows, a, b, c) in _pair_values(flow, chunks, times, threshold):
+        values.append(vals)
+        failures += [
+            f"{labels.get(i, f'sample-{i}')}: {e}"
+            for i, e in enumerate(errs, start - len(labels)) if e
+        ]
+        if np.fmax.reduce(vals) > peak:  # NaN if the whole block failed
+            i = int(np.nanargmax(vals))  # the first of equal values
+            peak, best, intervals = vals[i], start + i, [x[rows == i] for x in (a, b, c)]
+    failed = np.isnan(values := np.concatenate(values))
     if failed.all():
         raise NumericalError("all pair evaluations failed; first failure: " + failures[0])
     if failed[: len(canonical)].any():
         # The canonical pairs hold the known maximizers: without one of them
         # the reported maximum cannot be trusted. Their failures come first.
         raise NumericalError("canonical pair failed: " + failures[0])
-    best = int(np.nanargmax(values))  # the first of equal values
-    k = rows == best
     pair = canonical[best] if best < len(canonical) else sample_pair(dim, seed, best - len(canonical))
-    result = _measure_result(_interval_list(a[k], b[k], c[k]), times, pair)
-    evaluated = len(values) - len(failures)
-    result.samples_evaluated = evaluated
+    result = _measure_result(_interval_list(*intervals), times, pair)
+    evaluated = result.samples_evaluated = len(values) - len(failures)
     result.seed = seed
     sampled = values[len(canonical) :]
     n_sampled_max = float(np.max(sampled, initial=0.0, where=~failed[len(canonical) :]))
@@ -461,7 +467,8 @@ def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     if not parameters:
         raise ValueError("parameter grid is empty")
     _check_threshold(threshold)
-    # Every point with the same dimension reuses the blocks drawn first.
+    state_rng(seed)  # rejects a seed that is not an integer before any point
+    # Every point with the same dimension reuses the chunks drawn first.
     draw = functools.cache(lambda *key: list(_sample_blocks(*key)))
     records = []
     for value in parameters:

@@ -92,7 +92,9 @@ def trace_distance(rho1, rho2):
 
 def state_rng(seed, worker=None):
     """Seeded generator; (seed, worker) derives an independent stream per worker."""
-    key = (int(seed),) if worker is None else (int(seed), int(worker))
+    key = (seed,) if worker is None else (seed, worker)
+    if not all(isinstance(k, (int, np.integer)) for k in key):
+        raise ValueError(f"seed and worker must be integers, got {key}")
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -100,20 +102,26 @@ def random_states(dim, seed, workers, mixed):
     """Stack (n, dim, dim) of unvalidated draws (see check_states), state k
     from the stream state_rng(seed, workers[k]): a Haar pure state
     |psi><psi|, or where mixed[k] a Hilbert-Schmidt state G G^dag / tr with
-    G square complex Ginibre."""
+    G square complex Ginibre. Each state only fills its row of normals (real
+    parts first, then imaginary); the arithmetic runs stacked."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
+    # Pure states fill rows[0] and raw[0], mixed ones rows[1] and raw[1].
+    rows, raw = ([], []), (np.empty((len(workers), 2 * dim)), np.empty((len(workers), 2 * dim**2)))
+    for k, (worker, m) in enumerate(zip(workers, map(bool, mixed), strict=True)):
+        state_rng(seed, worker).standard_normal(out=raw[m][len(rows[m])])
+        rows[m].append(k)
     out = np.empty((len(workers), dim, dim), dtype=complex)
-    for k, (worker, m) in enumerate(zip(workers, mixed)):
-        rng = state_rng(seed, worker)
-        if m:
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            w = g @ g.conj().T
-            out[k] = w / np.trace(w).real
-        else:
-            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            psi /= np.linalg.norm(psi)
-            out[k] = np.outer(psi, psi.conj())
+    (pure, mixed), (x, y) = rows, raw
+    if pure:
+        psi = x[: len(pure), :dim] + 1j * x[: len(pure), dim:]
+        # np.linalg.norm's dot products on the strided parts, bit for bit.
+        psi /= np.sqrt(sum(v[:, None] @ v[:, :, None] for v in (psi.real, psi.imag)))[:, 0]
+        out[pure] = psi[:, :, None] * psi.conj()[:, None, :]
+    if mixed:
+        g = (y[: len(mixed), : dim**2] + 1j * y[: len(mixed), dim**2 :]).reshape(-1, dim, dim)
+        w = g @ g.conj().swapaxes(1, 2)
+        out[mixed] = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
     return out
 
 

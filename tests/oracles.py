@@ -257,3 +257,19 @@ def pair_value(flow, pair, times, threshold=None):
         return None, f"trace distance {d[k]:.6g} exceeds 1 or is not finite at t={times[k]:.6g}"
     intervals = pair_growth(np.asarray(times), np.clip(d, 0.0, 1.0), threshold)
     return sum(c for _, _, c in intervals), intervals
+
+
+def seeded_state(dim, seed, worker, mixed):
+    """One state drawn on its own, as random_states drew it state by state:
+    the stream SeedSequence((seed, worker)) (or (seed,) for worker None),
+    real then imaginary normals, np.linalg.norm and np.outer for a pure
+    state, G G^dag / tr for a mixed one."""
+    key = (seed,) if worker is None else (seed, worker)
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    if mixed:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w = g @ g.conj().T
+        return w / np.trace(w).real
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())

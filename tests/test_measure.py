@@ -14,6 +14,7 @@ from nmflow.measure import (
     PAIR_BLOCK,
     GrowthInterval,
     _block_size,
+    _blocks,
     _pair_operator,
     _pair_values,
     _sample_blocks,
@@ -360,6 +361,36 @@ class TestPairSearch:
                 assert np.array_equal(states[1][i], rho2.matrix)
                 assert np.array_equal(diffs[i], rho1.matrix - rho2.matrix)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_draws_do_not_depend_on_the_chunk_size(self, dim):
+        n = 300
+        expected = np.concatenate(list(_sample_blocks(dim, 9, n, 64)))
+        for size in (1, 3, 10**4):
+            chunks = list(_sample_blocks(dim, 9, n, size))
+            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate(chunks), expected)
+
+    def test_blocks_hold_the_same_pairs_whatever_the_chunks(self):
+        pairs = np.arange(50.0)[:, None, None] * np.ones((1, 2, 2))
+        for size in (1, 3, 7, 64):
+            expected = [pairs[k : k + size] for k in range(0, len(pairs), size)]
+            for cuts in ([], [2], [2, 9, 10, 30], list(range(1, 50))):
+                blocks = list(_blocks(np.split(pairs, cuts), size))
+                assert len(blocks) == len(expected)
+                assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
+    def test_seed_that_is_not_an_integer_rejected(self, bad):
+        times = make_time_grid(1.0, 1e-2)
+        flow = propagator_grid(jc_generator(JCParams(delta=8.0)), times)
+        with pytest.raises(ValueError, match="must be integers"):
+            search_pairs(flow, 6, times, seed=bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=bad)
+        assert search_pairs(flow, 6, times, seed=np.int64(1)).best.n_value == (
+            search_pairs(flow, 6, times, seed=1).best.n_value
+        )
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("spoil", ["non-finite", "Hermitian", "trace", "eigenvalue"])
     def test_invalid_draw_raises_the_state_error(self, monkeypatch, dim, spoil):
@@ -583,6 +614,17 @@ def bloch_map_flow(times, transverse, longitudinal):
     return 0.5 * basis @ m @ basis.conj().T
 
 
+def pair_values(flow, chunks, times):
+    """The blocks of _pair_values joined: (values, errors, intervals), the
+    intervals' rows indexing pairs."""
+    values, errors, found = [], [], []
+    for start, vals, errs, (rows, a, b, c) in _pair_values(flow, chunks, times):
+        values.append(vals)
+        errors += errs
+        found.append((rows + start, a, b, c))
+    return np.concatenate(values), errors, tuple(np.concatenate(x) for x in zip(*found))
+
+
 def diffs_of(pairs):
     """The pairs' differences rho1 - rho2 as one stacked block."""
     return [np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])]
@@ -612,7 +654,7 @@ class TestBatchedPairs:
         assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
         # One pair, one below a block, one block, one above, several blocks.
         for count in (1, size - 1, size, size + 1, 3 * size + 1):
-            values, errors, (rows, a, b, c) = _pair_values(flow, diffs_of(pairs[:count]), times)
+            values, errors, (rows, a, b, c) = pair_values(flow, diffs_of(pairs[:count]), times)
             assert errors == [None] * count
             assert np.max(np.abs(values - [n for n, _ in expected[:count]])) <= PAIR_VALUE_TOL
             assert np.array_equal(rows, np.sort(rows))
@@ -634,7 +676,7 @@ class TestBatchedPairs:
         swapped = StatePair(X_PAIR.rho2, X_PAIR.rho1, label="swapped-x")
         pairs = [X_PAIR, Z_PAIR, swapped] + [sample_pair(2, 1, i) for i in range(8)]
         assert len(pairs) < _block_size(times, 2)
-        values, errors, _ = _pair_values(flow, diffs_of(pairs), times)
+        values, errors, _ = pair_values(flow, diffs_of(pairs), times)
         expected = [pair_value(flow, pair, times) for pair in pairs]
         reasons = [
             f"{why} (step too coarse, or the generator is not positivity preserving)"
@@ -665,7 +707,7 @@ class TestBatchedPairs:
         times = make_time_grid(0.02, 1e-3)
         zigzag = np.array([1.0] * 8 + [0.2, 0.99, 0.2, 1.0, 0.0] + [0.0] * 8)
         flow = bloch_map_flow(times, lambda t: zigzag, np.ones_like)
-        values, errors, _ = _pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
+        values, errors, _ = pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
         assert errors == [None, "negative contribution -0.7519046867142856"]
         assert values[0] == 0.0 and np.isnan(values[1])
         with pytest.raises(ValueError, match="^negative contribution -0.7519046867142856$"):
@@ -684,7 +726,7 @@ class TestBatchedPairs:
         n_pairs = 2 * _block_size(times, 2) + 1
         copies = [StatePair(DensityMatrix(a), DensityMatrix(b))
                   for a, b in zip(*copies_of_z(2, 0, range(n_pairs)))]
-        values, _, _ = _pair_values(flow, diffs_of([Z_PAIR] + copies), times)
+        values, _, _ = pair_values(flow, diffs_of([Z_PAIR] + copies), times)
         # The same pair scores the same to the bit at every place in a block.
         assert np.all(values == values[0])
         search = search_pairs(flow, n_pairs, times)
@@ -699,6 +741,26 @@ class TestBatchedPairs:
 
 
 class TestSearchMemory:
+    def test_qubit_search_peak_does_not_grow_with_the_pair_count(self):
+        import tracemalloc
+
+        # Fixed before the draws were cut into chunks sized by PAIR_BLOCK:
+        # four times the pairs may raise the peak by at most 10%. What a
+        # search keeps of every pair (its value) is 8 B, 120 kB here.
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 1.0, 1e-2)
+        assert times.size == 101
+        search_pairs(flow, 1, times)  # first-call imports stay out
+        peaks = []
+        for n_pairs in (5_000, 20_000):
+            tracemalloc.start()
+            try:
+                search = search_pairs(flow, n_pairs, times, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert search.failures == []
+        assert peaks[1] <= 1.10 * peaks[0]
+
     def test_qubit_search_peak_at_40001_points(self):
         import tracemalloc
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import hilbert_schmidt_sample
+from oracles import hilbert_schmidt_sample, seeded_state
 
 from nmflow.states import (
     DensityMatrix,
@@ -10,6 +10,7 @@ from nmflow.states import (
     qubit_from_bloch,
     random_mixed_state,
     random_pure_state,
+    random_states,
     read_state_text,
     trace_distance,
     write_state_text,
@@ -106,6 +107,38 @@ class TestRandomStates:
             random_pure_state(1, 0)
         with pytest.raises(ValueError):
             random_mixed_state(1, 0)
+
+    def test_workers_and_mixed_flags_must_match_in_length(self):
+        with pytest.raises(ValueError, match="is shorter than"):
+            random_states(2, 0, [0, 1, 2], [True])
+        with pytest.raises(ValueError, match="is longer than"):
+            random_states(2, 0, [0], [True, False])
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, np.float64(7.0), "7"])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match="must be integers"):
+            random_pure_state(2, seed)
+        with pytest.raises(ValueError, match="must be integers"):
+            random_mixed_state(2, 0, worker=seed)
+
+    def test_numpy_integer_seed_is_the_python_seed(self):
+        a = random_pure_state(3, np.int64(7), worker=np.uint32(2)).matrix
+        assert np.array_equal(a, random_pure_state(3, 7, worker=2).matrix)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stacked_draws_equal_one_state_draws_bit_for_bit(self, dim):
+        # 2**40 + 5 takes two 32-bit words of SeedSequence entropy.
+        for seed in (0, 9, 2**40 + 5):
+            workers = list(range(40))
+            for mixed in ([False] * 40, [True] * 40, [w % 4 == 3 for w in workers]):
+                stack = random_states(dim, seed, workers, mixed)
+                for k, (w, m) in enumerate(zip(workers, mixed)):
+                    assert np.array_equal(stack[k], seeded_state(dim, seed, w, m))
+            for m in (False, True):
+                for worker in (None, 3):
+                    one = random_states(dim, seed, [worker], [m])
+                    assert one.shape == (1, dim, dim)
+                    assert np.array_equal(one[0], seeded_state(dim, seed, worker, m))
 
     def test_generators_respect_invariants_bulk(self):
         # Constructor validation runs on every draw, so surviving the loop is
