@@ -13,12 +13,12 @@ column-stacked complex maps only at the edge.
 """
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .exceptions import InvariantViolation, NumericalError
-from .linalg import hermitian_eigenvalues, hermiticity_defect
+from .linalg import _eigvalsh, hermitian_eigenvalues, hermiticity_defect
 from .states import DensityMatrix, check_complex_matrix
 
 TRACE_DRIFT_TOL = 1e-8
@@ -61,35 +61,18 @@ def constant_generator(hamiltonian, channels):
     return GeneratorSpec(dim=dim, hamiltonian=h, channels=fixed)
 
 
-def _check_operator(m, dim, what, t=None):
-    m = check_complex_matrix(m)
-    if m.shape[0] != dim:
-        at = "" if t is None else f" at t={t}"
-        raise ValueError(f"{what}{at} has dimension {m.shape[0]}, expected {dim}")
-    return m
-
-
-def _eval_hamiltonian(gen, t=None):
-    """H(t), or the constant H for t None."""
-    h = gen.hamiltonian(t) if callable(gen.hamiltonian) else gen.hamiltonian
-    h = _check_operator(h, gen.dim, "hamiltonian", t)
-    defect = hermiticity_defect(h)
-    if defect > 1e-10:
+def _operator(gen, k, t=None):
+    """Operator of term k of the generator at time t (None for a constant): k = 0
+    is the Hamiltonian, which must be Hermitian, k > 0 the jump operator of channel k - 1."""
+    op = gen.hamiltonian if k == 0 else gen.channels[k - 1][0]
+    m = check_complex_matrix(op(t) if callable(op) else op)
+    what, at = "jump operator" if k else "hamiltonian", "" if t is None else f" at t={t}"
+    if m.shape[0] != gen.dim:
+        raise ValueError(f"{what}{at} has dimension {m.shape[0]}, expected {gen.dim}")
+    if k == 0 and (defect := hermiticity_defect(m)) > 1e-10:
         at = "" if t is None else f"(t={t})"
         raise ValueError(f"hamiltonian{at} not Hermitian: defect {defect:.3e}")
-    return h
-
-
-def _eval_channels(gen, t):
-    out = []
-    for op_fn, rate_fn in gen.channels:
-        op = op_fn(t) if callable(op_fn) else op_fn
-        op = _check_operator(op, gen.dim, "jump operator", t)
-        rate = float(rate_fn(t)) if callable(rate_fn) else float(rate_fn)
-        if not math.isfinite(rate):
-            raise ValueError(f"non-finite rate {rate} at t={t}")
-        out.append((op, rate))
-    return out
+    return m
 
 
 def _eval_rates(rate_fn, times):
@@ -122,37 +105,44 @@ def _hermitian_basis(d):
     return f.transpose(0, 2, 1).reshape(d * d, d * d).T
 
 
-class _CompiledGenerator:
-    """Superoperator evaluator in the real basis B of _hermitian_basis, which
-    hoists time-independent structure.
+def _kron(a, b):
+    """np.kron of square matrices of one size, broadcast over the leading axes."""
+    d = a.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (d * d, d * d))
 
-    When the Hamiltonian and all jump operators are constant matrices, only
-    the scalar rates vary with time, so K(t) = K_H + sum_i gamma_i(t) K_i
-    with every K piece precomputed as the real B^dag K B.
+
+class _CompiledGenerator:
+    """Superoperator evaluator in the real basis B of _hermitian_basis.
+
+    K(t) is one sum over terms: the Hamiltonian's -i[H, rho], then each
+    channel's rate times its dissipator, each term's piece as the real
+    B^dag K B. A constant operator's piece is made once, here; a callable
+    operator is evaluated and checked at every time asked for, and its pieces
+    are made for all those times at once.
     """
 
     def __init__(self, gen):
         self.gen = gen
-        d = gen.dim
-        self.basis = b = _hermitian_basis(d)
+        self.basis = b = _hermitian_basis(gen.dim)
         # For qubits, B R B^dag of flattened real maps R is one real product
         # with this (16, 32) matrix, which gives the interleaved real and
         # imaginary parts of the flattened complex maps.
-        self.kron = None
-        if d == 2:
-            self.kron = (b.T[:, None, :, None] * b.T.conj()[None, :, None, :]).reshape(16, -1)
-            self.kron = self.kron.view(float)
-        self.static = not callable(gen.hamiltonian) and all(
-            not callable(op) for op, _ in gen.channels
-        )
-        if not self.static:
-            return
-        self.k_const = self.real(_hamiltonian_part(_eval_hamiltonian(gen)))
-        self.k_channels = [
-            self.real(_dissipator(_check_operator(op, d, "jump operator")))
-            for op, _ in gen.channels
-        ]
-        self.rate_fns = [rate_fn for _, rate_fn in gen.channels]
+        self.kron = _kron(b.T, b.T.conj()).view(float) if gen.dim == 2 else None
+        ops = [gen.hamiltonian] + [op for op, _ in gen.channels]
+        self.pieces = [None if callable(op) else self.piece(k, _operator(gen, k))
+                       for k, op in enumerate(ops)]
+
+    def piece(self, k, a):
+        """The real piece of term k (see _operator) for its operator a, or the
+        stacked pieces for a stack of operators: -i[H, rho] for the
+        Hamiltonian, A rho A^dag - {A^dag A, rho}/2 for a jump operator."""
+        eye = np.eye(self.gen.dim, dtype=complex)
+        if k == 0:
+            return self.real(-1j * (_kron(eye, a) - _kron(a.swapaxes(-1, -2), eye)))
+        anti = a.conj().swapaxes(-1, -2) @ a
+        s = _kron(a.conj(), a) - 0.5 * (_kron(eye, anti) + _kron(anti.swapaxes(-1, -2), eye))
+        return self.real(s)
 
     def real(self, s):
         """B^dag S B of maps S that preserve Hermiticity, stacked (..., d^2, d^2)."""
@@ -170,47 +160,28 @@ class _CompiledGenerator:
     def matrices(self, times):
         """Stacked real K(t) for an array of times, shape (len(times), d^2, d^2)."""
         times = np.asarray(times, dtype=float)
-        if not self.static:
-            return self.real(np.stack([generator_matrix(self.gen, t) for t in times]))
-        ks = np.broadcast_to(self.k_const, (times.size,) + self.k_const.shape).copy()
-        for k_i, rate_fn in zip(self.k_channels, self.rate_fns):
-            ks += _eval_rates(rate_fn, times)[:, None, None] * k_i
+        pieces = list(self.pieces)
+        live = [k for k, piece in enumerate(pieces) if piece is None]
+        if live:
+            # Time by time, so that the first offending time raises.
+            ops = np.array([[_operator(self.gen, k, t) for k in live] for t in times])
+            for k, stack in zip(live, ops.swapaxes(0, 1)):
+                pieces[k] = self.piece(k, stack)
+        ks = np.broadcast_to(pieces[0], (times.size,) + pieces[0].shape[-2:]).copy()
+        for piece, (_, rate_fn) in zip(pieces[1:], self.gen.channels):
+            ks += _eval_rates(rate_fn, times)[:, None, None] * piece
         return ks
 
 
 def apply_generator(gen, t, rho):
-    """Right-hand side -i[H, rho] + sum_i gamma_i (A rho A^dag - {A^dag A, rho}/2)."""
+    """Right-hand side -i[H, rho] + sum_i gamma_i (A rho A^dag - {A^dag A, rho}/2)
+    at time t, through the compiled K(t) at that one time."""
     rho = check_complex_matrix(rho)
     if rho.shape[0] != gen.dim:
         raise ValueError(f"state dimension {rho.shape[0]} != generator dim {gen.dim}")
-    h = _eval_hamiltonian(gen, t)
-    out = -1j * (h @ rho - rho @ h)
-    for op, rate in _eval_channels(gen, t):
-        opd = op.conj().T
-        anti = opd @ op
-        out += rate * (op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti))
-    return out
-
-
-def _hamiltonian_part(h):
-    """Superoperator of -i[H, rho]."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
-def _dissipator(op):
-    """Superoperator of A rho A^dag - {A^dag A, rho}/2."""
-    eye = np.eye(op.shape[0], dtype=complex)
-    anti = op.conj().T @ op
-    return np.kron(op.conj(), op) - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
-
-
-def generator_matrix(gen, t):
-    """The d^2 x d^2 superoperator of apply_generator at time t."""
-    k = _hamiltonian_part(_eval_hamiltonian(gen, t))
-    for op, rate in _eval_channels(gen, t):
-        k += rate * _dissipator(op)
-    return k
+    compiled = _CompiledGenerator(gen)
+    x = compiled.basis.conj().T @ rho.reshape(-1, order="F")
+    return (compiled.basis @ (compiled.matrices([t])[0] @ x)).reshape(rho.shape, order="F")
 
 
 def _check_uniform_grid(t_grid):
@@ -254,35 +225,30 @@ def _rk4_increments(compiled, times, h):
     return acc
 
 
-def _step_maps(compiled, t0, h, n):
-    """Increments of the RK4 step maps Phi(t0 + (k+1) h, t0 + k h), k < n, of
-    g <= STEP_BLOCK intervals at once (t0 and h of shape (g,)), as (k0,
-    increments of shape (m, g, d^2, d^2)) per block of m = STEP_BLOCK // g
-    steps from step k0, so that a block holds at most STEP_BLOCK steps' stage
-    matrices however the steps split into intervals."""
-    block = STEP_BLOCK // t0.size
-    for k0 in range(0, n, block):
-        m = min(block, n - k0)
-        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * (k0 + m) + 1)[:, None]
-        yield k0, _rk4_increments(compiled, times, h)
-
-
 def _running_maps(compiled, t0, h, n):
-    """Real Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in
-    lockstep, as (k0, maps) per block of _step_maps, with maps[j] = Phi(t0 +
-    (k0 + j + 1) h, t0) of shape (g, d^2, d^2).
+    """Real Phi(t0 + k h, t0), k = 1..n, of g <= STEP_BLOCK intervals
+    integrated in lockstep (t0 and h of shape (g,)), as (k0, maps) per block
+    of m <= STEP_BLOCK // g steps from step k0, with maps[j] = Phi(t0 + (k0 +
+    j + 1) h, t0) of shape (g, d^2, d^2), so that a block holds at most
+    STEP_BLOCK steps' stage matrices however the steps split into intervals.
 
-    A block's increments E_j are composed by a Hillis-Steele prefix scan that
-    never forms the identity, (I + B)(I + A) = I + (A + B + BA): ceil(log2 m)
-    batched products turn E_j into P_j - I for P_j = (I + E_j) ... (I + E_0),
-    and one more, S + (P_j - I) S, applies them to the carried map S.
+    A block's RK4 increments E_j are composed by a Hillis-Steele prefix scan
+    that never forms the identity, (I + B)(I + A) = I + (A + B + BA):
+    ceil(log2 m) batched products turn E_j into P_j - I for P_j = (I + E_j)
+    ... (I + E_0), and one more, S + (P_j - I) S, applies them to the carried
+    map S.
 
     Raises InvariantViolation at the first time where a map has a non-finite
-    entry (a generator that blows up at this step).
+    entry (a generator that blows up at this step). The check runs when the
+    consumer asks for the next block, so that it can first check the block it
+    holds and name an earlier time of its own.
     """
     d2 = compiled.gen.dim ** 2
     s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
-    for k0, maps in _step_maps(compiled, t0, h, n):
+    block = STEP_BLOCK // t0.size
+    for k0 in range(0, n, block):
+        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)[:, None]
+        maps = _rk4_increments(compiled, times, h)
         shift = 1
         while shift < len(maps):
             later = maps[shift:] @ maps[:-shift]
@@ -290,13 +256,13 @@ def _running_maps(compiled, t0, h, n):
             maps[shift:] += later
             shift *= 2
         np.add(s, maps @ s, out=maps)
+        yield k0, maps
         bad = ~np.isfinite(maps).all(axis=(2, 3))
         if bad.any():
             j, i = np.unravel_index(np.argmax(bad), bad.shape)
             t_bad = t0[i] + (k0 + 1 + j) * h[i]
             raise InvariantViolation(f"propagator has non-finite entries at t={t_bad:.6g}")
         s = maps[-1]
-        yield k0, maps
 
 
 def _interval_maps(compiled, t0, h, n):
@@ -323,10 +289,11 @@ def _substeps(span, h):
 def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     """RK4 solution of the master equation sampled on a uniform grid from 0.
 
-    The state is stepped in its real coordinates in the Hermitian basis, so
-    every state is Hermitian by construction; trace drift beyond 1e-8 or an
-    eigenvalue below -positivity_tol raises InvariantViolation naming the
-    first offending grid time.
+    The real maps of the flow (as in propagator_grid) act on rho0's real
+    coordinates in the Hermitian basis, so every state is Hermitian by
+    construction. The states of each block of the flow are checked at once:
+    trace drift beyond 1e-8 or an eigenvalue below -positivity_tol raises
+    InvariantViolation naming the first offending grid time.
     """
     t, h = _check_uniform_grid(t_grid)
     if abs(t[0]) > 1e-15:
@@ -339,29 +306,32 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     compiled = _CompiledGenerator(gen)
     x = np.empty((t.size, d * d))
     x[0] = (compiled.basis.conj().T @ rho0.reshape(-1, order="F")).real
-    for k0, increments in _step_maps(compiled, t[:1], np.array([h]), t.size - 1):
-        for k, e in enumerate(increments[:, 0], start=k0):
-            np.add(x[k], e @ x[k], out=x[k + 1])
-    states = (x @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2).copy()
-
-    out = []
-    for tk, m in zip(t, states):
-        drift = abs(np.trace(m).real - 1.0)
-        if drift > TRACE_DRIFT_TOL:
+    states = np.empty((t.size, d, d), dtype=complex)
+    a = 0
+    for k0, maps in _running_maps(compiled, t[:1], np.array([h]), t.size - 1):
+        b = k0 + 1 + len(maps)
+        x[k0 + 1 : b] = maps[:, 0] @ x[0]
+        m = states[a:b] = (x[a:b] @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2)
+        # A non-finite state is left to the flow's own check, or to DensityMatrix.
+        finite = np.isfinite(m).all(axis=(1, 2))
+        drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
+        least = _eigvalsh(np.where(finite[:, None, None], m, 0.0))[:, 0]
+        bad = (drift > TRACE_DRIFT_TOL) | (least < -positivity_tol)
+        if bad.any():
+            k = np.argmax(bad)
+            if drift[k] > TRACE_DRIFT_TOL:
+                raise InvariantViolation(
+                    f"trace drift {drift[k]:.3e} beyond {TRACE_DRIFT_TOL:.1e} at t={t[a + k]}"
+                )
             raise InvariantViolation(
-                f"trace drift {drift:.3e} beyond {TRACE_DRIFT_TOL:.1e} at t={tk}"
-            )
-        least = hermitian_eigenvalues(m, tol=1e-10)[0]
-        if least < -positivity_tol:
-            raise InvariantViolation(
-                f"state eigenvalue {least:.3e} below -{positivity_tol:.1e} at t={tk} "
+                f"state eigenvalue {least[k]:.3e} below -{positivity_tol:.1e} at t={t[a + k]} "
                 "(step too coarse, or the generator is not CP)"
             )
-        # Trace is monitored, never silently renormalized.
-        out.append(
-            DensityMatrix(m, positivity_tol=positivity_tol, trace_tol=TRACE_DRIFT_TOL)
-        )
-    return out
+        a = b
+    # Trace is monitored, never silently renormalized.
+    return [
+        DensityMatrix(m, positivity_tol=positivity_tol, trace_tol=TRACE_DRIFT_TOL) for m in states
+    ]
 
 
 @dataclass

@@ -5,7 +5,7 @@ Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
 relaxed by integrator callers). All randomness flows through explicit 64-bit
 seeds; parallel workers derive independent streams from (seed, worker index).
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,10 @@ class DensityMatrix:
     trace_tol: float = TRACE_TOL
 
     def __post_init__(self):
-        m = check_complex_matrix(self.matrix)
+        # Finiteness is the first of check_states' rules.
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         check_states(m[None], self.positivity_tol, self.trace_tol)
         self.matrix = m
 

@@ -2,12 +2,12 @@
 
 Everything here is deliberately coded apart from the library implementations
 it checks: the Volterra memory-kernel solver for the cavity amplitude, a
-second Hilbert-Schmidt sampler, a direct dissipator evaluation, the
-closed-form amplitude-damping solution, a brute-force bath average for
-the central-spin model, a cyclic Jacobi eigenvalue sweep in place of
-LAPACK, a step-by-step RK4 flow, the canonical decoherence rates of a
-generator, and the one-pair-at-a-time measure: trace distances, sigma and
-growth intervals of each pair on its own.
+second Hilbert-Schmidt sampler, a direct dissipator evaluation and the
+generator matrix built from it, the closed-form amplitude-damping solution,
+a brute-force bath average for the central-spin model, a cyclic Jacobi
+eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
+decoherence rates of a generator, and the one-pair-at-a-time measure: trace
+distances, sigma and growth intervals of each pair on its own.
 """
 import numpy as np
 
@@ -58,6 +58,21 @@ def lindblad_rhs(h, ops, rates, rho):
             - 0.5 * (op.conj().T @ op @ rho + rho @ op.conj().T @ op)
         )
     return out
+
+
+def generator_superoperator(gen, t):
+    """d^2 x d^2 matrix of the generator at time t on column-stacked
+    matrices: column j + d*k is vec(L(E_jk)), with L evaluated by
+    lindblad_rhs from the operators and rates of the GeneratorSpec at t."""
+    at = lambda f: f(t) if callable(f) else f
+    d = gen.dim
+    h = np.asarray(at(gen.hamiltonian), dtype=complex)
+    ops = [np.asarray(at(op), dtype=complex) for op, _ in gen.channels]
+    rates = [float(at(rate)) for _, rate in gen.channels]
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).swapaxes(1, 2)
+    return np.stack(
+        [lindblad_rhs(h, ops, rates, e).reshape(-1, order="F") for e in units], axis=1
+    )
 
 
 def amplitude_damping_solution(gamma0, rho0, t):

@@ -1,11 +1,18 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import amplitude_damping_solution, canonical_rates, lindblad_rhs, rk4_flow
+from oracles import (
+    amplitude_damping_solution,
+    canonical_rates,
+    generator_superoperator,
+    lindblad_rhs,
+    rk4_flow,
+)
 
 from nmflow.cli import load_custom_generator
 from nmflow.dynamics import (
@@ -14,7 +21,6 @@ from nmflow.dynamics import (
     _lockstep_groups,
     _rk4_increments,
     _running_maps,
-    _step_maps,
     _substeps,
     GeneratorSpec,
     Propagator,
@@ -23,7 +29,6 @@ from nmflow.dynamics import (
     constant_generator,
     divisibility_report,
     evolve_state,
-    generator_matrix,
     is_cp,
     propagator_between,
     propagator_grid,
@@ -96,7 +101,7 @@ class TestApplyGenerator:
 
     def test_superoperator_matches_direct_action(self):
         gen = jc_generator(JCParams(delta=5.0))
-        k = generator_matrix(gen, 0.7)
+        k = generator_superoperator(gen, 0.7)
         rng = np.random.default_rng(2)
         for _ in range(10):
             rho = random_hermitian(rng, 2)
@@ -134,6 +139,18 @@ class TestEvolveState:
         with pytest.raises(InvariantViolation, match="t="):
             evolve_state(gen, PLUS, np.linspace(0.0, 2.0, 201))
 
+    @pytest.mark.parametrize("rate, least", [
+        (-1.0, "-1.005e-02"), (-50.0, "-6.484e-01"), (-1e5, "-4.183e+10"),
+    ])
+    def test_first_offending_time_wins(self, rate, least):
+        # At rate -1e5 the flow turns non-finite at t=0.3, in the same block of
+        # steps as t=0.01; the state check still names the earlier time.
+        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        message = (f"state eigenvalue {least} below -1.0e-08 at t=0.01 "
+                   "(step too coarse, or the generator is not CP)")
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            evolve_state(gen, PLUS, np.linspace(0.0, 1.0, 101))
+
     def test_step_halving_is_fourth_order(self):
         gamma0 = 1.0
         gen = semigroup_generator(gamma0)
@@ -163,7 +180,7 @@ class TestPropagator:
 
     def test_constant_generator_matches_matrix_exponential(self):
         gen = semigroup_generator(0.8)
-        k = generator_matrix(gen, 0.0)
+        k = generator_superoperator(gen, 0.0)
         for t in (0.3, 1.1, 2.7):
             p = propagator_between(gen, 0.0, t, 1e-3)
             assert np.max(np.abs(p.superoperator - expm(k * t))) < 1e-7
@@ -217,9 +234,22 @@ def random_d4_generator():
     return GeneratorSpec(4, 0.5 * random_hermitian(rng, 4), [(ops[0], 0.3), (ops[1], rate)])
 
 
+def callable_d3_generator():
+    """d = 3 generator whose Hamiltonian, jump operator and rate all depend on
+    time, so that every operator is evaluated at each stage time."""
+    rng = np.random.default_rng(47)
+    h0, h1 = (0.5 * random_hermitian(rng, 3) for _ in range(2))
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    rate = lambda t: 0.3 + 0.1 * np.cos(np.asarray(t))
+    return GeneratorSpec(
+        3, lambda t: h0 + np.sin(t) * h1, [(lambda t: a + np.cos(2.0 * t) * b, rate)]
+    )
+
+
 FLOW_GENERATORS = {
     "jc-delta-8": lambda: jc_generator(JCParams(delta=8.0)),
     "random-d4": random_d4_generator,
+    "callable-d3": callable_d3_generator,
 }
 # One below, at and one above the block size, and a grid spanning several blocks.
 FLOW_STEPS = [STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 3 * STEP_BLOCK + 17]
@@ -233,7 +263,7 @@ class TestFlowMatchesStepByStepOracle:
     h = 1e-2
 
     def oracle(self, gen, t_grid):
-        return rk4_flow(lambda t: generator_matrix(gen, t), t_grid)
+        return rk4_flow(lambda t: generator_superoperator(gen, t), t_grid)
 
     def test_propagator_grid(self, name, steps):
         gen = FLOW_GENERATORS[name]()
@@ -279,7 +309,7 @@ def random_d3_generator():
 
 def rotating_d4_generator():
     """d = 4 generator whose jump operator turns with time, so that the
-    compiled generator takes the non-static path."""
+    compiled generator evaluates it at each stage time."""
     rng = np.random.default_rng(43)
     a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
     op = lambda t: np.cos(t) * a + np.sin(t) * b
@@ -291,6 +321,7 @@ REAL_BASIS_GENERATORS = {
     "semigroup": lambda: semigroup_generator(1.0),
     "random-d3": random_d3_generator,
     "rotating-d4": rotating_d4_generator,
+    "callable-d3": callable_d3_generator,
 }
 
 
@@ -302,7 +333,6 @@ class TestRealBasis:
     def test_real_stacks_map_back_to_the_generator(self, name):
         gen = REAL_BASIS_GENERATORS[name]()
         compiled = _CompiledGenerator(gen)
-        assert compiled.static == (name != "rotating-d4")
         b = compiled.basis
         d2 = gen.dim ** 2
         assert np.max(np.abs(b.conj().T @ b - np.eye(d2))) < 1e-15
@@ -313,7 +343,7 @@ class TestRealBasis:
         ks = compiled.matrices(times)
         assert ks.dtype == float and ks.shape == (times.size, d2, d2)
         for t, k in zip(times, ks):
-            assert np.max(np.abs(b @ k @ b.conj().T - generator_matrix(gen, t))) < 1e-14
+            assert np.max(np.abs(b @ k @ b.conj().T - generator_superoperator(gen, t))) < 1e-14
 
     @pytest.mark.parametrize("name", sorted(REAL_BASIS_GENERATORS))
     def test_complex_maps_invert_real(self, name):
@@ -337,10 +367,10 @@ class TestRealBasis:
         d2 = compiled.gen.dim ** 2
         s = np.broadcast_to(np.eye(d2), (g, d2, d2))
         expected = []
-        for _, increments in _step_maps(compiled, t0, h, n):
-            for e in increments:
-                s = s + e @ s
-                expected.append(s)
+        for k in range(n):
+            times = t0 + 0.5 * h * np.arange(2 * k, 2 * k + 3)[:, None]
+            s = s + _rk4_increments(compiled, times, h)[0] @ s
+            expected.append(s)
         got = np.concatenate([maps for _, maps in _running_maps(compiled, t0, h, n)])
         assert got.shape == (n, g, d2, d2)
         assert np.max(np.abs(got - np.stack(expected))) < 1e-13
@@ -655,6 +685,43 @@ class TestCanonicalRateOracle:
         report, divisible, _ = self.check(gen, np.linspace(0.0, 2.0, 21), 1e-3)
         assert report.divisible
         assert divisible == 20
+
+
+class TestOperatorChecks:
+    """A callable operator is checked at every stage time; the first offending
+    time raises. Stage times on this grid are multiples of 1/16."""
+
+    grid = 0.125 * np.arange(9)
+
+    def test_hamiltonian_not_hermitian_at_a_time(self):
+        ham = lambda t: SIGMA_Z + (1j * SIGMA_X if t > 0.3 else 0.0)
+        gen = GeneratorSpec(2, ham, [(SIGMA_MINUS, 1.0)])
+        with pytest.raises(
+            ValueError, match=r"^hamiltonian\(t=0\.3125\) not Hermitian: defect 2\.000e\+00$"
+        ):
+            propagator_grid(gen, self.grid)
+
+    def test_jump_operator_of_the_wrong_dimension_at_a_time(self):
+        op = lambda t: SIGMA_MINUS if t < 0.3 else np.eye(3)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(op, 1.0)])
+        with pytest.raises(
+            ValueError, match=r"^jump operator at t=0\.3125 has dimension 3, expected 2$"
+        ):
+            propagator_grid(gen, self.grid)
+
+    def test_the_earlier_time_wins_across_terms(self):
+        # The Hamiltonian is the first term, but its offence comes later.
+        ham = lambda t: SIGMA_Z + (1j * SIGMA_X if t > 0.4 else 0.0)
+        op = lambda t: SIGMA_MINUS if t < 0.2 else np.eye(3)
+        gen = GeneratorSpec(2, ham, [(op, 1.0)])
+        with pytest.raises(ValueError, match=r"^jump operator at t=0\.25 has dimension 3"):
+            propagator_grid(gen, self.grid)
+
+    def test_non_finite_operator_entry(self):
+        op = lambda t: SIGMA_MINUS * (np.nan if t > 0.3 else 1.0)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(op, 1.0)])
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            propagator_grid(gen, self.grid)
 
 
 class TestRateEvaluation:

@@ -34,6 +34,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape"):
+            DensityMatrix(np.zeros(shape, dtype=complex))
+
     def test_pair_dimension_mismatch(self):
         rho3 = DensityMatrix(np.eye(3, dtype=complex) / 3)
         with pytest.raises(ValueError, match="mismatch"):
@@ -213,3 +225,4 @@ class TestSerialization:
     def test_wrong_entry_count(self):
         with pytest.raises(ValueError, match="entry lines"):
             read_state_text("2\n1,0\n0,0\n")
+
