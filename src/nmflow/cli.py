@@ -26,7 +26,7 @@ from .exceptions import ConfigError, NumericalError
 from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
 MODELS = ("jc", "spinbath", "semigroup", "custom-file")
@@ -367,35 +367,16 @@ def write_csv(path, header, rows):
 def write_json(path, payload):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     with open(path, "w") as fh:
-        # An iterator in the payload (see _records) is written as a list.
-        json.dump(payload, fh, indent=2, default=list)
+        # An iterator in the payload (see _records) is written as a list;
+        # strict JSON has no NaN or infinity, so one raises instead.
+        json.dump(payload, fh, indent=2, default=list, allow_nan=False)
         fh.write("\n")
 
 
-def read_csv_grid(path):
-    """Read back a CSV written by this tool: (header, list of row lists).
-
-    Numeric fields become floats (17 significant digits round-trip binary64
-    exactly); other fields stay strings.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for row in reader:
-            parsed = []
-            for cell in row:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
-    return header, rows
-
-
 def _records(header, rows):
-    """The rows as JSON records keyed by header, made only if written."""
-    return (dict(zip(header, row)) for row in rows)
+    """The rows as JSON records keyed by header, made only if written, with
+    NaN (the one value unequal to itself) as null."""
+    return (dict(zip(header, (None if x != x else x for x in row))) for row in rows)
 
 
 def write_output(cfg, header, rows, payload):

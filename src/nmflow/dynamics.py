@@ -241,7 +241,9 @@ def _running_maps(compiled, t0, h, n):
     Raises InvariantViolation at the first time where a map has a non-finite
     entry (a generator that blows up at this step). The check runs when the
     consumer asks for the next block, so that it can first check the block it
-    holds and name an earlier time of its own.
+    holds and name an earlier time of its own. Its consumers silence NumPy's
+    overflow warnings by np.errstate, so that this exception is the one
+    report (an errstate set in here would leak to them across each yield).
     """
     d2 = compiled.gen.dim ** 2
     s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
@@ -265,6 +267,7 @@ def _running_maps(compiled, t0, h, n):
         s = maps[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _interval_maps(compiled, t0, h, n):
     """Phi(t0 + n h, t0) of g intervals with the same step count n >= 1,
     stacked (g, d^2, d^2) and column-stacked complex. Only the running maps
@@ -286,6 +289,7 @@ def _substeps(span, h):
     return n, span / n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     """RK4 solution of the master equation sampled on a uniform grid from 0.
 
@@ -392,6 +396,7 @@ def propagator_between(gen, t1, t2, h):
     return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def propagator_grid(gen, t_grid):
     """Phi(t_k, 0) for every grid point, one RK4 step per grid interval.
 

@@ -7,14 +7,13 @@ was obtained (RK4 integration of a generator or a closed form).
 
 The measure is the maximal total growth of the trace distance over all
 intervals where its derivative sigma is positive, maximized over pairs of
-initial states. The maximization is a deterministic seeded random search
-(half pure/pure, a quarter pure/mixed, a quarter mixed/mixed) with the two
-canonical qubit pairs always evaluated first, so known maximizers are never
-missed. Everything is truncated at a finite horizon; a run whose last
-interval still contributes more than 0.5 is flagged as diverging.
+initial states. N is homogeneous in rho1 - rho2 and an optimal pair is
+orthogonal, so the maximization is a deterministic seeded random search over
+pair differences (see _directions), with the two canonical qubit pairs
+always evaluated first, so known maximizers are never missed. Everything is
+truncated at a finite horizon; a run whose last interval still contributes
+more than 0.5 is flagged as diverging.
 """
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -23,17 +22,17 @@ import numpy as np
 
 from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
-from .linalg import hermitian_eigenvalues
-from .states import DensityMatrix, StatePair, check_states, random_states, state_rng
+from .linalg import _eigvalsh, hermitian_eigenvalues
+from .states import DensityMatrix, StatePair, state_rng
 
 D_VALUE_TOL = 1e-10
 THRESHOLD_FLOOR = 1e-12
 THRESHOLD_SCALE = 1e-9
 DIVERGENCE_CONTRIBUTION = 0.5
 # Entries of the work arrays of one block of pairs (at least one pair), which
-# bound the memory of a search with those of one chunk of draws: for qubits the
-# two (pairs x grid points) buffers of D and sigma, for d > 2 the (pairs x grid
-# points x d^2) evolved differences.
+# bound the memory of a search: for qubits the two (pairs x grid points)
+# buffers of D and sigma, for d > 2 the (pairs x grid points x d^2) evolved
+# differences.
 PAIR_BLOCK = 100_000
 # Columns: the column-stacked Pauli matrices I, X, Y, Z.
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
@@ -95,7 +94,7 @@ def make_time_grid(horizon, step):
 def _flow_dim(flow, times):
     """(d, times as an array) for a flow Phi(t_k, 0) of shape (T, d^2, d^2)
     on T times, at least 11 of them. That they form a uniform grid is checked
-    once per call where it is needed: by TrajectoryGrid and by _search."""
+    once per call where it is needed: by TrajectoryGrid and by search_pairs."""
     times = np.asarray(times, dtype=float)
     if times.size < 11:
         raise ValueError(f"{times.size - 1} grid intervals; sigma needs >= 10")
@@ -323,39 +322,28 @@ def canonical_pairs(dim):
     return [z, x]
 
 
-def _sample_states(dim, seed, index):
-    """Unvalidated rho1 and rho2 stacks of the sample pairs index (an array):
-    rho1 of pair i from worker 2i, rho2 from worker 2i + 1, and indices mod 4
-    give the 2:1:1 pure/pure : pure/mixed : mixed/mixed mix."""
-    return (
-        random_states(dim, seed, 2 * index, index % 4 == 3),
-        random_states(dim, seed, 2 * index + 1, index % 4 >= 2),
-    )
+def _directions(dim, rng, n):
+    """The next n sample directions from the stream rng, stacked (n, d, d):
+    the Hermitian part of a complex Gaussian matrix, its trace removed and
+    scaled to trace norm 2, so that it is the difference of an orthogonal
+    pair (see _direction_pair) with D(0) = 1."""
+    g = rng.standard_normal((n, 2, dim, dim))
+    x = g[:, 0] + 1j * g[:, 1]
+    x = x + x.conj().swapaxes(1, 2)
+    x -= np.trace(x, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
+    # Half the trace norm: closed form for qubits, which otherwise call no
+    # eigensolver (a first LAPACK call adds about 0.9 MB to the peak RSS).
+    half = (np.hypot(x[:, 0, 0].real, np.abs(x[:, 0, 1])) if dim == 2
+            else 0.5 * np.abs(_eigvalsh(x)).sum(axis=1))
+    return x / half[:, None, None]
 
 
-def sample_pair(dim, seed, index):
-    """Deterministic pair for a sample index (see _sample_states)."""
-    rho1, rho2 = (DensityMatrix(m[0]) for m in _sample_states(dim, seed, np.array([index])))
-    return StatePair(rho1, rho2, label=f"sample-{index}")
-
-
-def _sample_blocks(dim, seed, n_pairs, size):
-    """Differences rho1 - rho2 of sample pairs 0 .. n_pairs - 1 in chunks of
-    size, each chunk drawn and validated at once (in draw order)."""
-    for start in range(0, n_pairs, size):
-        rho1, rho2 = _sample_states(dim, seed, np.arange(start, min(start + size, n_pairs)))
-        check_states(np.stack([rho1, rho2], axis=1).reshape(-1, dim, dim))
-        yield rho1 - rho2
-
-
-def _blocks(chunks, size):
-    """Consecutive blocks of size pairs sliced from stacked chunks of any size."""
-    rest = ()
-    for chunk in chunks:
-        chunk = np.concatenate([rest, chunk]) if len(rest) else chunk
-        rest = chunk[len(chunk) - len(chunk) % size :]
-        yield from (chunk[k : k + size] for k in range(0, len(chunk) - len(rest), size))
-    yield from [rest] if len(rest) else []
+def _direction_pair(x, label):
+    """The pair (X+, X-) of the positive and negative parts of a direction X
+    (see _directions): orthogonal states with rho1 - rho2 = X."""
+    w, v = np.linalg.eigh(x)
+    rho1, rho2 = ((v * np.maximum(sign * w, 0.0)) @ v.conj().T for sign in (1.0, -1.0))
+    return StatePair(DensityMatrix(rho1), DensityMatrix(rho2), label=label)
 
 
 @dataclass
@@ -369,19 +357,21 @@ class PairSearch:
     failures: List[str] = field(default_factory=list)
 
 
-def _pair_values(flow, chunks, times, threshold=None):
-    """(start, values, errors, intervals) of each block of _block_size pairs
-    sliced (see _blocks) from differences rho1 - rho2 stacked (P, d, d) in
-    chunks of any size, under the flow on times, a uniform grid that the caller
-    has checked. D and sigma of a block go into two work buffers allocated once,
-    and its growth intervals are found at once. A failed pair has value NaN and
-    its reason in errors (None for the others); its block-mates still score.
+def _pair_values(flow, n, diffs, times, threshold=None):
+    """(start, block, values, errors, intervals) of each block of _block_size
+    of n pairs under the flow on times, a uniform grid that the caller has
+    checked; diffs(start, stop) gives the block of differences rho1 - rho2 of
+    pairs start .. stop - 1, stacked (P, d, d), and is called in pair order.
+    D and sigma of a block go into two work buffers allocated once, and its
+    growth intervals are found at once. A failed pair has value NaN and its
+    reason in errors (None for the others); its block-mates still score.
     intervals: (rows, a, b, contributions) of the scored pairs, rows in block."""
     d, times = _flow_dim(flow, times)
     op = _pair_operator(flow, d)
     size = _block_size(times, d)
     work = np.empty((2, size, times.size))
-    for n, block in enumerate(_blocks(chunks, size)):
+    for start in range(0, n, size):
+        block = diffs(start, min(start + size, n))
         p = len(block)
         errs = _distances(op, block, times, work)
         dist, sigma = work[0, :p], _sigma(work[0, :p], times[1] - times[0], work[1, :p])
@@ -392,57 +382,63 @@ def _pair_values(flow, chunks, times, threshold=None):
         # bincount adds each row's contributions in order, as sum() does.
         totals = np.bincount(rows, weights=c, minlength=p)
         keep = ok[rows]
-        yield n * size, np.where(ok, totals, np.nan), errs, (rows[keep], a[keep], b[keep], c[keep])
+        found = (rows[keep], a[keep], b[keep], c[keep])
+        yield start, block, np.where(ok, totals, np.nan), errs, found
 
 
 def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
-    """Evaluate canonical plus n_pairs sampled pairs under the flow on times,
-    tracking the maximum.
+    """Evaluate the canonical pairs, then n_pairs sample directions (see
+    _directions) from the stream state_rng(seed), under the flow on times,
+    tracking the maximum. Sample i is the i-th direction of the stream,
+    whatever the grid or the block size.
 
     Ties are broken in favor of the first evaluated pair (canonical pairs
     first, then sample order), so the result is deterministic and the best
-    value is monotone in n_pairs. Only the best pair gets its interval list.
+    value is monotone in n_pairs. Only the best pair gets its interval list
+    and, if it is a sample, its states (see _direction_pair).
     """
-    return _search(flow, n_pairs, times, threshold, seed, _sample_blocks)
-
-
-def _search(flow, n_pairs, times, threshold, seed, draw):
-    """search_pairs, with the sample chunks from draw(dim, seed, n_pairs, chunk
-    size) (see _sample_blocks); of each pair only its value and failure stay."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
     dim, times = _flow_dim(flow, times)
     _check_uniform_grid(times)
+    rng = state_rng(seed)
     canonical = canonical_pairs(dim)
-    labels = {i - len(canonical): p.label for i, p in enumerate(canonical)}  # by sample index
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
-    # Sample chunks of at most PAIR_BLOCK entries at the peak of check_states, 20 d^2 a pair.
-    chunks = itertools.chain([first], draw(dim, seed, n_pairs, max(1, PAIR_BLOCK // (20 * dim**2))))
-    values, failures, peak = [], [], -np.inf
-    for start, vals, errs, (rows, a, b, c) in _pair_values(flow, chunks, times, threshold):
-        values.append(vals)
-        failures += [
-            f"{labels.get(i, f'sample-{i}')}: {e}"
-            for i, e in enumerate(errs, start - len(labels)) if e
-        ]
+    m = len(canonical)
+
+    def diffs(start, stop):
+        drawn = _directions(dim, rng, max(0, stop - max(start, m)))
+        return np.concatenate([first[start:stop], drawn])
+
+    def label(i):
+        return canonical[i].label if i < m else f"sample-{i - m}"
+
+    # Of the samples only their failures and maximum stay, so that memory
+    # does not grow with n_pairs.
+    n_canonical, n_sampled_max, failures, peak = [], 0.0, [], -np.inf
+    for start, block, vals, errs, (rows, a, b, c) in _pair_values(
+        flow, m + n_pairs, diffs, times, threshold
+    ):
+        k = max(0, m - start)  # canonical pairs come first
+        n_canonical += vals[:k].tolist()
+        n_sampled_max = float(np.fmax.reduce(vals[k:], initial=n_sampled_max))  # skips NaN
+        failures += [f"{label(i)}: {e}" for i, e in enumerate(errs, start) if e]
         if np.fmax.reduce(vals) > peak:  # NaN if the whole block failed
             i = int(np.nanargmax(vals))  # the first of equal values
-            peak, best, intervals = vals[i], start + i, [x[rows == i] for x in (a, b, c)]
-    failed = np.isnan(values := np.concatenate(values))
-    if failed.all():
+            peak, best, diff = vals[i], start + i, block[i]
+            intervals = [x[rows == i] for x in (a, b, c)]
+    if len(failures) == m + n_pairs:
         raise NumericalError("all pair evaluations failed; first failure: " + failures[0])
-    if failed[: len(canonical)].any():
+    if np.isnan(n_canonical).any():
         # The canonical pairs hold the known maximizers: without one of them
         # the reported maximum cannot be trusted. Their failures come first.
         raise NumericalError("canonical pair failed: " + failures[0])
-    pair = canonical[best] if best < len(canonical) else sample_pair(dim, seed, best - len(canonical))
+    pair = canonical[best] if best < m else _direction_pair(diff, label(best))
     result = _measure_result(_interval_list(*intervals), times, pair)
-    evaluated = result.samples_evaluated = len(values) - len(failures)
+    evaluated = result.samples_evaluated = m + n_pairs - len(failures)
     result.seed = seed
-    sampled = values[len(canonical) :]
-    n_sampled_max = float(np.max(sampled, initial=0.0, where=~failed[len(canonical) :]))
-    return PairSearch(result, float(values[0]), n_sampled_max, evaluated, failures)
+    return PairSearch(result, n_canonical[0], n_sampled_max, evaluated, failures)
 
 
 @dataclass
@@ -461,19 +457,16 @@ class SweepRecord:
 def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     """search_pairs on the flow flow_family(value) for each parameter value;
     per-point failures, building the flow included, are recorded in the
-    output instead of aborting the sweep. The sample pairs are drawn and
-    validated once and evaluated at every point."""
+    output instead of aborting the sweep."""
     parameters = list(parameters)
     if not parameters:
         raise ValueError("parameter grid is empty")
     _check_threshold(threshold)
     state_rng(seed)  # rejects a seed that is not an integer before any point
-    # Every point with the same dimension reuses the chunks drawn first.
-    draw = functools.cache(lambda *key: list(_sample_blocks(*key)))
     records = []
     for value in parameters:
         try:
-            search = _search(flow_family(value), n_pairs, times, threshold, seed, draw)
+            search = search_pairs(flow_family(value), n_pairs, times, threshold, seed)
             records.append(
                 SweepRecord(
                     parameter=float(value),

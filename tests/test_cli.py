@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmflow.cli import KEYS, build_parser, main, read_csv_grid, resolve_config, time_grid
+from nmflow.cli import KEYS, build_parser, main, resolve_config, time_grid
 from nmflow.exceptions import ConfigError
 from nmflow.models import (
     POLE_TOL,
@@ -24,6 +25,27 @@ from nmflow.states import DensityMatrix, save_state
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_csv_grid(path):
+    """Read back a CSV written by nmflow: (header, list of row lists).
+
+    Numeric fields become floats (17 significant digits round-trip binary64
+    exactly); other fields stay strings.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for row in reader:
+            parsed = []
+            for cell in row:
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    parsed.append(cell)
+            rows.append(parsed)
+    return header, rows
 
 
 class TestConfigHandling:
@@ -239,8 +261,22 @@ class TestRate:
         assert run("rate", "--model", "semigroup", "--horizon", "2",
                    "--step", "0.1", "--format", "json", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert all(rec["gamma_over_gamma0"] == 1.0 for rec in payload["rate"])
+
+    def test_json_pole_rows_are_strict_json(self, tmp_path):
+        out = tmp_path / "rate.json"
+        step = np.pi / 40.0
+        assert run("rate", "--model", "spinbath", "--n-spins", "5", "--horizon", str(60 * step),
+                   "--step", str(step), "--format", "json", "--output", str(out)) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        poles = [rec for rec in payload["rate"] if rec["flag"] == "pole"]
+        assert len(poles) == 3
+        assert all(rec["gamma_over_a"] is None for rec in poles)
 
 
 class TestTrajectory:
@@ -502,10 +538,11 @@ class TestDivisibility:
 
 def _same_cell(csv_cell, json_cell):
     """A CSV cell read back by read_csv_grid against the JSON value of the
-    same run: booleans are written true/false, NaN as nan."""
+    same run: booleans are written true/false, NaN as nan in CSV and null in
+    JSON."""
     if isinstance(json_cell, bool):
         return csv_cell == ("true" if json_cell else "false")
-    if isinstance(json_cell, float) and math.isnan(json_cell):
+    if json_cell is None:
         return isinstance(csv_cell, float) and math.isnan(csv_cell)
     return csv_cell == json_cell
 

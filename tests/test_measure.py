@@ -14,18 +14,16 @@ from nmflow.measure import (
     PAIR_BLOCK,
     GrowthInterval,
     _block_size,
-    _blocks,
+    _direction_pair,
+    _directions,
     _pair_operator,
     _pair_values,
-    _sample_blocks,
-    _sample_states,
     canonical_pairs,
     default_threshold,
     growth_intervals,
     make_time_grid,
     n_for_pair,
     n_from_trajectory,
-    sample_pair,
     search_pairs,
     sweep,
     trajectory,
@@ -50,6 +48,8 @@ from nmflow.states import (
     qubit_from_bloch,
     random_mixed_state,
     random_pure_state,
+    state_rng,
+    trace_distance,
 )
 
 Z_PAIR, X_PAIR = canonical_pairs(2)
@@ -185,7 +185,9 @@ class TestTrajectory:
     def test_d2_distance_matches_per_point_products(self):
         gen = jc_generator(JCParams(delta=8.0))
         flow, times = grid_flow(gen, 5.0, 1e-3)
-        for pair in (Z_PAIR, X_PAIR, sample_pair(2, 4, 2), sample_pair(2, 4, 3)):
+        pure_mixed = StatePair(random_pure_state(2, 4, 4), random_mixed_state(2, 4, 5))
+        mixed_mixed = StatePair(random_mixed_state(2, 4, 6), random_mixed_state(2, 4, 7))
+        for pair in (Z_PAIR, X_PAIR, pure_mixed, mixed_mixed):
             traj = trajectory(flow, pair, times)
             diff0 = (pair.rho1.matrix - pair.rho2.matrix).reshape(-1, order="F")
             expected = qubit_distance_grid(np.stack([phi @ diff0 for phi in flow]))
@@ -324,60 +326,52 @@ class TestPerPairValue:
 
 class TestPairSearch:
     def test_sample_pairs_are_deterministic(self):
-        for index in (0, 1, 2, 3, 7):
-            p1 = sample_pair(2, 42, index)
-            p2 = sample_pair(2, 42, index)
-            assert np.array_equal(p1.rho1.matrix, p2.rho1.matrix)
-            assert np.array_equal(p1.rho2.matrix, p2.rho2.matrix)
-        other = sample_pair(2, 43, 0)
-        assert not np.array_equal(other.rho1.matrix, sample_pair(2, 42, 0).rho1.matrix)
-
-    def test_sample_mix_of_purities(self):
-        kinds = []
-        for index in range(8):
-            pair = sample_pair(2, 0, index)
-            kinds.append((pair.rho1.purity() > 1 - 1e-10,
-                          pair.rho2.purity() > 1 - 1e-10))
-        # index % 4 in {0,1}: pure/pure; 2: pure/mixed; 3: mixed/mixed.
-        assert kinds[0] == kinds[1] == (True, True)
-        assert kinds[2] == (True, False)
-        assert kinds[3] == (False, False)
+        # Sample i is the i-th direction of the stream state_rng(seed).
+        for dim in (2, 4):
+            drawn = _directions(dim, state_rng(42), 8)
+            assert np.array_equal(drawn, _directions(dim, state_rng(42), 8))
+            assert not np.array_equal(drawn, _directions(dim, state_rng(43), 8))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_stacked_draws_equal_sample_pair(self, dim):
-        n = 400
-        for seed in (0, 9):
-            states = _sample_states(dim, seed, np.arange(n))
-            diffs = np.concatenate(list(_sample_blocks(dim, seed, n, 64)))
-            for i in range(n):
-                pair = sample_pair(dim, seed, i)
-                # The 2:1:1 rule: rho1 mixed for i % 4 == 3, rho2 for i % 4 >= 2.
-                draw1 = random_mixed_state if i % 4 == 3 else random_pure_state
-                draw2 = random_mixed_state if i % 4 >= 2 else random_pure_state
-                rho1, rho2 = draw1(dim, seed, worker=2 * i), draw2(dim, seed, worker=2 * i + 1)
-                assert np.array_equal(pair.rho1.matrix, rho1.matrix)
-                assert np.array_equal(pair.rho2.matrix, rho2.matrix)
-                assert np.array_equal(states[0][i], rho1.matrix)
-                assert np.array_equal(states[1][i], rho2.matrix)
-                assert np.array_equal(diffs[i], rho1.matrix - rho2.matrix)
+    def test_directions_are_differences_of_orthogonal_pairs(self, dim):
+        for i, x in enumerate(_directions(dim, state_rng(9), 50)):
+            assert np.array_equal(x, x.conj().T)
+            assert abs(np.trace(x)) <= 1e-14
+            assert abs(np.sum(np.abs(np.linalg.eigvalsh(x))) - 2.0) <= 1e-14
+            pair = _direction_pair(x, f"sample-{i}")
+            assert pair.label == f"sample-{i}"
+            # The eigendecomposition rounds each part by a few ulp.
+            assert np.max(np.abs(pair.rho1.matrix - pair.rho2.matrix - x)) <= 1e-14
+            assert abs(np.trace(pair.rho1.matrix @ pair.rho2.matrix)) <= 1e-14
+            assert abs(trace_distance(pair.rho1, pair.rho2) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_draws_do_not_depend_on_the_chunk_size(self, dim):
-        n = 300
-        expected = np.concatenate(list(_sample_blocks(dim, 9, n, 64)))
-        for size in (1, 3, 10**4):
-            chunks = list(_sample_blocks(dim, 9, n, size))
-            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
-            assert np.array_equal(np.concatenate(chunks), expected)
+    def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch, dim):
+        # Direction i is the same whatever the grid or the block size, and the
+        # directions are drawn block by block after the two canonical pairs.
+        import nmflow.measure
 
-    def test_blocks_hold_the_same_pairs_whatever_the_chunks(self):
-        pairs = np.arange(50.0)[:, None, None] * np.ones((1, 2, 2))
-        for size in (1, 3, 7, 64):
-            expected = [pairs[k : k + size] for k in range(0, len(pairs), size)]
-            for cuts in ([], [2], [2, 9, 10, 30], list(range(1, 50))):
-                blocks = list(_blocks(np.split(pairs, cuts), size))
-                assert len(blocks) == len(expected)
-                assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+        n = 60
+        expected = _directions(dim, state_rng(9), n)
+        drawn = []
+
+        def recorded(dim, rng, count):
+            drawn.append(_directions(dim, rng, count))
+            return drawn[-1]
+
+        monkeypatch.setattr(nmflow.measure, "_directions", recorded)
+        identity = constant_generator(np.zeros((dim, dim)), [])
+        width = 2 if dim == 2 else dim * dim  # work entries per pair and grid point
+        for horizon, size in ((0.1, None), (0.5, None), (0.1, 1), (0.1, 3), (0.1, 7)):
+            flow, times = grid_flow(identity, horizon, 1e-2)
+            if size is not None:
+                monkeypatch.setattr(nmflow.measure, "PAIR_BLOCK", size * times.size * width)
+            size = _block_size(times, dim)
+            drawn.clear()
+            search_pairs(flow, n, times, seed=9)
+            counts = [max(0, min(a + size, n + 2) - max(a, 2)) for a in range(0, n + 2, size)]
+            assert [len(x) for x in drawn] == counts
+            assert np.array_equal(np.concatenate(drawn), expected)
 
     @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
     def test_seed_that_is_not_an_integer_rejected(self, bad):
@@ -390,39 +384,6 @@ class TestPairSearch:
         assert search_pairs(flow, 6, times, seed=np.int64(1)).best.n_value == (
             search_pairs(flow, 6, times, seed=1).best.n_value
         )
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("spoil", ["non-finite", "Hermitian", "trace", "eigenvalue"])
-    def test_invalid_draw_raises_the_state_error(self, monkeypatch, dim, spoil):
-        import nmflow.measure
-
-        def spoiled(m):
-            m = m.copy()
-            if spoil == "non-finite":
-                m[0, 0] = np.nan
-            elif spoil == "Hermitian":
-                m[0, 1] += 1e-6
-            elif spoil == "trace":
-                m *= 2.0
-            else:
-                m = np.diag([1.5, -0.5] + [0.0] * (dim - 2)).astype(complex)
-            return m
-
-        def one_bad_state(dim, seed, index):
-            # rho2 of sample 5, in the middle of its block.
-            rho1, rho2 = _sample_states(dim, seed, index)
-            for k in np.flatnonzero(index == 5):
-                rho2[k] = spoiled(rho2[k])
-            return rho1, rho2
-
-        with pytest.raises(ValueError) as expected:
-            DensityMatrix(spoiled(sample_pair(dim, 0, 5).rho2.matrix))
-        monkeypatch.setattr(nmflow.measure, "_sample_states", one_bad_state)
-        flow, times = grid_flow(constant_generator(np.zeros((dim, dim)), []), 1.0, 1e-2)
-        assert _block_size(times, dim) > 12
-        with pytest.raises(ValueError) as raised:
-            search_pairs(flow, 12, times, seed=0)
-        assert str(raised.value) == str(expected.value)
 
     def test_search_reports_canonical_and_sampled(self):
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
@@ -529,22 +490,10 @@ class TestSweep:
         b = sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=1)
         assert [r.n_value for r in a] == [r.n_value for r in b]
 
-    def test_samples_are_drawn_once_for_every_point(self, monkeypatch):
-        import nmflow.measure
-
-        drawn = []
-
-        def counted(dim, seed, index):
-            drawn.extend(index)
-            return _sample_states(dim, seed, index)
-
-        monkeypatch.setattr(nmflow.measure, "_sample_states", counted)
+    def test_every_point_equals_a_direct_search(self):
         times = make_time_grid(20.0, 2e-3)
         deltas = [0.0, 6.0, 8.0]
         records = sweep(jc_flows(times), deltas, times, 5, seed=1)
-        # Each sample once, then only the best pairs drawn again.
-        assert drawn[:5] == list(range(5))
-        assert len(drawn) - 5 == sum(r.best_pair_label.startswith("sample") for r in records)
         for rec, delta in zip(records, deltas):
             direct = search_pairs(jc_flows(times)(delta), 5, times, seed=1)
             assert rec.n_value == direct.best.n_value
@@ -601,24 +550,27 @@ def negative_rate_d4_generator():
     return GeneratorSpec(4, 0.5 * (a + a.conj().T), [(ops[0], 0.3), (ops[1], rate)])
 
 
-def bloch_map_flow(times, transverse, longitudinal):
+def bloch_map_flow(times, transverse, longitudinal, y=None):
     """Flow whose Pauli-basis map is diag(1, f, f, g)(t): the x and y Bloch
-    components scale by f, the z component by g."""
+    components scale by f, the z component by g; or with y, diag(1, f, y, g)."""
     paulis = [np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z]
     basis = np.stack([p.reshape(-1, order="F") for p in paulis], axis=1)
     m = np.zeros((times.size, 4, 4))
     m[:, 0, 0] = 1.0
     m[:, 1, 1] = m[:, 2, 2] = transverse(times)
+    if y is not None:
+        m[:, 2, 2] = y(times)
     m[:, 3, 3] = longitudinal(times)
     # The Pauli matrices are orthogonal with norm^2 2, so B^dag Phi B / 2 = m.
     return 0.5 * basis @ m @ basis.conj().T
 
 
-def pair_values(flow, chunks, times):
-    """The blocks of _pair_values joined: (values, errors, intervals), the
-    intervals' rows indexing pairs."""
+def pair_values(flow, diffs, times):
+    """The blocks of _pair_values over the stacked differences diffs joined:
+    (values, errors, intervals), the intervals' rows indexing pairs."""
     values, errors, found = [], [], []
-    for start, vals, errs, (rows, a, b, c) in _pair_values(flow, chunks, times):
+    blocks = _pair_values(flow, len(diffs), lambda a, b: diffs[a:b], times)
+    for start, _, vals, errs, (rows, a, b, c) in blocks:
         values.append(vals)
         errors += errs
         found.append((rows + start, a, b, c))
@@ -626,8 +578,16 @@ def pair_values(flow, chunks, times):
 
 
 def diffs_of(pairs):
-    """The pairs' differences rho1 - rho2 as one stacked block."""
-    return [np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])]
+    """The pairs' differences rho1 - rho2, stacked."""
+    return np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])
+
+
+def random_pairs(dim, seed, count):
+    """Seeded pairs of every kind in turn: pure/pure, mixed/pure, pure/mixed,
+    mixed/mixed."""
+    draw = (random_pure_state, random_mixed_state)
+    return [StatePair(draw[i % 2](dim, seed, 2 * i), draw[i // 2 % 2](dim, seed, 2 * i + 1))
+            for i in range(count)]
 
 
 BATCH_CASES = {
@@ -649,7 +609,7 @@ class TestBatchedPairs:
         # Qubit blocks hold two (pairs x T) work buffers, d > 2 blocks the
         # (pairs x T x d^2) evolved differences.
         assert size == PAIR_BLOCK // (times.size * (2 if dim == 2 else dim * dim)) > 2
-        pairs = canonical_pairs(dim) + [sample_pair(dim, 5, i) for i in range(3 * size - 1)]
+        pairs = canonical_pairs(dim) + random_pairs(dim, 5, 3 * size - 1)
         expected = [pair_value(flow, pair, times) for pair in pairs]
         assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
         # One pair, one below a block, one block, one above, several blocks.
@@ -674,7 +634,7 @@ class TestBatchedPairs:
             lambda t: 1.0 + 0.5 * np.sin(t),
         )
         swapped = StatePair(X_PAIR.rho2, X_PAIR.rho1, label="swapped-x")
-        pairs = [X_PAIR, Z_PAIR, swapped] + [sample_pair(2, 1, i) for i in range(8)]
+        pairs = [X_PAIR, Z_PAIR, swapped] + random_pairs(2, 1, 8)
         assert len(pairs) < _block_size(times, 2)
         values, errors, _ = pair_values(flow, diffs_of(pairs), times)
         expected = [pair_value(flow, pair, times) for pair in pairs]
@@ -716,22 +676,34 @@ class TestBatchedPairs:
     def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
         import nmflow.measure
 
-        def copies_of_z(dim, seed, index):
-            """Every sample pair drawn as the canonical z pair."""
-            return (np.tile(Z_PAIR.rho1.matrix, (len(index), 1, 1)),
-                    np.tile(Z_PAIR.rho2.matrix, (len(index), 1, 1)))
+        def copies_of_z(dim, rng, count):
+            """Every sample direction drawn as the canonical z pair's difference."""
+            return np.tile(diffs_of([Z_PAIR]), (count, 1, 1))
 
-        monkeypatch.setattr(nmflow.measure, "_sample_states", copies_of_z)
+        monkeypatch.setattr(nmflow.measure, "_directions", copies_of_z)
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 10.0, 1e-3)
         n_pairs = 2 * _block_size(times, 2) + 1
-        copies = [StatePair(DensityMatrix(a), DensityMatrix(b))
-                  for a, b in zip(*copies_of_z(2, 0, range(n_pairs)))]
-        values, _, _ = pair_values(flow, diffs_of([Z_PAIR] + copies), times)
+        values, _, _ = pair_values(flow, copies_of_z(2, None, n_pairs + 1), times)
         # The same pair scores the same to the bit at every place in a block.
         assert np.all(values == values[0])
         search = search_pairs(flow, n_pairs, times)
         assert search.best.n_value == search.n_canonical == search.n_sampled_max > 0.0
         assert search.best.best_pair.label == "canonical-z"
+
+    def test_sample_wins_where_the_canonical_pairs_score_zero(self):
+        # Only the y Bloch component moves: both canonical pairs keep D = 1.
+        times = make_time_grid(3.0, 2e-3)
+        flow = bloch_map_flow(times, np.ones_like, np.ones_like,
+                              y=lambda t: np.exp(-0.25 * t) * np.cos(2.0 * t))
+        search = search_pairs(flow, 20, times, seed=0)
+        assert search.failures == []
+        assert search.n_canonical == 0.0 and search.best.n_value == search.n_sampled_max > 0.0
+        pair = search.best.best_pair
+        assert pair.label.startswith("sample-")
+        rho1, rho2 = (DensityMatrix(rho.matrix) for rho in (pair.rho1, pair.rho2))
+        assert abs(np.trace(rho1.matrix @ rho2.matrix)) <= 1e-12
+        assert abs(trace_distance(rho1, rho2) - 1.0) <= 1e-14
+        assert abs(n_for_pair(flow, pair, times).n_value - search.best.n_value) <= 1e-14
 
     def test_best_value_is_the_plain_sum_of_its_intervals(self):
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)

@@ -4,11 +4,11 @@ Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nmflow.dynamics import divisibility_report, propagator_between, propagator_grid
-from nmflow.measure import growth_intervals, make_time_grid, n_for_pair, trajectory
+from nmflow.measure import _direction_pair, growth_intervals, make_time_grid, n_for_pair, trajectory
 from nmflow.models import JCParams, jc_generator
 from nmflow.states import DensityMatrix, StatePair, qubit_from_bloch, trace_distance
 
@@ -71,6 +71,19 @@ def test_n_is_homogeneous_in_the_pair_difference(rho1, rho2, delta, c):
     full = n_for_pair(flow, StatePair(rho1, rho2), times)
     scaled = n_for_pair(flow, StatePair(rho1, mixed), times)
     assert abs(scaled.n_value - c * full.n_value) <= N_TOL
+
+
+@PROPERTY_SETTINGS
+@given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings)
+def test_n_of_the_scaled_jordan_pair_is_n_over_the_initial_distance(rho1, rho2, delta):
+    # (rho1 - rho2) / D(0) has trace norm 2: its positive and negative parts
+    # are the orthogonal pair that a search reports for a sampled direction.
+    d0 = trace_distance(rho1, rho2)
+    assume(d0 > 0.0)
+    flow, times = flow_for(delta)
+    jordan = _direction_pair((rho1.matrix - rho2.matrix) / d0, "jordan")
+    full = n_for_pair(flow, StatePair(rho1, rho2), times)
+    assert abs(n_for_pair(flow, jordan, times).n_value - full.n_value / d0) <= N_TOL
 
 
 @PROPERTY_SETTINGS
