@@ -362,10 +362,10 @@ class TestPairSearch:
         monkeypatch.setattr(nmflow.measure, "_directions", recorded)
         identity = constant_generator(np.zeros((dim, dim)), [])
         width = 2 if dim == 2 else dim * dim  # work entries per pair and grid point
-        for horizon, size in ((0.1, None), (0.5, None), (0.1, 1), (0.1, 3), (0.1, 7)):
+        for horizon, forced in ((0.1, None), (0.5, None), (0.1, 1), (0.1, 3), (0.1, 7)):
             flow, times = grid_flow(identity, horizon, 1e-2)
-            if size is not None:
-                monkeypatch.setattr(nmflow.measure, "PAIR_BLOCK", size * times.size * width)
+            if forced is not None:
+                monkeypatch.setattr(nmflow.measure, "PAIR_BLOCK", forced * times.size * width)
             size = _block_size(times, dim)
             drawn.clear()
             search_pairs(flow, n, times, seed=9)
