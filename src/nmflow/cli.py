@@ -42,6 +42,7 @@ RULES = {
     "positive": lambda x: x > 0,
     "nonnegative": lambda x: x >= 0,
     "at least 1": lambda x: x >= 1,
+    "in [0, 2^64)": lambda x: 0 <= x < 2**64,
 }
 BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -109,7 +110,7 @@ KEYS = (
            ("output", str, None, "--output", "output file path"),
            ("format", ("csv", "json"), "csv", "--format", "output format")),
     *_keys(MODELS, SEARCH,
-           ("seed", int, "0", "--seed", "pair-sampling seed", "nonnegative"),
+           ("seed", int, "0", "--seed", "pair-sampling seed", "in [0, 2^64)"),
            ("sigma_threshold", float, None, "--sigma-threshold",
             "growth threshold on sigma (default: relative to its peak)", "nonnegative"),
            ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs", "at least 1")),
@@ -267,9 +268,7 @@ def load_custom_generator(path):
 
     def matrix(node, what):
         try:
-            return np.asarray(node["re"], dtype=float) + 1j * np.asarray(
-                node["im"], dtype=float
-            )
+            return np.asarray(node["re"], dtype=float) + 1j * np.asarray(node["im"], dtype=float)
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"{path}: malformed {what} matrix")
 
@@ -324,19 +323,14 @@ def resolve_pair(cfg):
     """Initial pair from a canonical name, Bloch vectors, or state files."""
     spec = cfg.values.get("pair_bloch")
     if spec:
-        halves = spec.split(";")
-        if len(halves) != 2:
+        halves = [half.split(",") for half in spec.split(";")]
+        if len(halves) != 2 or any(len(comps) != 3 for comps in halves):
             raise ConfigError(f"pair_bloch needs 'x,y,z;x,y,z', got {spec!r}")
-        states = []
-        for half in halves:
-            comps = half.split(",")
-            if len(comps) != 3:
-                raise ConfigError(f"pair_bloch needs 'x,y,z;x,y,z', got {spec!r}")
-            try:
-                states.append(qubit_from_bloch(*(float(c) for c in comps)))
-            except ValueError as exc:
-                raise ConfigError(f"pair_bloch: {exc}")
-        return StatePair(states[0], states[1], label="bloch")
+        try:
+            rho1, rho2 = (qubit_from_bloch(*map(float, comps)) for comps in halves)
+        except ValueError as exc:
+            raise ConfigError(f"pair_bloch: {exc}")
+        return StatePair(rho1, rho2, label="bloch")
     if cfg.values.get("pair_files"):
         paths = cfg.values["pair_files"].split(";")
         if len(paths) != 2:
@@ -438,13 +432,10 @@ def cmd_trajectory(cfg):
 
 
 def _pair_report(pair):
-    if pair.rho1.dim == 2:
-        return {
-            "label": pair.label,
-            "rho1_bloch": list(bloch_from_qubit(pair.rho1)),
-            "rho2_bloch": list(bloch_from_qubit(pair.rho2)),
-        }
-    return {"label": pair.label, "dim": pair.rho1.dim}
+    if pair.rho1.dim != 2:
+        return {"label": pair.label, "dim": pair.rho1.dim}
+    return {"label": pair.label, "rho1_bloch": list(bloch_from_qubit(pair.rho1)),
+            "rho2_bloch": list(bloch_from_qubit(pair.rho2))}
 
 
 def cmd_measure(cfg):
@@ -508,13 +499,8 @@ def cmd_divisibility(cfg):
     return 0
 
 
-COMMANDS = {
-    "rate": cmd_rate,
-    "trajectory": cmd_trajectory,
-    "measure": cmd_measure,
-    "sweep": cmd_sweep,
-    "divisibility": cmd_divisibility,
-}
+COMMANDS = {"rate": cmd_rate, "trajectory": cmd_trajectory, "measure": cmd_measure,
+            "sweep": cmd_sweep, "divisibility": cmd_divisibility}
 
 
 def build_parser():

@@ -9,10 +9,11 @@ The measure is the maximal total growth of the trace distance over all
 intervals where its derivative sigma is positive, maximized over pairs of
 initial states. N is homogeneous in rho1 - rho2 and an optimal pair is
 orthogonal, so the maximization is a deterministic seeded random search over
-pair differences (see _directions), with the two canonical qubit pairs
-always evaluated first, so known maximizers are never missed. Everything is
-truncated at a finite horizon; a run whose last interval still contributes
-more than 0.5 is flagged as diverging.
+pair differences (see _directions), drawn from a counter-based SplitMix64
+stream, with the two canonical qubit pairs always evaluated first, so known
+maximizers are never missed. Everything is truncated at a finite horizon; a
+run whose last interval still contributes more than 0.5 is flagged as
+diverging.
 """
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import _eigvalsh, hermitian_eigenvalues
-from .states import DensityMatrix, StatePair, state_rng
+from .states import DensityMatrix, StatePair
 
 D_VALUE_TOL = 1e-10
 THRESHOLD_FLOOR = 1e-12
@@ -298,36 +299,51 @@ def n_for_pair(flow, pair, times, threshold=None):
     return n_from_trajectory(trajectory(flow, pair, times), pair, threshold)
 
 
-def _basis_state(dim, index):
-    m = np.zeros((dim, dim), dtype=complex)
-    m[index, index] = 1.0
-    return DensityMatrix(m)
-
-
-def _superposition_state(dim, sign):
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0 / np.sqrt(2.0)
-    psi[1] = sign / np.sqrt(2.0)
-    return DensityMatrix(np.outer(psi, psi.conj()))
-
-
 def canonical_pairs(dim):
     """The always-evaluated pairs: antipodal z-axis and x-axis (for d=2) pairs."""
-    z = StatePair(_basis_state(dim, 0), _basis_state(dim, 1), label="canonical-z")
-    x = StatePair(
-        _superposition_state(dim, +1.0),
-        _superposition_state(dim, -1.0),
-        label="canonical-x",
-    )
-    return [z, x]
+    s, states = 1.0 / np.sqrt(2.0), []
+    for amplitudes in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s)):
+        psi = np.zeros(dim, dtype=complex)
+        psi[:2] = amplitudes
+        states.append(DensityMatrix(np.outer(psi, psi.conj())))
+    return [StatePair(*states[:2], label="canonical-z"),
+            StatePair(*states[2:], label="canonical-x")]
 
 
-def _directions(dim, rng, n):
-    """The next n sample directions from the stream rng, stacked (n, d, d):
-    the Hermitian part of a complex Gaussian matrix, its trace removed and
-    scaled to trace norm 2, so that it is the difference of an orthogonal
-    pair (see _direction_pair) with D(0) = 1."""
-    g = rng.standard_normal((n, 2, dim, dim))
+def _check_seed(seed):
+    """A seed of the pair stream: a Python or NumPy integer in [0, 2^64)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+def _splitmix64(seed, start, n):
+    """SplitMix64 outputs start .. start + n - 1 of seed (Steele, Lea, Flood,
+    OOPSLA 2014), each a pure function of (seed, j), all mod 2^64: output j
+    is mix(seed + (j + 1) 0x9E3779B97F4A7C15)."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ z >> np.uint64(shift)) * np.uint64(mult)
+    return z ^ z >> np.uint64(31)
+
+
+def _normals(seed, start, n):
+    """Normals start .. start + n - 1 (both even) of the stream of seed:
+    normals 2k, 2k + 1 are r cos(theta), r sin(theta), r = sqrt(-2 log1p(-u_2k))
+    and theta = 2 pi u_2k+1, of the uniforms u_j = (output j >> 11) 2^-53."""
+    u = ((_splitmix64(seed, start, n) >> np.uint64(11)) * 2.0**-53).reshape(-1, 2)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:, 0])), 2.0 * np.pi * u[:, 1]
+    return (r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)).ravel()
+
+
+def _directions(dim, seed, start, n):
+    """Sample directions start .. start + n - 1 of the stream of seed, stacked
+    (n, d, d): the Hermitian part of a complex Gaussian matrix, its trace
+    removed and scaled to trace norm 2, so that it is the difference of an
+    orthogonal pair (see _direction_pair) with D(0) = 1. Direction i is made
+    of normals 2d^2 i .. 2d^2 (i + 1) - 1 (see _normals), real parts first."""
+    k = 2 * dim * dim
+    g = _normals(seed, k * start, k * n).reshape(n, 2, dim, dim)
     x = g[:, 0] + 1j * g[:, 1]
     x = x + x.conj().swapaxes(1, 2)
     x -= np.trace(x, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
@@ -387,10 +403,10 @@ def _pair_values(flow, n, diffs, times, threshold=None):
 
 
 def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
-    """Evaluate the canonical pairs, then n_pairs sample directions (see
-    _directions) from the stream state_rng(seed), under the flow on times,
-    tracking the maximum. Sample i is the i-th direction of the stream,
-    whatever the grid or the block size.
+    """Evaluate the canonical pairs, then sample directions 0 .. n_pairs - 1
+    of the stream of seed (see _directions), under the flow on times,
+    tracking the maximum. Sample i is direction i of the stream, whatever the
+    grid or the block size.
 
     Ties are broken in favor of the first evaluated pair (canonical pairs
     first, then sample order), so the result is deterministic and the best
@@ -402,14 +418,14 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     _check_threshold(threshold)
     dim, times = _flow_dim(flow, times)
     _check_uniform_grid(times)
-    rng = state_rng(seed)
+    _check_seed(seed)
     canonical = canonical_pairs(dim)
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
     m = len(canonical)
 
     def diffs(start, stop):
-        drawn = _directions(dim, rng, max(0, stop - max(start, m)))
-        return np.concatenate([first[start:stop], drawn])
+        a = max(start, m)  # the first sample of the block
+        return np.concatenate([first[start:stop], _directions(dim, seed, a - m, max(0, stop - a))])
 
     def label(i):
         return canonical[i].label if i < m else f"sample-{i - m}"
@@ -462,7 +478,7 @@ def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     if not parameters:
         raise ValueError("parameter grid is empty")
     _check_threshold(threshold)
-    state_rng(seed)  # rejects a seed that is not an integer before any point
+    _check_seed(seed)  # here: a point's ValueError is recorded, not raised
     records = []
     for value in parameters:
         try:

@@ -2,8 +2,10 @@
 
 States are d x d complex density matrices. Validation tolerances:
 Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
-relaxed by integrator callers). All randomness flows through explicit 64-bit
-seeds; parallel workers derive independent streams from (seed, worker index).
+relaxed by integrator callers). The random states draw from NumPy's seeded
+streams, one per (seed, worker index), and load numpy.random only when first
+drawn; a pair search draws from its own counter-based stream (see
+measure._directions) and loads none of it.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -22,12 +24,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-def check_complex_matrix(m):
-    """Validate and return a square complex matrix with finite entries."""
+def check_complex_matrix(m, finite=True):
+    """Validate and return a square complex matrix, with finite entries
+    unless finite is False (for callers whose next check tests that)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if finite and not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -42,9 +45,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         # Finiteness is the first of check_states' rules.
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = check_complex_matrix(self.matrix, finite=False)
         check_states(m[None], self.positivity_tol, self.trace_tol)
         self.matrix = m
 
@@ -79,15 +80,13 @@ def trace_distance(rho1, rho2):
     """Trace distance D = (1/2) sum |eigenvalues(rho1 - rho2)|, in [0, 1].
 
     The difference of two states is Hermitian, so D is half the absolute sum
-    of its real eigenvalues.
+    of its real eigenvalues; hermitian_eigenvalues checks that it is finite.
     """
-    m1 = rho1.matrix if isinstance(rho1, DensityMatrix) else check_complex_matrix(rho1)
-    m2 = rho2.matrix if isinstance(rho2, DensityMatrix) else check_complex_matrix(rho2)
+    m1, m2 = (r.matrix if isinstance(r, DensityMatrix) else check_complex_matrix(r, finite=False)
+              for r in (rho1, rho2))
     if m1.shape != m2.shape:
         raise ValueError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
-    diff = m1 - m2
-    eigs = hermitian_eigenvalues(diff, tol=1e-10)
-    d = 0.5 * float(np.sum(np.abs(eigs)))
+    d = 0.5 * float(np.sum(np.abs(hermitian_eigenvalues(m1 - m2, tol=1e-10))))
     if d > 1.0 + 1e-10:
         raise ValueError(f"trace distance {d} exceeds 1 beyond tolerance")
     return min(max(d, 0.0), 1.0)
@@ -171,9 +170,7 @@ def bloch_from_qubit(rho):
     m = rho.matrix if isinstance(rho, DensityMatrix) else check_complex_matrix(rho)
     if m.shape[0] != 2:
         raise ValueError(f"Bloch vector requires dim 2, got {m.shape[0]}")
-    x = float(np.trace(m @ SIGMA_X).real)
-    y = float(np.trace(m @ SIGMA_Y).real)
-    z = float(np.trace(m @ SIGMA_Z).real)
+    x, y, z = (float(np.trace(m @ s).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
     if x * x + y * y + z * z > 1.0 + 1e-10:
         raise ValueError("Bloch vector lies outside the unit ball beyond tolerance")
     return x, y, z

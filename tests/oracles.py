@@ -7,8 +7,11 @@ generator matrix built from it, the closed-form amplitude-damping solution,
 a brute-force bath average for the central-spin model, a cyclic Jacobi
 eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
 decoherence rates of a generator, and the one-pair-at-a-time measure: trace
-distances, sigma and growth intervals of each pair on its own.
+distances, sigma and growth intervals of each pair on its own, and the
+SplitMix64 pair-direction stream in Python integers.
 """
+import math
+
 import numpy as np
 
 
@@ -288,3 +291,30 @@ def seeded_state(dim, seed, worker, mixed):
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed, j):
+    """Output j of the SplitMix64 stream of seed, in Python integers masked
+    to 64 bits: the state after j + 1 steps of the golden-ratio increment,
+    then the mix (Steele, Lea, Flood, OOPSLA 2014)."""
+    z = (seed + (j + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_normals(seed, start, count):
+    """Normals start .. start + count - 1 (start and count even) of the pair
+    stream of seed, one Box-Muller pair at a time: r cos(theta), r sin(theta)
+    with r = sqrt(-2 log1p(-u_2k)), theta = 2 pi u_2k+1, u_j = (output j >> 11)
+    2^-53. The transcendental functions are NumPy's, called on one value at a
+    time: NumPy's SIMD log1p need not round as the C library's does."""
+    out = []
+    for k in range(start // 2, (start + count) // 2):
+        u, v = (float(splitmix64(seed, j) >> 11) * 2.0**-53 for j in (2 * k, 2 * k + 1))
+        r, theta = math.sqrt(-2.0 * float(np.log1p(-u))), 2.0 * math.pi * v
+        out += [r * float(np.cos(theta)), r * float(np.sin(theta))]
+    return out

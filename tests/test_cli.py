@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmflow
 from nmflow.cli import KEYS, build_parser, main, resolve_config, time_grid
 from nmflow.exceptions import ConfigError
 from nmflow.models import (
@@ -128,6 +132,8 @@ class TestConfigHandling:
         ("rate", "format = xml", "format"),
         ("divisibility", "clamp_rate = maybe", "clamp_rate"),
         ("trajectory", "pair = y", "pair"),
+        ("measure --seed 18446744073709551616", "", "seed"),
+        ("sweep --seed -1", "", "seed"),
     ])
     def test_bad_value_is_exit_2(self, tmp_path, capsys, argv, config, key):
         cfg = tmp_path / "run.cfg"
@@ -427,6 +433,39 @@ class TestMeasure:
                    "--horizon", "5", "--step", "0.01",
                    "--output", str(out), "--format", "json") == 0
         assert json.loads(out.read_text())["n_value"] == 0.0
+
+    def test_seed_range_is_that_of_the_pair_stream(self, tmp_path, capsys):
+        # Seeds are 64-bit: 2^64 - 1 is the largest, 2^64 a config error.
+        out = tmp_path / "m.json"
+        for seed in ("18446744073709551615", "0"):
+            assert run("measure", "--model", "jc", "--delta", "8", "--n-pairs", "3",
+                       "--horizon", "1", "--step", "0.01", "--seed", seed,
+                       "--format", "json", "--output", str(out)) == 0
+            assert json.loads(out.read_text())["seed"] == int(seed)
+        assert run("measure", "--seed", "18446744073709551616", "--output", str(out)) == 2
+        assert "seed must be in [0, 2^64), got '18446744073709551616'" in capsys.readouterr().err
+
+    def test_pair_search_loads_neither_numpy_random_nor_hashlib(self, tmp_path):
+        # The pair directions come from the SplitMix64 stream in NumPy integer
+        # arithmetic: numpy.random, and through it hashlib and OpenSSL, would
+        # add about 5 MB to the peak RSS of a command.
+        script = (
+            "import sys\n"
+            "from nmflow.cli import main\n"
+            "assert main(['measure', '--model', 'jc', '--delta', '8', '--n-pairs', '20',"
+            " '--horizon', '2', '--step', '0.01', '--output', 'm.csv']) == 0\n"
+            "assert main(['sweep', '--model', 'jc', '--delta-points', '2', '--n-pairs', '5',"
+            " '--horizon', '2', '--step', '0.01', '--output', 's.csv']) == 0\n"
+            "print(sorted({'numpy.random', 'hashlib'} & set(sys.modules)))\n"
+        )
+        src = str(Path(nmflow.__file__).resolve().parents[1])
+        env = {**os.environ, "NMFLOW_OUTPUT_DIR": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "m.csv").exists() and (tmp_path / "s.csv").exists()
 
     def test_malformed_generator_file_is_exit_2(self, tmp_path):
         gen_file = tmp_path / "gen.json"

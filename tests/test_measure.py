@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import pair_value, pauli_map, qubit_distance_grid
+from oracles import pair_value, pauli_map, qubit_distance_grid, splitmix64, splitmix_normals
 
 from nmflow.dynamics import (
     GeneratorSpec,
@@ -16,8 +16,10 @@ from nmflow.measure import (
     _block_size,
     _direction_pair,
     _directions,
+    _normals,
     _pair_operator,
     _pair_values,
+    _splitmix64,
     canonical_pairs,
     default_threshold,
     growth_intervals,
@@ -48,7 +50,6 @@ from nmflow.states import (
     qubit_from_bloch,
     random_mixed_state,
     random_pure_state,
-    state_rng,
     trace_distance,
 )
 
@@ -326,15 +327,15 @@ class TestPerPairValue:
 
 class TestPairSearch:
     def test_sample_pairs_are_deterministic(self):
-        # Sample i is the i-th direction of the stream state_rng(seed).
+        # Sample i is direction i of the stream of the seed.
         for dim in (2, 4):
-            drawn = _directions(dim, state_rng(42), 8)
-            assert np.array_equal(drawn, _directions(dim, state_rng(42), 8))
-            assert not np.array_equal(drawn, _directions(dim, state_rng(43), 8))
+            drawn = _directions(dim, 42, 0, 8)
+            assert np.array_equal(drawn, _directions(dim, 42, 0, 8))
+            assert not np.array_equal(drawn, _directions(dim, 43, 0, 8))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_directions_are_differences_of_orthogonal_pairs(self, dim):
-        for i, x in enumerate(_directions(dim, state_rng(9), 50)):
+        for i, x in enumerate(_directions(dim, 9, 0, 50)):
             assert np.array_equal(x, x.conj().T)
             assert abs(np.trace(x)) <= 1e-14
             assert abs(np.sum(np.abs(np.linalg.eigvalsh(x))) - 2.0) <= 1e-14
@@ -347,16 +348,23 @@ class TestPairSearch:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_draws_do_not_depend_on_the_chunk_size(self, monkeypatch, dim):
-        # Direction i is the same whatever the grid or the block size, and the
-        # directions are drawn block by block after the two canonical pairs.
+        # Direction i is a function of (seed, i) alone, so that any start and
+        # count split of the stream gives the same rows; a search draws the
+        # directions block by block, in order, after the two canonical pairs.
         import nmflow.measure
 
         n = 60
-        expected = _directions(dim, state_rng(9), n)
-        drawn = []
+        expected = _directions(dim, 9, 0, n)
+        for i in (0, 1, 17, n - 1):
+            assert np.array_equal(_directions(dim, 9, i, 1)[0], expected[i])
+        for cuts in ((0, 7, 60), (0, 1, 2, 31, 59, 60), (0, 0, 60)):
+            parts = [_directions(dim, 9, a, b - a) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), expected)
+        drawn, starts = [], []
 
-        def recorded(dim, rng, count):
-            drawn.append(_directions(dim, rng, count))
+        def recorded(dim, seed, start, count):
+            starts.append(start)
+            drawn.append(_directions(dim, seed, start, count))
             return drawn[-1]
 
         monkeypatch.setattr(nmflow.measure, "_directions", recorded)
@@ -368,22 +376,27 @@ class TestPairSearch:
                 monkeypatch.setattr(nmflow.measure, "PAIR_BLOCK", forced * times.size * width)
             size = _block_size(times, dim)
             drawn.clear()
+            starts.clear()
             search_pairs(flow, n, times, seed=9)
             counts = [max(0, min(a + size, n + 2) - max(a, 2)) for a in range(0, n + 2, size)]
             assert [len(x) for x in drawn] == counts
+            assert starts == np.concatenate([[0], np.cumsum(counts)[:-1]]).tolist()
             assert np.array_equal(np.concatenate(drawn), expected)
 
-    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", -1, np.int64(-1), 2**64])
     def test_seed_that_is_not_an_integer_rejected(self, bad):
         times = make_time_grid(1.0, 1e-2)
         flow = propagator_grid(jc_generator(JCParams(delta=8.0)), times)
-        with pytest.raises(ValueError, match="must be integers"):
+        message = r"^seed must be an integer in \[0, 2\^64\), got "
+        with pytest.raises(ValueError, match=message):
             search_pairs(flow, 6, times, seed=bad)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=message):
             sweep(jc_flows(times), [0.0, 6.0], times, 2, seed=bad)
         assert search_pairs(flow, 6, times, seed=np.int64(1)).best.n_value == (
             search_pairs(flow, 6, times, seed=1).best.n_value
         )
+        top = search_pairs(flow, 6, times, seed=2**64 - 1).best
+        assert top.n_value == search_pairs(flow, 6, times, seed=np.uint64(2**64 - 1)).best.n_value
 
     def test_search_reports_canonical_and_sampled(self):
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
@@ -470,6 +483,38 @@ class TestPairSearch:
 def jc_flows(times):
     """Family of jc RK4 flows on times, by detuning."""
     return lambda d: propagator_grid(jc_generator(JCParams(delta=d)), times)
+
+
+class TestPairStream:
+    def test_known_answers(self):
+        # SplitMix64's published outputs for seeds 0 and 1234567.
+        assert _splitmix64(0, 0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert _splitmix64(1234567, 0, 5).tolist() == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_outputs_and_normals_match_the_integer_oracle(self, seed):
+        # The state seed + (j + 1) 0x9E3779B97F4A7C15 passes 2^64 from j = 1
+        # on for every seed here (from j = 0 for 2^64 - 1), and far out.
+        for start, count in ((0, 40), (2, 6), (1000, 8), (2**40, 16)):
+            assert _splitmix64(seed, start, count).tolist() == [
+                splitmix64(seed, j) for j in range(start, start + count)]
+            expected = np.array(splitmix_normals(seed, start, count))
+            assert np.array_equal(_normals(seed, start, count).view(np.int64),
+                                  expected.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_direction_is_made_of_its_normals(self, dim):
+        # Direction i: normals 2d^2 i .. 2d^2 (i + 1) - 1, real parts first.
+        k = 2 * dim * dim
+        g = np.array(splitmix_normals(7, 5 * k, k)).reshape(2, dim, dim)
+        x = g[0] + 1j * g[1]
+        x = x + x.conj().T
+        x -= np.trace(x) / dim * np.eye(dim)
+        x /= 0.5 * np.sum(np.abs(np.linalg.eigvalsh(x)))
+        assert np.max(np.abs(_directions(dim, 7, 5, 1)[0] - x)) <= 1e-14
 
 
 class TestSweep:
@@ -676,14 +721,14 @@ class TestBatchedPairs:
     def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
         import nmflow.measure
 
-        def copies_of_z(dim, rng, count):
+        def copies_of_z(dim, seed, start, count):
             """Every sample direction drawn as the canonical z pair's difference."""
             return np.tile(diffs_of([Z_PAIR]), (count, 1, 1))
 
         monkeypatch.setattr(nmflow.measure, "_directions", copies_of_z)
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 10.0, 1e-3)
         n_pairs = 2 * _block_size(times, 2) + 1
-        values, _, _ = pair_values(flow, copies_of_z(2, None, n_pairs + 1), times)
+        values, _, _ = pair_values(flow, copies_of_z(2, 0, 0, n_pairs + 1), times)
         # The same pair scores the same to the bit at every place in a block.
         assert np.all(values == values[0])
         search = search_pairs(flow, n_pairs, times)

@@ -68,6 +68,21 @@ class TestTraceDistance:
         with pytest.raises(ValueError, match="mismatch"):
             trace_distance(EXCITED, rho3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # A raw matrix is checked for finite entries once, through the
+        # eigenvalue call on the difference.
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            trace_distance(m, EXCITED)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            trace_distance(EXCITED.matrix, m)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape"):
+            trace_distance(np.zeros((2, 3)), EXCITED)
+
     def test_orthogonal_pairs_saturate_upper_bound(self):
         for seed in range(25):
             rho = random_pure_state(2, seed)
