@@ -5,8 +5,6 @@ from .states import (
     DensityMatrix,
     StatePair,
     trace_distance,
-    random_pure_state,
-    random_mixed_state,
     bloch_from_qubit,
     qubit_from_bloch,
 )

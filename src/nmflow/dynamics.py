@@ -294,10 +294,12 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     """RK4 solution of the master equation sampled on a uniform grid from 0.
 
     The real maps of the flow (as in propagator_grid) act on rho0's real
-    coordinates in the Hermitian basis, so every state is Hermitian by
-    construction. The states of each block of the flow are checked at once:
-    trace drift beyond 1e-8 or an eigenvalue below -positivity_tol raises
-    InvariantViolation naming the first offending grid time.
+    coordinates in the Hermitian basis, so every state is Hermitian, with a
+    real trace, by construction. The states of each block of the flow are
+    checked at once: a non-finite entry, trace drift beyond 1e-8 or an
+    eigenvalue below -positivity_tol raises InvariantViolation naming the
+    first offending grid time. These are check_states' rules, so the
+    returned DensityMatrix objects are built without a second check.
     """
     t, h = _check_uniform_grid(t_grid)
     if abs(t[0]) > 1e-15:
@@ -316,13 +318,14 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
         b = k0 + 1 + len(maps)
         x[k0 + 1 : b] = maps[:, 0] @ x[0]
         m = states[a:b] = (x[a:b] @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2)
-        # A non-finite state is left to the flow's own check, or to DensityMatrix.
         finite = np.isfinite(m).all(axis=(1, 2))
         drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
         least = _eigvalsh(np.where(finite[:, None, None], m, 0.0))[:, 0]
-        bad = (drift > TRACE_DRIFT_TOL) | (least < -positivity_tol)
+        bad = ~finite | (drift > TRACE_DRIFT_TOL) | (least < -positivity_tol)
         if bad.any():
             k = np.argmax(bad)
+            if not finite[k]:
+                raise InvariantViolation(f"state has non-finite entries at t={t[a + k]}")
             if drift[k] > TRACE_DRIFT_TOL:
                 raise InvariantViolation(
                     f"trace drift {drift[k]:.3e} beyond {TRACE_DRIFT_TOL:.1e} at t={t[a + k]}"
@@ -333,9 +336,7 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
             )
         a = b
     # Trace is monitored, never silently renormalized.
-    return [
-        DensityMatrix(m, positivity_tol=positivity_tol, trace_tol=TRACE_DRIFT_TOL) for m in states
-    ]
+    return [DensityMatrix._checked(m, positivity_tol, TRACE_DRIFT_TOL) for m in states]
 
 
 @dataclass
@@ -375,9 +376,7 @@ def _check_maps(s, d):
     s5 = s.reshape(-1, d, d, d, d)
     hp_defect = np.max(np.abs(s5 - s5.transpose(0, 2, 1, 4, 3).conj()))
     if hp_defect > PROPAGATOR_TOL:
-        raise InvariantViolation(
-            f"propagator not Hermiticity preserving: defect {hp_defect:.3e}"
-        )
+        raise InvariantViolation(f"propagator not Hermiticity preserving: defect {hp_defect:.3e}")
 
 
 def propagator_between(gen, t1, t2, h):

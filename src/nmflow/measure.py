@@ -11,9 +11,11 @@ initial states. N is homogeneous in rho1 - rho2 and an optimal pair is
 orthogonal, so the maximization is a deterministic seeded random search over
 pair differences (see _directions), drawn from a counter-based SplitMix64
 stream, with the two canonical qubit pairs always evaluated first, so known
-maximizers are never missed. Everything is truncated at a finite horizon; a
-run whose last interval still contributes more than 0.5 is flagged as
-diverging.
+maximizers are never missed. For qubits a search evaluates D only around the
+steps whose map can expand some pair difference (see _growth_steps), where
+information can flow back; for d > 2 at every grid point. Everything is
+truncated at a finite horizon; a run whose last interval still contributes
+more than 0.5 is flagged as diverging.
 """
 import math
 from dataclasses import dataclass, field
@@ -35,6 +37,9 @@ DIVERGENCE_CONTRIBUTION = 0.5
 # buffers of D and sigma, for d > 2 the (pairs x grid points x d^2) evolved
 # differences.
 PAIR_BLOCK = 100_000
+# A qubit step is skipped unless it may raise D (see _growth_steps).
+GROWTH_MARGIN = 1e-13
+TRACE_ROW_TOL = 1e-12
 # Columns: the column-stacked Pauli matrices I, X, Y, Z.
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
 
@@ -125,8 +130,48 @@ def _pair_operator(flow, d):
     return flow.reshape(-1, d * d)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _growth_steps(op):
+    """Flags of the steps k (t_k to t_{k+1}) across which D may rise for some
+    qubit pair, from the _pair_operator op. With M_k = op[1:, :, k] and Q_k =
+    M_k^T M_k, |M_{k+1} x|^2 - |M_k x|^2 = x^T (Q_{k+1} - Q_k) x. A step is
+    unflagged only if the Gershgorin discs of Q_{k+1} - Q_k + GROWTH_MARGIN s I,
+    s = max(tr Q_k, tr Q_{k+1}) >= ||Q||, lie in (-inf, 0] and the trace row
+    op[0] stays within TRACE_ROW_TOL: then every |M x| falls by at least
+    GROWTH_MARGIN sqrt(s) |x| / 2, twenty times the rounding of two computed
+    D (about 5 ulp of sqrt(s) |x| each) and of the test, so D cannot rise
+    unless its trace part (at most sqrt(3) TRACE_ROW_TOL |x|) exceeds the
+    Bloch length. NaN and inf flag. Q is formed over slices of grid points."""
+    flags = np.empty(op.shape[-1] - 1, dtype=bool)
+    for k in range(0, flags.size, 1024):
+        m = op[..., k : k + 1025]
+        q = np.einsum("aik,ajk->ijk", m[1:], m[1:])
+        dq, tr = q[..., 1:] - q[..., :-1], np.trace(q)
+        centre = np.diagonal(dq).T
+        radius = np.abs(dq).sum(axis=1) - np.abs(centre)
+        margin = GROWTH_MARGIN * np.maximum(tr[1:], tr[:-1])
+        contracts = np.all(centre + radius + margin <= 0, axis=0)  # False for NaN
+        traceless = np.abs(m[0]).max(axis=0) <= TRACE_ROW_TOL
+        flags[k : k + 1024] = ~(contracts & traceless[1:] & traceless[:-1])
+    return flags
+
+
+def _evaluated_columns(op, d, t):
+    """Grid columns, of t, at which a search evaluates D: for qubits the
+    windows [k - 2, k + 3] around the steps k of _growth_steps and the first
+    and last three columns (see search_pairs); for d > 2 every column."""
+    if d > 2:
+        return np.arange(t)
+    keep = np.zeros(t + 4, dtype=bool)  # keep[j + 2]: column j
+    flags = _growth_steps(op)
+    for shift in range(6):
+        keep[shift : shift + t - 1] |= flags
+    keep[2:5] = keep[t - 1 : t + 2] = True
+    return np.flatnonzero(keep[2:-2])
+
+
 def _block_size(times, d):
-    """Pairs per block: PAIR_BLOCK entries of a block's work arrays."""
+    """Pairs per block: PAIR_BLOCK entries of a block's work arrays on times."""
     return max(1, PAIR_BLOCK // (times.size * (2 if d == 2 else d * d)))
 
 
@@ -378,19 +423,26 @@ def _pair_values(flow, n, diffs, times, threshold=None):
     of n pairs under the flow on times, a uniform grid that the caller has
     checked; diffs(start, stop) gives the block of differences rho1 - rho2 of
     pairs start .. stop - 1, stacked (P, d, d), and is called in pair order.
-    D and sigma of a block go into two work buffers allocated once, and its
-    growth intervals are found at once. A failed pair has value NaN and its
-    reason in errors (None for the others); its block-mates still score.
-    intervals: (rows, a, b, contributions) of the scored pairs, rows in block."""
+    D and sigma of a block, on the evaluated columns (see search_pairs), go
+    into two work buffers allocated once, and its growth intervals are found
+    at once. A failed pair has value NaN and its reason in errors (None for
+    the others); its block-mates still score. intervals: (rows, a, b,
+    contributions) of the scored pairs, rows in block."""
     d, times = _flow_dim(flow, times)
-    op = _pair_operator(flow, d)
+    h, op = times[1] - times[0], _pair_operator(flow, d)
+    cols = _evaluated_columns(op, d, times.size)
+    if cols.size < times.size:
+        op, times = op[..., cols], times[cols]
+    # Columns whose neighbours are not both evaluated: sigma 0 (see search_pairs).
+    gaps = np.flatnonzero(cols[2:] - cols[:-2] != 2) + 1
     size = _block_size(times, d)
     work = np.empty((2, size, times.size))
     for start in range(0, n, size):
         block = diffs(start, min(start + size, n))
         p = len(block)
         errs = _distances(op, block, times, work)
-        dist, sigma = work[0, :p], _sigma(work[0, :p], times[1] - times[0], work[1, :p])
+        dist, sigma = work[0, :p], _sigma(work[0, :p], h, work[1, :p])
+        sigma[:, gaps] = 0.0
         rows, a, b, c = _growth(times, dist, sigma, threshold)
         for r, x in zip(rows[c < -1e-12], c[c < -1e-12]):
             errs[r] = errs[r] or f"negative contribution {float(x)}"
@@ -412,6 +464,14 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     first, then sample order), so the result is deterministic and the best
     value is monotone in n_pairs. Only the best pair gets its interval list
     and, if it is a sample, its states (see _direction_pair).
+
+    D is evaluated on _evaluated_columns only. A positive sigma_j needs a
+    flagged step j - 1 or j, and an interval endpoint interpolates from one
+    column further out, so the windows hold both; outside them D falls, as
+    does the first D beyond 1 + 1e-8. sigma at the edge of an evaluated run,
+    whose two steps are unflagged, is set to 0. The default threshold is 1e-9
+    of the peak |sigma| over the evaluated columns, floored at 1e-12 (where
+    growth_intervals reads the whole row); a given threshold is used as is.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -483,16 +543,9 @@ def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     for value in parameters:
         try:
             search = search_pairs(flow_family(value), n_pairs, times, threshold, seed)
-            records.append(
-                SweepRecord(
-                    parameter=float(value),
-                    n_value=search.best.n_value,
-                    n_canonical=search.n_canonical,
-                    n_sampled_max=search.n_sampled_max,
-                    best_pair_label=search.best.best_pair.label,
-                    diverging=search.best.diverging,
-                )
-            )
+            best = search.best
+            records.append(SweepRecord(float(value), best.n_value, search.n_canonical,
+                                       search.n_sampled_max, best.best_pair.label, best.diverging))
         except (NumericalError, ValueError) as exc:
             records.append(SweepRecord(parameter=float(value), error=str(exc)))
     return records

@@ -75,9 +75,7 @@ def jc_rate(params, t):
     g, gdot = _jc_amplitude_and_derivative(params, t)
     absg = np.abs(g)
     if np.any(absg <= AMPLITUDE_FLOOR):
-        raise NumericalError(
-            "amplitude zero-crossing: |G(t)| underflowed, the rate is singular"
-        )
+        raise NumericalError("amplitude zero-crossing: |G(t)| underflowed, the rate is singular")
     rate = -2.0 * np.real(gdot / g)
     return float(rate) if rate.ndim == 0 else rate
 
@@ -102,11 +100,8 @@ def jc_generator(params, nonnegative_rate=False):
         rate = lambda t: np.maximum(0.0, jc_rate(params, t))
     else:
         rate = lambda t: jc_rate(params, t)
-    return GeneratorSpec(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        channels=[(SIGMA_MINUS, rate)],
-    )
+    return GeneratorSpec(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
+                         channels=[(SIGMA_MINUS, rate)])
 
 
 @dataclass
@@ -180,19 +175,13 @@ def spinbath_generator(params):
     Exposed for the negative-rate demonstration; do not integrate across the
     tan poles.
     """
-    return GeneratorSpec(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        channels=[(SIGMA_Z, lambda t: spinbath_rate(params, t))],
-    )
+    return GeneratorSpec(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
+                         channels=[(SIGMA_Z, lambda t: spinbath_rate(params, t))])
 
 
 def semigroup_generator(gamma0):
     """Constant amplitude damping: H = 0, channel (sigma_minus, gamma0 >= 0)."""
     if gamma0 < 0:
         raise ValueError(f"semigroup rate must be nonnegative, got {gamma0}")
-    return GeneratorSpec(
-        dim=2,
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        channels=[(SIGMA_MINUS, float(gamma0))],
-    )
+    return GeneratorSpec(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
+                         channels=[(SIGMA_MINUS, float(gamma0))])

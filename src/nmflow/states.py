@@ -1,11 +1,10 @@
-"""Quantum states, the trace-distance metric and seeded random-state sampling.
+"""Quantum states and the trace-distance metric.
 
 States are d x d complex density matrices. Validation tolerances:
 Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
-relaxed by integrator callers). The random states draw from NumPy's seeded
-streams, one per (seed, worker index), and load numpy.random only when first
-drawn; a pair search draws from its own counter-based stream (see
-measure._directions) and loads none of it.
+relaxed by integrator callers). The library draws no random states: a pair
+search draws pair differences from its own counter-based stream (see
+measure._directions).
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +48,13 @@ class DensityMatrix:
         check_states(m[None], self.positivity_tol, self.trace_tol)
         self.matrix = m
 
+    @classmethod
+    def _checked(cls, m, positivity_tol, trace_tol):
+        """The state m, which the caller has checked by check_states' rules."""
+        rho = cls.__new__(cls)
+        rho.matrix, rho.positivity_tol, rho.trace_tol = m, positivity_tol, trace_tol
+        return rho
+
     @property
     def dim(self):
         return self.matrix.shape[0]
@@ -67,9 +73,7 @@ class StatePair:
 
     def __post_init__(self):
         if self.rho1.dim != self.rho2.dim:
-            raise ValueError(
-                f"dimension mismatch: {self.rho1.dim} vs {self.rho2.dim}"
-            )
+            raise ValueError(f"dimension mismatch: {self.rho1.dim} vs {self.rho2.dim}")
 
     @property
     def dim(self):
@@ -90,41 +94,6 @@ def trace_distance(rho1, rho2):
     if d > 1.0 + 1e-10:
         raise ValueError(f"trace distance {d} exceeds 1 beyond tolerance")
     return min(max(d, 0.0), 1.0)
-
-
-def state_rng(seed, worker=None):
-    """Seeded generator; (seed, worker) derives an independent stream per worker."""
-    key = (seed,) if worker is None else (seed, worker)
-    if not all(isinstance(k, (int, np.integer)) for k in key):
-        raise ValueError(f"seed and worker must be integers, got {key}")
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def random_states(dim, seed, workers, mixed):
-    """Stack (n, dim, dim) of unvalidated draws (see check_states), state k
-    from the stream state_rng(seed, workers[k]): a Haar pure state
-    |psi><psi|, or where mixed[k] a Hilbert-Schmidt state G G^dag / tr with
-    G square complex Ginibre. Each state only fills its row of normals (real
-    parts first, then imaginary); the arithmetic runs stacked."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    # Pure states fill rows[0] and raw[0], mixed ones rows[1] and raw[1].
-    rows, raw = ([], []), (np.empty((len(workers), 2 * dim)), np.empty((len(workers), 2 * dim**2)))
-    for k, (worker, m) in enumerate(zip(workers, map(bool, mixed), strict=True)):
-        state_rng(seed, worker).standard_normal(out=raw[m][len(rows[m])])
-        rows[m].append(k)
-    out = np.empty((len(workers), dim, dim), dtype=complex)
-    (pure, mixed), (x, y) = rows, raw
-    if pure:
-        psi = x[: len(pure), :dim] + 1j * x[: len(pure), dim:]
-        # np.linalg.norm's dot products on the strided parts, bit for bit.
-        psi /= np.sqrt(sum(v[:, None] @ v[:, :, None] for v in (psi.real, psi.imag)))[:, 0]
-        out[pure] = psi[:, :, None] * psi.conj()[:, None, :]
-    if mixed:
-        g = (y[: len(mixed), : dim**2] + 1j * y[: len(mixed), dim**2 :]).reshape(-1, dim, dim)
-        w = g @ g.conj().swapaxes(1, 2)
-        out[mixed] = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
-    return out
 
 
 def check_states(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
@@ -153,16 +122,6 @@ def check_states(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
     if abs(tr[k] - 1.0) > trace_tol:
         raise ValueError(f"state trace {tr[k]} differs from 1 beyond {trace_tol:.1e}")
     raise ValueError(f"state has eigenvalue {least[k]:.3e} below -{positivity_tol:.1e}")
-
-
-def random_pure_state(dim, seed, worker=None):
-    """Rank-1 projector |psi><psi| with |psi| Haar-distributed on the sphere."""
-    return DensityMatrix(random_states(dim, seed, [worker], [False])[0])
-
-
-def random_mixed_state(dim, seed, worker=None):
-    """Hilbert-Schmidt-ensemble state: G G^dag / tr with G square complex Ginibre."""
-    return DensityMatrix(random_states(dim, seed, [worker], [True])[0])
 
 
 def bloch_from_qubit(rho):
@@ -206,9 +165,7 @@ def read_state_text(text):
         raise ValueError(f"line 1: expected integer dimension, got {lines[0]!r}")
     expected = dim * dim
     if len(lines) - 1 != expected:
-        raise ValueError(
-            f"expected {expected} entry lines for dim {dim}, got {len(lines) - 1}"
-        )
+        raise ValueError(f"expected {expected} entry lines for dim {dim}, got {len(lines) - 1}")
     entries = np.empty(expected, dtype=complex)
     for i, ln in enumerate(lines[1:]):
         parts = ln.split(",")

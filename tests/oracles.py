@@ -9,10 +9,16 @@ eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
 decoherence rates of a generator, and the one-pair-at-a-time measure: trace
 distances, sigma and growth intervals of each pair on its own, and the
 SplitMix64 pair-direction stream in Python integers.
+
+It also holds the seeded random-state sampler that the tests draw their
+states from (random_states and its one-state forms); the library itself
+draws no random states.
 """
 import math
 
 import numpy as np
+
+from nmflow.states import DensityMatrix
 
 
 def volterra_amplitude(gamma0, lam, delta, t_max, n_steps):
@@ -278,7 +284,7 @@ def pair_value(flow, pair, times, threshold=None):
 
 
 def seeded_state(dim, seed, worker, mixed):
-    """One state drawn on its own, as random_states drew it state by state:
+    """One state drawn on its own, as random_states draws it state by state:
     the stream SeedSequence((seed, worker)) (or (seed,) for worker None),
     real then imaginary normals, np.linalg.norm and np.outer for a pure
     state, G G^dag / tr for a mixed one."""
@@ -318,3 +324,48 @@ def splitmix_normals(seed, start, count):
         r, theta = math.sqrt(-2.0 * float(np.log1p(-u))), 2.0 * math.pi * v
         out += [r * float(np.cos(theta)), r * float(np.sin(theta))]
     return out
+
+
+def state_rng(seed, worker=None):
+    """Seeded generator; (seed, worker) derives an independent stream per worker."""
+    key = (seed,) if worker is None else (seed, worker)
+    if not all(isinstance(k, (int, np.integer)) for k in key):
+        raise ValueError(f"seed and worker must be integers, got {key}")
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def random_states(dim, seed, workers, mixed):
+    """Stack (n, dim, dim) of unvalidated draws (see check_states), state k
+    from the stream state_rng(seed, workers[k]): a Haar pure state
+    |psi><psi|, or where mixed[k] a Hilbert-Schmidt state G G^dag / tr with
+    G square complex Ginibre. Each state only fills its row of normals (real
+    parts first, then imaginary); the arithmetic runs stacked."""
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    # Pure states fill rows[0] and raw[0], mixed ones rows[1] and raw[1].
+    rows, raw = ([], []), (np.empty((len(workers), 2 * dim)), np.empty((len(workers), 2 * dim**2)))
+    for k, (worker, m) in enumerate(zip(workers, map(bool, mixed), strict=True)):
+        state_rng(seed, worker).standard_normal(out=raw[m][len(rows[m])])
+        rows[m].append(k)
+    out = np.empty((len(workers), dim, dim), dtype=complex)
+    (pure, mixed), (x, y) = rows, raw
+    if pure:
+        psi = x[: len(pure), :dim] + 1j * x[: len(pure), dim:]
+        # np.linalg.norm's dot products on the strided parts, bit for bit.
+        psi /= np.sqrt(sum(v[:, None] @ v[:, :, None] for v in (psi.real, psi.imag)))[:, 0]
+        out[pure] = psi[:, :, None] * psi.conj()[:, None, :]
+    if mixed:
+        g = (y[: len(mixed), : dim**2] + 1j * y[: len(mixed), dim**2 :]).reshape(-1, dim, dim)
+        w = g @ g.conj().swapaxes(1, 2)
+        out[mixed] = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
+    return out
+
+
+def random_pure_state(dim, seed, worker=None):
+    """Rank-1 projector |psi><psi| with |psi| Haar-distributed on the sphere."""
+    return DensityMatrix(random_states(dim, seed, [worker], [False])[0])
+
+
+def random_mixed_state(dim, seed, worker=None):
+    """Hilbert-Schmidt-ensemble state: G G^dag / tr with G square complex Ginibre."""
+    return DensityMatrix(random_states(dim, seed, [worker], [True])[0])

@@ -7,7 +7,7 @@ to be loosened.
 import numpy as np
 import pytest
 
-from oracles import volterra_amplitude
+from oracles import random_mixed_state, random_pure_state, volterra_amplitude
 
 from nmflow.dynamics import (
     Propagator,
@@ -39,8 +39,6 @@ from nmflow.models import (
 from nmflow.states import (
     DensityMatrix,
     StatePair,
-    random_mixed_state,
-    random_pure_state,
     trace_distance,
 )
 

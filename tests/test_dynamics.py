@@ -11,12 +11,16 @@ from oracles import (
     canonical_rates,
     generator_superoperator,
     lindblad_rhs,
+    random_mixed_state,
+    random_pure_state,
     rk4_flow,
 )
 
 from nmflow.cli import load_custom_generator
 from nmflow.dynamics import (
+    EVOLVE_POSITIVITY_TOL,
     STEP_BLOCK,
+    TRACE_DRIFT_TOL,
     _CompiledGenerator,
     _lockstep_groups,
     _rk4_increments,
@@ -40,8 +44,6 @@ from nmflow.states import (
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
-    random_mixed_state,
-    random_pure_state,
     trace_distance,
 )
 
@@ -150,6 +152,45 @@ class TestEvolveState:
                    "(step too coarse, or the generator is not CP)")
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             evolve_state(gen, PLUS, np.linspace(0.0, 1.0, 101))
+
+    @pytest.mark.parametrize("name", ["jc-delta-8", "callable-d3"])
+    def test_states_meet_the_state_rules_and_are_checked_once(self, monkeypatch, name):
+        # The block check applies check_states' rules to states that are
+        # Hermitian with a real trace by construction, so the returned states
+        # are built without a second check.
+        import nmflow.states
+
+        gen = FLOW_GENERATORS[name]()
+        rho0 = random_mixed_state(gen.dim, 3)
+        check, calls = nmflow.states.check_states, []
+        monkeypatch.setattr(nmflow.states, "check_states",
+                            lambda *args: calls.append(args) or check(*args))
+        states = evolve_state(gen, rho0, np.linspace(0.0, 5.0, 2001))
+        assert calls == []
+        m = np.stack([s.matrix for s in states])
+        assert np.array_equal(m, m.conj().swapaxes(1, 2))
+        assert np.all(np.trace(m, axis1=1, axis2=2).imag == 0.0)
+        check(m, EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL)
+        assert {(s.positivity_tol, s.trace_tol) for s in states} == {
+            (EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL)}
+        assert np.max(np.abs(states[0].matrix - rho0.matrix)) <= 1e-15 and states[0].dim == gen.dim
+
+    def test_non_finite_state_names_its_time(self, monkeypatch):
+        # A state with a non-finite entry, here from maps spoiled after the
+        # flow's own check, is refused by the block check, not returned.
+        import nmflow.dynamics
+
+        running = nmflow.dynamics._running_maps
+
+        def spoiled(*args):
+            for k0, maps in running(*args):
+                maps = maps.copy()
+                maps[5] = np.nan
+                yield k0, maps
+
+        monkeypatch.setattr(nmflow.dynamics, "_running_maps", spoiled)
+        with pytest.raises(InvariantViolation, match=r"^state has non-finite entries at t=0\.06$"):
+            evolve_state(semigroup_generator(1.0), PLUS, np.linspace(0.0, 1.0, 101))
 
     def test_step_halving_is_fourth_order(self):
         gamma0 = 1.0

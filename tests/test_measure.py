@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import pair_value, pauli_map, qubit_distance_grid, splitmix64, splitmix_normals
+from oracles import (
+    pair_value,
+    pauli_map,
+    qubit_distance_grid,
+    random_mixed_state,
+    random_pure_state,
+    splitmix64,
+    splitmix_normals,
+)
 
 from nmflow.dynamics import (
     GeneratorSpec,
@@ -16,6 +24,8 @@ from nmflow.measure import (
     _block_size,
     _direction_pair,
     _directions,
+    _evaluated_columns,
+    _growth_steps,
     _normals,
     _pair_operator,
     _pair_values,
@@ -34,6 +44,7 @@ from nmflow.measure import (
 from nmflow.models import (
     JCParams,
     SpinBathParams,
+    jc_amplitude,
     jc_generator,
     jc_rate,
     semigroup_generator,
@@ -48,8 +59,6 @@ from nmflow.states import (
     DensityMatrix,
     StatePair,
     qubit_from_bloch,
-    random_mixed_state,
-    random_pure_state,
     trace_distance,
 )
 
@@ -622,6 +631,17 @@ def pair_values(flow, diffs, times):
     return np.concatenate(values), errors, tuple(np.concatenate(x) for x in zip(*found))
 
 
+def every_column(op, d, t):
+    """_evaluated_columns of the full evaluation: every grid column."""
+    return np.arange(t)
+
+
+def evaluated_times(flow, times):
+    """The grid times at which a search of the flow evaluates D."""
+    d = int(np.sqrt(flow.shape[-1]))
+    return times[_evaluated_columns(_pair_operator(flow, d), d, times.size)]
+
+
 def diffs_of(pairs):
     """The pairs' differences rho1 - rho2, stacked."""
     return np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])
@@ -647,14 +667,26 @@ class TestBatchedPairs:
     np.gradient and growth intervals per pair (values to PAIR_VALUE_TOL)."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_CASES))
-    def test_values_match_per_pair_oracle(self, name):
+    def test_values_match_per_pair_oracle(self, monkeypatch, name):
+        import nmflow.measure
+
         make_gen, dim, horizon, step = BATCH_CASES[name]
         flow, times = grid_flow(make_gen(), horizon, step)
-        size = _block_size(times, dim)
-        # Qubit blocks hold two (pairs x T) work buffers, d > 2 blocks the
-        # (pairs x T x d^2) evolved differences.
-        assert size == PAIR_BLOCK // (times.size * (2 if dim == 2 else dim * dim)) > 2
+        # Qubit blocks hold two (pairs x evaluated columns) work buffers, d > 2
+        # blocks the (pairs x T x d^2) evolved differences. A qubit search
+        # evaluates few columns, so PAIR_BLOCK is cut to at most 9 pairs a
+        # block, which keeps the per-pair oracle cheap.
+        evaluated, width = evaluated_times(flow, times), 2 if dim == 2 else dim * dim
+        cut = min(PAIR_BLOCK, 9 * evaluated.size * width)
+        monkeypatch.setattr(nmflow.measure, "PAIR_BLOCK", cut)
+        size = _block_size(evaluated, dim)
+        assert size == cut // (evaluated.size * width) > 2
+        assert (evaluated.size < times.size) == (dim == 2)
         pairs = canonical_pairs(dim) + random_pairs(dim, 5, 3 * size - 1)
+        # The search really cuts the pairs into blocks of that size.
+        seen, diffs = [], diffs_of(pairs + pairs[:2])
+        list(_pair_values(flow, 3 * size + 1, lambda a, b: seen.append(b - a) or diffs[a:b], times))
+        assert seen == [size, size, size, 1]
         expected = [pair_value(flow, pair, times) for pair in pairs]
         assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
         # One pair, one below a block, one block, one above, several blocks.
@@ -727,7 +759,7 @@ class TestBatchedPairs:
 
         monkeypatch.setattr(nmflow.measure, "_directions", copies_of_z)
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 10.0, 1e-3)
-        n_pairs = 2 * _block_size(times, 2) + 1
+        n_pairs = 2 * _block_size(evaluated_times(flow, times), 2) + 1
         values, _, _ = pair_values(flow, copies_of_z(2, 0, 0, n_pairs + 1), times)
         # The same pair scores the same to the bit at every place in a block.
         assert np.all(values == values[0])
@@ -755,6 +787,104 @@ class TestBatchedPairs:
         best = search_pairs(flow, 20, times, seed=0).best
         assert len(best.intervals) > 1
         assert best.n_value == sum(iv.contribution for iv in best.intervals)
+
+
+def bloch_block_oracle(flow):
+    """(largest eigenvalue of Q_{k+1} - Q_k, max(tr Q_k, tr Q_{k+1})) of each
+    step of a qubit flow, Q = M^T M of its Bloch block M, by complex
+    products and one stacked np.linalg.eigvalsh."""
+    m = pauli_map(flow)[1:].transpose(2, 0, 1)
+    q = m.swapaxes(1, 2) @ m
+    tr = np.trace(q, axis1=1, axis2=2)
+    return np.linalg.eigvalsh(q[1:] - q[:-1])[:, -1], np.maximum(tr[1:], tr[:-1])
+
+
+WINDOW_CASES = {
+    "jc-delta-8": lambda times: propagator_grid(jc_generator(JCParams(delta=8.0)), times),
+    "dephasing": lambda times: propagator_grid(GeneratorSpec(2, np.zeros((2, 2)), [
+        (SIGMA_MINUS, 0.3), (SIGMA_Z, lambda t: 0.05 + 0.2 * np.cos(3.0 * np.asarray(t)))]), times),
+    "bloch-y": lambda times: bloch_map_flow(times, lambda t: np.exp(-0.05 * t),
+                                            lambda t: np.exp(-0.1 * t),
+                                            y=lambda t: np.exp(-0.25 * t) * np.cos(2.0 * t)),
+}
+
+
+class TestWindowedSearch:
+    """The steps where some qubit pair can gain, and a search evaluated on
+    their windows against the full evaluation."""
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_no_expanding_step_is_skipped(self, name):
+        times = make_time_grid(6.0, 1e-3)
+        flow = WINDOW_CASES[name](times)
+        flags = _growth_steps(_pair_operator(flow, 2))
+        top, scale = bloch_block_oracle(flow)
+        assert 0 < flags.sum() < flags.size
+        assert not np.any((top > 0.0) & ~flags)
+        # A skipped step keeps half its margin of 1e-13 of the scale; the
+        # other half covers the rounding of the oracle's products and eigensolve.
+        assert np.all(top[~flags] <= -0.5e-13 * scale[~flags])
+
+    def test_a_direction_that_never_contracts_flags_every_step(self):
+        # The spin bath leaves the z Bloch component alone: dQ_k has a zero
+        # eigenvalue at every step, so no step is skipped.
+        times = make_time_grid(6.0, 1e-3)
+        flow = spinbath_flow(SpinBathParams(coupling_a=1.0, n_spins=20), times)
+        assert _growth_steps(_pair_operator(flow, 2)).all()
+
+    @pytest.mark.parametrize("delta", [0.0, 5.0, 8.0, 10.0])
+    def test_jc_flags_are_the_steps_where_the_amplitude_grows(self, delta):
+        params = JCParams(delta=delta)
+        times = make_time_grid(10.0, 1e-3)
+        flags = _growth_steps(_pair_operator(propagator_grid(jc_generator(params), times), 2))
+        assert np.array_equal(flags, np.diff(np.abs(jc_amplitude(params, times))) > 0.0)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((1, 0), np.nan), ((2, 1), np.inf), ((3, 2), -np.inf), ((1, 1), 1e200),
+        ((0, 1), 2e-12), ((0, 2), np.nan),
+    ])
+    def test_non_finite_entries_and_the_trace_row_flag_both_steps(self, entry, value):
+        # A contracting flow: no step flagged, until one grid point is spoiled.
+        times = make_time_grid(1.0, 1e-2)
+        op = _pair_operator(propagator_grid(semigroup_generator(1.0), times), 2)
+        assert not _growth_steps(op).any()
+        kept, op[entry + (40,)] = op[entry + (40,)], value
+        assert np.flatnonzero(_growth_steps(op)).tolist() == [39, 40]
+        # A trace row entry of TRACE_ROW_TOL is still within it.
+        op[entry + (40,)] = 1e-12 if entry[0] == 0 else kept
+        assert not _growth_steps(op).any()
+
+    def test_zero_detuning_evaluates_only_the_six_edge_columns(self):
+        # |G| falls monotonically on resonance at weak coupling: no step can
+        # raise D, and only the one-sided sigma stencils are evaluated.
+        flow, times = grid_flow(jc_generator(JCParams(delta=0.0)), 10.0, 1e-3)
+        cols = _evaluated_columns(_pair_operator(flow, 2), 2, times.size)
+        assert cols.tolist() == [0, 1, 2, times.size - 3, times.size - 2, times.size - 1]
+        search = search_pairs(flow, 500, times, seed=1)
+        assert search.best.n_value == search.n_canonical == search.n_sampled_max == 0.0
+        assert search.best.intervals == [] and search.failures == []
+
+    # The benchmark's jc-measure point and the README's jc measure example.
+    @pytest.mark.parametrize("horizon, n_pairs", [(10.0, 500), (60.0, 200)])
+    def test_search_matches_the_full_evaluation_at_the_jc_points(self, monkeypatch, horizon,
+                                                                  n_pairs):
+        import nmflow.measure
+
+        flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), horizon, 1e-3)
+        diffs = np.concatenate([diffs_of(canonical_pairs(2)), _directions(2, 1, 0, n_pairs)])
+        values, errors, (rows, a, b, c) = pair_values(flow, diffs, times)
+        windowed = search_pairs(flow, n_pairs, times, seed=1)
+        monkeypatch.setattr(nmflow.measure, "_evaluated_columns", every_column)
+        full, full_errors, (full_rows, full_a, full_b, full_c) = pair_values(flow, diffs, times)
+        assert errors == full_errors == [None] * len(diffs)
+        assert np.max(np.abs(values - full)) <= 1e-12
+        assert np.array_equal(rows, full_rows)
+        assert np.max(np.abs(np.column_stack([a, b]) - np.column_stack([full_a, full_b]))) <= 1e-9
+        assert np.max(np.abs(c - full_c)) <= 1e-12
+        search = search_pairs(flow, n_pairs, times, seed=1)
+        assert windowed.best.best_pair.label == search.best.best_pair.label == "canonical-z"
+        assert abs(windowed.best.n_value - search.best.n_value) <= 1e-12
+        assert abs(windowed.n_sampled_max - search.n_sampled_max) <= 1e-12
 
 
 class TestSearchMemory:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import spin_bath_coherence_factor, volterra_amplitude
+from oracles import spin_bath_coherence_factor, state_rng, volterra_amplitude
 
 from nmflow.dynamics import evolve_state
 from nmflow.exceptions import NumericalError
@@ -18,7 +18,7 @@ from nmflow.models import (
     spinbath_rate,
     spinbath_trace_distance,
 )
-from nmflow.states import DensityMatrix, state_rng, trace_distance
+from nmflow.states import DensityMatrix, trace_distance
 
 PLUS_X = DensityMatrix(0.5 * np.array([[1, 1], [1, 1]], dtype=complex))
 MINUS_X = DensityMatrix(0.5 * np.array([[1, -1], [-1, 1]], dtype=complex))

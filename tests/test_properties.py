@@ -3,14 +3,38 @@
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
+from unittest import mock
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nmflow.dynamics import divisibility_report, propagator_between, propagator_grid
-from nmflow.measure import _direction_pair, growth_intervals, make_time_grid, n_for_pair, trajectory
+from oracles import pair_distances, pair_value
+
+import nmflow.measure
+from nmflow.dynamics import GeneratorSpec, divisibility_report, propagator_between, propagator_grid
+from nmflow.measure import (
+    _direction_pair,
+    _directions,
+    _growth_steps,
+    _pair_operator,
+    _pair_values,
+    canonical_pairs,
+    growth_intervals,
+    make_time_grid,
+    n_for_pair,
+    trajectory,
+)
 from nmflow.models import JCParams, jc_generator
-from nmflow.states import DensityMatrix, StatePair, qubit_from_bloch, trace_distance
+from nmflow.states import (
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
+    DensityMatrix,
+    StatePair,
+    qubit_from_bloch,
+    trace_distance,
+)
 
 HORIZON = 10.0
 STEP = 1e-3
@@ -118,3 +142,92 @@ def test_cp_interval_maps_contract_the_trace_distance(rho1, rho2, delta, gamma0,
         if v.is_cp:
             p = propagator_between(gen, v.t_start, v.t_end, STEP)
             assert trace_distance(p.apply(rho1), p.apply(rho2)) <= before + 1e-12
+
+
+# A rate a + b cos(w t + phi) per channel; b > a makes it change sign.
+RATE_PARAMETERS = st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.5), st.floats(0.5, 6.0),
+                            st.floats(0.0, 2.0 * np.pi))
+WINDOW_HORIZON = 4.0
+# Fixed before the windowed search was written: with a given threshold the
+# windows hold every run of the full evaluation, so values agree to the
+# rounding of D (PAIR_VALUE_TOL of test_measure.py) and crossing times to
+# that rounding over sigma's slope; with the default threshold, read on the
+# windows only, runs with sigma <= tau (the full row's threshold) may appear
+# or vanish, each adding at most tau per unit time.
+PAIR_VALUE_TOL = 1e-14
+ENDPOINT_TOL = 1e-9
+
+
+def oscillating_qubit_generator(hx, hz, rates):
+    """Qubit generator H = hx sigma_x + hz sigma_z with sigma_-, sigma_+ and
+    sigma_z channels at rates a + b cos(w t + phi)."""
+    ops = (SIGMA_MINUS, SIGMA_MINUS.T, SIGMA_Z)
+    channels = [(op, lambda t, a=a, b=b, w=w, phi=phi: a + b * np.cos(w * np.asarray(t) + phi))
+                for op, (a, b, w, phi) in zip(ops, rates)]
+    return GeneratorSpec(2, hx * SIGMA_X + hz * SIGMA_Z, channels)
+
+
+def joined_pair_values(flow, diffs, times, threshold):
+    """Values, errors and intervals (rows indexing pairs) of _pair_values."""
+    values, errors, found = [], [], []
+    for start, _, vals, errs, (rows, a, b, c) in _pair_values(
+        flow, len(diffs), lambda i, j: diffs[i:j], times, threshold
+    ):
+        values.append(vals)
+        errors += errs
+        found.append(np.column_stack([rows + start, a, b, c]))
+    return np.concatenate(values), errors, np.concatenate(found)
+
+
+@PROPERTY_SETTINGS
+@given(hx=st.floats(-2.0, 2.0), hz=st.floats(-2.0, 2.0),
+       rates=st.tuples(RATE_PARAMETERS, RATE_PARAMETERS, RATE_PARAMETERS),
+       threshold=st.sampled_from([None, 0.0, 1e-6]), seed=st.integers(0, 2**64 - 1))
+# 31% of the steps flagged; 6 of the 24 pairs leave D <= 1 and fail, 11 score.
+@example(hx=-0.83, hz=-0.4, rates=((0.97, 0.11, 4.8, 2.99), (0.17, 0.55, 2.59, 1.53),
+                                   (0.33, 0.63, 5.79, 2.88)), threshold=None, seed=5)
+def test_windowed_pair_values_equal_the_full_evaluation(hx, hz, rates, threshold, seed):
+    times = make_time_grid(WINDOW_HORIZON, 1e-2)
+    flow = propagator_grid(oscillating_qubit_generator(hx, hz, rates), times)
+    # The flags against a stacked eigensolve of dQ_k: no step where some Bloch
+    # length can grow is skipped, and a skipped step keeps at least half its
+    # margin of 1e-13 of the scale (the other half covers the eigensolve's rounding).
+    op = _pair_operator(flow, 2)
+    m = op[1:].transpose(2, 0, 1)
+    q = m.swapaxes(1, 2) @ m
+    top = np.linalg.eigvalsh(q[1:] - q[:-1])[:, -1]
+    tr = np.trace(q, axis1=1, axis2=2)
+    flags = _growth_steps(op)
+    assert not np.any((top > 0.0) & ~flags)
+    assert np.all(top[~flags] <= -0.5e-13 * np.maximum(tr[1:], tr[:-1])[~flags])
+    pairs = canonical_pairs(2) + [_direction_pair(x, "sample") for x in _directions(2, seed, 0, 22)]
+    diffs = np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])
+    values, errors, found = joined_pair_values(flow, diffs, times, threshold)
+    every_column = lambda op, d, t: np.arange(t)
+    with mock.patch.object(nmflow.measure, "_evaluated_columns", every_column):
+        _, full_errors, _ = joined_pair_values(flow, diffs, times, threshold)
+    for i, pair in enumerate(pairs):
+        sigma = np.gradient(np.clip(pair_distances(flow, pair), 0.0, 1.0), 1e-2, edge_order=2)
+        tau = max(1e-12, 1e-9 * float(np.max(np.abs(sigma))))
+        bound = PAIR_VALUE_TOL + (0.0 if threshold is not None else 2.0 * tau * WINDOW_HORIZON)
+        kind = "negative contribution "
+        if threshold is None and (errors[i] or "").startswith(kind):
+            # The value in the message is a contribution, which moves with the threshold.
+            assert full_errors[i].startswith(kind)
+            assert abs(float(errors[i][len(kind):]) - float(full_errors[i][len(kind):])) <= bound
+        else:
+            assert errors[i] == full_errors[i]
+        n, intervals = pair_value(flow, pair, times, threshold)
+        if n is None:
+            assert errors[i] == intervals + (
+                " (step too coarse, or the generator is not positivity preserving)")
+            continue
+        if errors[i] is not None:  # a negative contribution, as in full_errors
+            continue
+        assert abs(values[i] - n) <= bound
+        got = found[found[:, 0] == i, 1:]
+        if threshold is not None:
+            assert got.shape == (len(intervals), 3)
+        if threshold is not None and intervals:
+            assert np.max(np.abs(got[:, :2] - [iv[:2] for iv in intervals])) <= ENDPOINT_TOL
+            assert np.max(np.abs(got[:, 2] - [iv[2] for iv in intervals])) <= PAIR_VALUE_TOL

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import hilbert_schmidt_sample, seeded_state
+from oracles import (
+    hilbert_schmidt_sample,
+    random_mixed_state,
+    random_pure_state,
+    random_states,
+    seeded_state,
+)
 
 from nmflow.states import (
     DensityMatrix,
     StatePair,
     bloch_from_qubit,
     qubit_from_bloch,
-    random_mixed_state,
-    random_pure_state,
-    random_states,
     read_state_text,
     trace_distance,
     write_state_text,
