@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import models
-from .dynamics import constant_generator, divisibility_report, propagator_grid
+from .dynamics import constant_generator, divisibility_report, flow_blocks
 from .exceptions import ConfigError, NumericalError
 from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
@@ -303,20 +303,22 @@ def build_generator(cfg):
 
 
 def time_grid(cfg):
-    """The time grid of a run, which must end at its horizon: a whole number
-    of steps, to a relative 1e-9."""
-    if not abs(round(cfg.horizon / cfg.step) * cfg.step - cfg.horizon) <= 1e-9 * cfg.horizon:
-        raise ConfigError(f"horizon {cfg.horizon:g} is not a whole number of steps {cfg.step:g}")
-    return make_time_grid(cfg.horizon, cfg.step)
+    """The time grid of a run (see make_time_grid); a horizon off the grid
+    is a configuration error."""
+    try:
+        return make_time_grid(cfg.horizon, cfg.step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_flow(cfg, times):
-    """Flow Phi(t_k, 0) of the model on times: exact for the spin bath, RK4
-    integration of the generator for the others."""
+    """Flow Phi(t_k, 0) of the model on times: the exact array for the spin
+    bath, for the others the block stream of RK4 integration of the
+    generator (dynamics.flow_blocks), which the command reads once."""
     if cfg.model == "spinbath":
         params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.values["n_spins"])
         return models.spinbath_flow(params, times)
-    return propagator_grid(build_generator(cfg), times)
+    return flow_blocks(build_generator(cfg), times)
 
 
 def resolve_pair(cfg):

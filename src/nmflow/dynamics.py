@@ -395,21 +395,36 @@ def propagator_between(gen, t1, t2, h):
     return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def propagator_grid(gen, t_grid):
-    """Phi(t_k, 0) for every grid point, one RK4 step per grid interval.
+def flow_blocks(gen, t_grid):
+    """Phi(t_k, 0) for every grid point, one RK4 step per grid interval, as
+    a stream of (k0, block): block[j] is the column-stacked complex
+    Phi(t_{k0 + j}, 0), shape (d^2, d^2). The identity comes first, as the
+    block at k0 = 0, then one block per block of _running_maps, so that only
+    one block of the flow is held at a time. The grid step is the
+    integration step, as in evolve_state.
 
-    Returns an array of shape (len(t_grid), d^2, d^2). The grid step is the
-    integration step, as in evolve_state. Raises InvariantViolation at the
-    first time where Phi has a non-finite entry.
+    The grid is checked when the first block is asked for. Raises
+    InvariantViolation at the first time where Phi has a non-finite entry,
+    when the block after it is asked for. The consumer silences NumPy's
+    overflow warnings (see _running_maps).
     """
     t, h = _check_uniform_grid(t_grid)
-    d2 = gen.dim * gen.dim
     compiled = _CompiledGenerator(gen)
-    phis = np.empty((t.size, d2, d2), dtype=complex)
-    phis[0] = np.eye(d2, dtype=complex)
+    yield 0, np.eye(gen.dim * gen.dim, dtype=complex)[None]
     for k0, maps in _running_maps(compiled, t[:1], np.array([h]), t.size - 1):
-        compiled.complex(maps[:, 0], out=phis[k0 + 1 : k0 + 1 + len(maps)])
+        yield k0 + 1, compiled.complex(maps[:, 0], np.empty(maps[:, 0].shape, dtype=complex))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def propagator_grid(gen, t_grid):
+    """The blocks of flow_blocks in one array of shape (len(t_grid), d^2,
+    d^2). Raises InvariantViolation at the first time where Phi has a
+    non-finite entry.
+    """
+    t, _ = _check_uniform_grid(t_grid)
+    phis = np.empty((t.size, gen.dim ** 2, gen.dim ** 2), dtype=complex)
+    for k0, block in flow_blocks(gen, t):
+        phis[k0 : k0 + len(block)] = block
     return phis
 
 

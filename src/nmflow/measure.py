@@ -1,9 +1,11 @@
 """Trace-distance growth analysis: sigma(t), growth intervals, and the
 non-Markovianity functional of a dynamical map.
 
-The map enters only as its flow Phi(t_k, 0) on a uniform time grid, an array
-of shape (T, d^2, d^2) acting on column-stacked density matrices, however it
-was obtained (RK4 integration of a generator or a closed form).
+The map enters only as its flow Phi(t_k, 0) on a uniform time grid, acting
+on column-stacked density matrices, however it was obtained (RK4 integration
+of a generator or a closed form): an array of shape (T, d^2, d^2), or a
+stream of (k0, block) pairs that tile the grid in order, such as
+dynamics.flow_blocks, read once.
 
 The measure is the maximal total growth of the trace distance over all
 intervals where its derivative sigma is positive, maximized over pairs of
@@ -89,45 +91,81 @@ def trajectory_from_values(times, d_values):
 
 
 def make_time_grid(horizon, step):
+    """The uniform grid 0, step, ..., horizon, which must end at the horizon:
+    a whole number of steps, to a relative 1e-9, and at least 10 of them."""
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
+    if not abs(round(horizon / step) * step - horizon) <= 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon:g} is not a whole number of steps {step:g}")
     n = int(round(horizon / step))
     if n < 10:
         raise ValueError(f"horizon/step = {horizon / step:.3g} must be >= 10")
     return np.arange(n + 1) * step
 
 
-def _flow_dim(flow, times):
-    """(d, times as an array) for a flow Phi(t_k, 0) of shape (T, d^2, d^2)
-    on T times, at least 11 of them. That they form a uniform grid is checked
-    once per call where it is needed: by TrajectoryGrid and by search_pairs."""
+def _grid(times):
+    """times as an array of at least 11 points. That they form a uniform grid
+    is checked once per call where it is needed: by TrajectoryGrid and by
+    search_pairs."""
     times = np.asarray(times, dtype=float)
     if times.size < 11:
         raise ValueError(f"{times.size - 1} grid intervals; sigma needs >= 10")
-    d = math.isqrt(flow.shape[-1])
-    if flow.shape != (times.size, d * d, d * d):
-        raise ValueError(f"flow shape {flow.shape} is not (T, d^2, d^2) on {times.size} times")
-    return d, times
+    return times
 
 
-def _pair_operator(flow, d):
-    """What the pairs read of the flow Phi(t_k, 0): for qubits the real Pauli
-    map M(t) = B^dag Phi(t) B / 2 on traceless inputs, stored (4, 3, T); for
-    d > 2 the flow as one (T d^2, d^2) matrix."""
-    if d == 2:
-        # M as one real (12, 32) matrix: row 3a + b, column 2(4i + j) (+ 1) is
-        # the weight of the real (imaginary) part of Phi[i, j] in M[a, b].
-        w = 0.5 * (_PAULI.conj()[:, None, :, None] * _PAULI[None, :, None, 1:]).reshape(16, 12)
-        w = np.stack([w.real, -w.imag], axis=1).reshape(32, 12).T
-        # Real products on the flow's interleaved real and imaginary parts, a
-        # slice of grid points at a time: one product over the whole grid
-        # raised the peak RSS of a qubit sweep command by about 0.15 MB.
-        op = np.empty((4, 3, len(flow)))
-        parts = np.ascontiguousarray(flow, dtype=complex).reshape(-1, 16).view(float)
-        for k in range(0, len(flow), 1024):
-            op.reshape(12, -1)[:, k : k + 1024] = w @ parts[k : k + 1024].T
-        return op
-    return flow.reshape(-1, d * d)
+def _blocks(flow, t):
+    """The blocks of a flow on t grid points, an array (T, d^2, d^2) or a
+    stream of (k0, block) (see dynamics.flow_blocks), as (k0, block, d):
+    checked to tile [0, t) in order, each block of shape (m, d^2, d^2) with
+    the d of the first."""
+    end, d = 0, None
+    for k0, block in [(0, flow)] if isinstance(flow, np.ndarray) else flow:
+        block = np.asarray(block)
+        if k0 != end:
+            raise ValueError(f"flow block at grid point {k0} does not follow grid point {end}")
+        if d is None and block.ndim == 3:
+            d = math.isqrt(block.shape[-1])
+        end += len(block) if block.ndim else 0
+        if block.ndim != 3 or block.shape[1:] != (d * d, d * d) or end > t:
+            shape = (end,) + block.shape[1:]
+            raise ValueError(f"flow shape {shape} is not (T, d^2, d^2) on {t} times")
+        yield k0, block, d
+    if end != t:
+        raise ValueError(f"flow shape ({end}, d^2, d^2) is not (T, d^2, d^2) on {t} times")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pair_operator(flow, t):
+    """(d, op): what the pairs read of the flow Phi(t_k, 0) on t grid points,
+    an array or a stream (see _blocks), read once, in order. For qubits op is
+    the real Pauli map M(t) = B^dag Phi(t) B / 2 on traceless inputs, stored
+    (4, 3, t), so that the flow itself is never held; for d > 2 the flow as
+    one (t d^2, d^2) matrix, a single block reshaped or several assembled."""
+    # M as one real (12, 32) matrix: row 3a + b, column 2(4i + j) (+ 1) is
+    # the weight of the real (imaginary) part of Phi[i, j] in M[a, b].
+    w = 0.5 * (_PAULI.conj()[:, None, :, None] * _PAULI[None, :, None, 1:]).reshape(16, 12)
+    w = np.stack([w.real, -w.imag], axis=1).reshape(32, 12).T
+    op = None
+    for k0, block, d in _blocks(flow, t):
+        if d != 2:
+            if len(block) == t:
+                op = block
+            else:
+                op = np.empty((t, d * d, d * d), dtype=complex) if op is None else op
+                op[k0 : k0 + len(block)] = block
+            continue
+        # Real products on the flow's interleaved real and imaginary parts, at
+        # most 1024 grid points at a time: one product over the whole grid
+        # raised the peak RSS of a qubit sweep command by about 0.15 MB. A
+        # column of M is half a signed sum of four entries of that grid
+        # point's Phi; that it does not depend on how the blocks cut the grid
+        # is checked to the bit by the tests.
+        op = np.empty((4, 3, t)) if op is None else op
+        parts = np.ascontiguousarray(block, dtype=complex).reshape(-1, 16).view(float)
+        for k in range(0, len(block), 1024):
+            rows = parts[k : k + 1024]
+            op.reshape(12, -1)[:, k0 + k : k0 + k + len(rows)] = w @ rows.T
+    return d, (op if d == 2 else op.reshape(-1, d * d))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -216,13 +254,16 @@ def _distances(op, diffs, times, work):
 
 
 def trajectory(flow, pair, times):
-    """D(t) and sigma(t) for the pair under the flow Phi(t_k, 0) on times."""
-    d, times = _flow_dim(flow, times)
+    """D(t) and sigma(t) for the pair under the flow Phi(t_k, 0) on times, an
+    array (T, d^2, d^2) or a stream of blocks, which is consumed (see
+    search_pairs)."""
+    times = _grid(times)
+    d, op = _pair_operator(flow, times.size)
     if pair.dim != d:
         raise ValueError(f"pair dimension {pair.dim} != flow dimension {d}")
     diff = pair.rho1.matrix - pair.rho2.matrix
     work = np.empty((2, 1, times.size))
-    (error,) = _distances(_pair_operator(flow, d), diff[None], times, work)
+    (error,) = _distances(op, diff[None], times, work)
     if error:
         raise InvariantViolation(error)
     return trajectory_from_values(times, work[0, 0])
@@ -418,18 +459,18 @@ class PairSearch:
     failures: List[str] = field(default_factory=list)
 
 
-def _pair_values(flow, n, diffs, times, threshold=None):
+def _pair_values(op, d, n, diffs, times, threshold=None):
     """(start, block, values, errors, intervals) of each block of _block_size
-    of n pairs under the flow on times, a uniform grid that the caller has
-    checked; diffs(start, stop) gives the block of differences rho1 - rho2 of
-    pairs start .. stop - 1, stacked (P, d, d), and is called in pair order.
+    of n pairs under the _pair_operator op of dimension d on times, a uniform
+    grid array that the caller has checked; diffs(start, stop) gives the
+    block of differences rho1 - rho2 of pairs start .. stop - 1, stacked (P,
+    d, d), and is called in pair order.
     D and sigma of a block, on the evaluated columns (see search_pairs), go
     into two work buffers allocated once, and its growth intervals are found
     at once. A failed pair has value NaN and its reason in errors (None for
     the others); its block-mates still score. intervals: (rows, a, b,
     contributions) of the scored pairs, rows in block."""
-    d, times = _flow_dim(flow, times)
-    h, op = times[1] - times[0], _pair_operator(flow, d)
+    h = times[1] - times[0]
     cols = _evaluated_columns(op, d, times.size)
     if cols.size < times.size:
         op, times = op[..., cols], times[cols]
@@ -472,13 +513,21 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     whose two steps are unflagged, is set to 0. The default threshold is 1e-9
     of the peak |sigma| over the evaluated columns, floored at 1e-12 (where
     growth_intervals reads the whole row); a given threshold is used as is.
+
+    The flow is an array (T, d^2, d^2) or a stream of (k0, block) that tiles
+    the grid in order (see dynamics.flow_blocks). A stream is consumed: it
+    is read once, after every other argument has been checked, so that a bad
+    n_pairs, threshold, seed or grid is reported before a flow that blows
+    up. For qubits the search holds the Pauli map (96 B per grid point)
+    rather than the flow.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     _check_threshold(threshold)
-    dim, times = _flow_dim(flow, times)
-    _check_uniform_grid(times)
     _check_seed(seed)
+    times = _grid(times)
+    _check_uniform_grid(times)
+    dim, op = _pair_operator(flow, times.size)
     canonical = canonical_pairs(dim)
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
     m = len(canonical)
@@ -491,11 +540,11 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
         return canonical[i].label if i < m else f"sample-{i - m}"
 
     # Of the samples only their failures and maximum stay, so that memory
-    # does not grow with n_pairs.
+    # does not grow with n_pairs; of op, only its evaluated columns.
+    blocks = _pair_values(op, dim, m + n_pairs, diffs, times, threshold)
+    del op
     n_canonical, n_sampled_max, failures, peak = [], 0.0, [], -np.inf
-    for start, block, vals, errs, (rows, a, b, c) in _pair_values(
-        flow, m + n_pairs, diffs, times, threshold
-    ):
+    for start, block, vals, errs, (rows, a, b, c) in blocks:
         k = max(0, m - start)  # canonical pairs come first
         n_canonical += vals[:k].tolist()
         n_sampled_max = float(np.fmax.reduce(vals[k:], initial=n_sampled_max))  # skips NaN
@@ -531,9 +580,9 @@ class SweepRecord:
 
 
 def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
-    """search_pairs on the flow flow_family(value) for each parameter value;
-    per-point failures, building the flow included, are recorded in the
-    output instead of aborting the sweep."""
+    """search_pairs on the flow flow_family(value), an array or a stream of
+    blocks, for each parameter value; per-point failures, building the flow
+    included, are recorded in the output instead of aborting the sweep."""
     parameters = list(parameters)
     if not parameters:
         raise ValueError("parameter grid is empty")

@@ -12,12 +12,14 @@ SplitMix64 pair-direction stream in Python integers.
 
 It also holds the seeded random-state sampler that the tests draw their
 states from (random_states and its one-state forms); the library itself
-draws no random states.
+draws no random states. callable_d3_generator is a test input that the flow
+tests of dynamics and measure share.
 """
 import math
 
 import numpy as np
 
+from nmflow.dynamics import GeneratorSpec
 from nmflow.states import DensityMatrix
 
 
@@ -369,3 +371,16 @@ def random_pure_state(dim, seed, worker=None):
 def random_mixed_state(dim, seed, worker=None):
     """Hilbert-Schmidt-ensemble state: G G^dag / tr with G square complex Ginibre."""
     return DensityMatrix(random_states(dim, seed, [worker], [True])[0])
+
+
+def callable_d3_generator():
+    """d = 3 generator whose Hamiltonian, jump operator and rate all depend on
+    time, so that every operator is evaluated at each stage time."""
+    rng = np.random.default_rng(47)
+    h0, h1 = (0.5 * (a + a.conj().T) for a in (
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)))
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    rate = lambda t: 0.3 + 0.1 * np.cos(np.asarray(t))
+    return GeneratorSpec(
+        3, lambda t: h0 + np.sin(t) * h1, [(lambda t: a + np.cos(2.0 * t) * b, rate)]
+    )

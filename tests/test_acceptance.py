@@ -99,7 +99,8 @@ def test_criterion_4_spinbath_quantized_measure():
     params = SpinBathParams(coupling_a=1.0, n_spins=20)
     pair = canonical_pairs(2)[1]
     for m in (1, 2, 3):
-        horizon = m * np.pi / 2.0 + 0.3
+        # The grid ends at the whole number of steps nearest the horizon.
+        horizon = round((m * np.pi / 2.0 + 0.3) / 5e-4) * 5e-4
         times = make_time_grid(horizon, 5e-4)
         d = spinbath_trace_distance(params, 0.0, 1.0, times)
         result = n_from_trajectory(trajectory_from_values(times, d), pair)

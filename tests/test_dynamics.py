@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 
 from oracles import (
     amplitude_damping_solution,
+    callable_d3_generator,
     canonical_rates,
     generator_superoperator,
     lindblad_rhs,
@@ -33,6 +35,7 @@ from nmflow.dynamics import (
     constant_generator,
     divisibility_report,
     evolve_state,
+    flow_blocks,
     is_cp,
     propagator_between,
     propagator_grid,
@@ -275,18 +278,6 @@ def random_d4_generator():
     return GeneratorSpec(4, 0.5 * random_hermitian(rng, 4), [(ops[0], 0.3), (ops[1], rate)])
 
 
-def callable_d3_generator():
-    """d = 3 generator whose Hamiltonian, jump operator and rate all depend on
-    time, so that every operator is evaluated at each stage time."""
-    rng = np.random.default_rng(47)
-    h0, h1 = (0.5 * random_hermitian(rng, 3) for _ in range(2))
-    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    rate = lambda t: 0.3 + 0.1 * np.cos(np.asarray(t))
-    return GeneratorSpec(
-        3, lambda t: h0 + np.sin(t) * h1, [(lambda t: a + np.cos(2.0 * t) * b, rate)]
-    )
-
-
 FLOW_GENERATORS = {
     "jc-delta-8": lambda: jc_generator(JCParams(delta=8.0)),
     "random-d4": random_d4_generator,
@@ -313,6 +304,16 @@ class TestFlowMatchesStepByStepOracle:
         assert phis.shape == (steps + 1, gen.dim ** 2, gen.dim ** 2)
         assert np.max(np.abs(phis - self.oracle(gen, grid))) < 1e-12
 
+    def test_flow_blocks_fill_propagator_grid(self, name, steps):
+        gen = FLOW_GENERATORS[name]()
+        grid = self.h * np.arange(steps + 1)
+        blocks = list(flow_blocks(gen, grid))
+        starts = [k0 for k0, _ in blocks]
+        assert starts == [0, *range(1, steps + 1, STEP_BLOCK)]
+        assert [len(b) for _, b in blocks] == np.diff(starts + [steps + 1]).tolist()
+        assert np.array_equal(blocks[0][1], np.eye(gen.dim ** 2)[None])
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), propagator_grid(gen, grid))
+
     def test_propagator_between(self, name, steps):
         gen = FLOW_GENERATORS[name]()
         t1 = 0.3
@@ -337,6 +338,14 @@ class TestNonFiniteFlow:
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(InvariantViolation, match=r"non-finite entries at t=0\.3$"):
             propagator_grid(gen, grid)
+        # The stream raises when the block after the first non-finite map is
+        # asked for; that map's block comes first. Its consumer silences
+        # NumPy's overflow warnings.
+        blocks = flow_blocks(gen, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert [k0 for k0, _ in itertools.islice(blocks, 2)] == [0, 1]
+            with pytest.raises(InvariantViolation, match=r"non-finite entries at t=0\.3$"):
+                next(blocks)
         with pytest.raises(InvariantViolation, match="non-finite entries at t="):
             propagator_between(gen, 0.0, 1.0, 1e-2)
 

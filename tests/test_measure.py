@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    callable_d3_generator,
     pair_value,
     pauli_map,
     qubit_distance_grid,
@@ -12,9 +13,11 @@ from oracles import (
 )
 
 from nmflow.dynamics import (
+    STEP_BLOCK,
     GeneratorSpec,
     constant_generator,
     divisibility_report,
+    flow_blocks,
     propagator_grid,
 )
 from nmflow.exceptions import InvariantViolation, NumericalError
@@ -207,7 +210,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("delta", [0.0, 8.0])
     def test_qubit_pauli_map_is_the_complex_products_bit_for_bit(self, delta, steps):
         flow, _ = grid_flow(jc_generator(JCParams(delta=delta)), steps * 1e-3, 1e-3)
-        op = _pair_operator(flow, 2)
+        op = _pair_operator(flow, steps + 1)[1]
         assert op.shape == (4, 3, steps + 1) and op.flags.c_contiguous
         assert np.array_equal(op, pauli_map(flow))
 
@@ -247,7 +250,7 @@ class TestGrowthIntervals:
         # One full revival of the dephasing model: D falls 1 -> 0 -> 1, the
         # growth half contributes exactly 1.
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
-        period = np.pi / 2.0
+        period = round(np.pi / 2.0 / 5e-5) * 5e-5  # on the grid
         traj = spinbath_trajectory(params, period, 5e-5)
         ivs = growth_intervals(traj)
         assert len(ivs) == 1
@@ -304,7 +307,7 @@ class TestPerPairValue:
     def test_revival_count_quantizes_value(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
         for m in (1, 2, 3):
-            horizon = m * np.pi / 2.0 + 0.3
+            horizon = round((m * np.pi / 2.0 + 0.3) / 5e-4) * 5e-4  # on the grid
             traj = spinbath_trajectory(params, horizon, 5e-4)
             result = n_from_trajectory(traj, X_PAIR)
             assert result.n_value == pytest.approx(m, abs=1e-5)
@@ -457,7 +460,7 @@ class TestPairSearch:
 
     def test_spinbath_search_matches_closed_form_canonical_pair(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
-        horizon = 3 * np.pi / 2 + 0.3
+        horizon = round((3 * np.pi / 2 + 0.3) / 5e-4) * 5e-4  # on the grid
         times = make_time_grid(horizon, 5e-4)
         search = search_pairs(spinbath_flow(params, times), 20, times, seed=0)
         closed = n_from_trajectory(spinbath_trajectory(params, horizon, 5e-4), X_PAIR)
@@ -623,7 +626,7 @@ def pair_values(flow, diffs, times):
     """The blocks of _pair_values over the stacked differences diffs joined:
     (values, errors, intervals), the intervals' rows indexing pairs."""
     values, errors, found = [], [], []
-    blocks = _pair_values(flow, len(diffs), lambda a, b: diffs[a:b], times)
+    blocks = _pair_values(*pair_operator(flow, times), len(diffs), lambda a, b: diffs[a:b], times)
     for start, _, vals, errs, (rows, a, b, c) in blocks:
         values.append(vals)
         errors += errs
@@ -636,10 +639,15 @@ def every_column(op, d, t):
     return np.arange(t)
 
 
+def pair_operator(flow, times):
+    """(op, d) of the flow on times, in _pair_values' argument order."""
+    d, op = _pair_operator(flow, times.size)
+    return op, d
+
+
 def evaluated_times(flow, times):
     """The grid times at which a search of the flow evaluates D."""
-    d = int(np.sqrt(flow.shape[-1]))
-    return times[_evaluated_columns(_pair_operator(flow, d), d, times.size)]
+    return times[_evaluated_columns(*pair_operator(flow, times), times.size)]
 
 
 def diffs_of(pairs):
@@ -685,7 +693,8 @@ class TestBatchedPairs:
         pairs = canonical_pairs(dim) + random_pairs(dim, 5, 3 * size - 1)
         # The search really cuts the pairs into blocks of that size.
         seen, diffs = [], diffs_of(pairs + pairs[:2])
-        list(_pair_values(flow, 3 * size + 1, lambda a, b: seen.append(b - a) or diffs[a:b], times))
+        list(_pair_values(*pair_operator(flow, times), 3 * size + 1,
+                          lambda a, b: seen.append(b - a) or diffs[a:b], times))
         assert seen == [size, size, size, 1]
         expected = [pair_value(flow, pair, times) for pair in pairs]
         assert sum(n > 0.0 for n, _ in expected) > len(pairs) // 2
@@ -817,7 +826,7 @@ class TestWindowedSearch:
     def test_no_expanding_step_is_skipped(self, name):
         times = make_time_grid(6.0, 1e-3)
         flow = WINDOW_CASES[name](times)
-        flags = _growth_steps(_pair_operator(flow, 2))
+        flags = _growth_steps(pair_operator(flow, times)[0])
         top, scale = bloch_block_oracle(flow)
         assert 0 < flags.sum() < flags.size
         assert not np.any((top > 0.0) & ~flags)
@@ -830,13 +839,13 @@ class TestWindowedSearch:
         # eigenvalue at every step, so no step is skipped.
         times = make_time_grid(6.0, 1e-3)
         flow = spinbath_flow(SpinBathParams(coupling_a=1.0, n_spins=20), times)
-        assert _growth_steps(_pair_operator(flow, 2)).all()
+        assert _growth_steps(pair_operator(flow, times)[0]).all()
 
     @pytest.mark.parametrize("delta", [0.0, 5.0, 8.0, 10.0])
     def test_jc_flags_are_the_steps_where_the_amplitude_grows(self, delta):
         params = JCParams(delta=delta)
         times = make_time_grid(10.0, 1e-3)
-        flags = _growth_steps(_pair_operator(propagator_grid(jc_generator(params), times), 2))
+        flags = _growth_steps(pair_operator(propagator_grid(jc_generator(params), times), times)[0])
         assert np.array_equal(flags, np.diff(np.abs(jc_amplitude(params, times))) > 0.0)
 
     @pytest.mark.parametrize("entry, value", [
@@ -846,7 +855,7 @@ class TestWindowedSearch:
     def test_non_finite_entries_and_the_trace_row_flag_both_steps(self, entry, value):
         # A contracting flow: no step flagged, until one grid point is spoiled.
         times = make_time_grid(1.0, 1e-2)
-        op = _pair_operator(propagator_grid(semigroup_generator(1.0), times), 2)
+        op = pair_operator(propagator_grid(semigroup_generator(1.0), times), times)[0]
         assert not _growth_steps(op).any()
         kept, op[entry + (40,)] = op[entry + (40,)], value
         assert np.flatnonzero(_growth_steps(op)).tolist() == [39, 40]
@@ -858,7 +867,7 @@ class TestWindowedSearch:
         # |G| falls monotonically on resonance at weak coupling: no step can
         # raise D, and only the one-sided sigma stencils are evaluated.
         flow, times = grid_flow(jc_generator(JCParams(delta=0.0)), 10.0, 1e-3)
-        cols = _evaluated_columns(_pair_operator(flow, 2), 2, times.size)
+        cols = _evaluated_columns(*pair_operator(flow, times), times.size)
         assert cols.tolist() == [0, 1, 2, times.size - 3, times.size - 2, times.size - 1]
         search = search_pairs(flow, 500, times, seed=1)
         assert search.best.n_value == search.n_canonical == search.n_sampled_max == 0.0
@@ -925,3 +934,153 @@ class TestSearchMemory:
             tracemalloc.stop()
         assert search.failures == []
         assert peak <= bound
+
+
+# (generator, steps, step): the jc benchmark grid on resonance, where no step
+# is evaluated but the edges, and detuned; a grid of several flow blocks and a
+# partial one; and a d = 3 generator, whose blocks are assembled into one array.
+STREAM_CASES = {
+    "jc-delta-0": (lambda: jc_generator(JCParams(delta=0.0)), 10_000, 1e-3),
+    "jc-delta-8": (lambda: jc_generator(JCParams(delta=8.0)), 10_000, 1e-3),
+    "jc-delta-8-blocks": (lambda: jc_generator(JCParams(delta=8.0)), 3 * STEP_BLOCK + 17, 1e-2),
+    "callable-d3": (callable_d3_generator, 3 * STEP_BLOCK + 17, 1e-2),
+}
+
+
+def search_record(search):
+    """Everything a search reports, for exact comparison."""
+    best = search.best
+    return (best.n_value, search.n_canonical, search.n_sampled_max, search.samples_evaluated,
+            search.failures, [(iv.a, iv.b, iv.contribution) for iv in best.intervals],
+            best.best_pair.label, best.best_pair.rho1.matrix.tobytes(),
+            best.best_pair.rho2.matrix.tobytes(), best.diverging, best.horizon)
+
+
+def tiled(flow, *cuts):
+    """The flow as a stream of (k0, block), cut before each grid point in cuts."""
+    edges = [0, *cuts, len(flow)]
+    return [(a, flow[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+class TestFlowStream:
+    """A flow given as a block stream (dynamics.flow_blocks) is read as the
+    array of the same blocks would be: one path, the same products."""
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_stream_results_equal_the_array_bit_for_bit(self, name):
+        make_gen, steps, step = STREAM_CASES[name]
+        gen, times = make_gen(), make_time_grid(steps * step, step)
+        assert times.size == steps + 1
+        flow = propagator_grid(gen, times)
+        for threshold in (None, 1e-6):
+            on_array = search_pairs(flow, 40, times, threshold, seed=2)
+            on_stream = search_pairs(flow_blocks(gen, times), 40, times, threshold, seed=2)
+            assert search_record(on_stream) == search_record(on_array)
+        for pair in random_pairs(gen.dim, 9, 2) + canonical_pairs(gen.dim):
+            expected = trajectory(flow, pair, times)
+            got = trajectory(flow_blocks(gen, times), pair, times)
+            assert np.array_equal(got.d_values, expected.d_values)
+            assert np.array_equal(got.sigma_values, expected.sigma_values)
+            assert n_for_pair(flow_blocks(gen, times), pair, times) == n_for_pair(flow, pair, times)
+        # A sweep whose second point blows up; repr, as its values are NaN.
+        records = [repr(sweep(lambda p: make(blow_up_generator() if p else gen, times),
+                              [0.0, 1.0], times, 10, seed=3))
+                   for make in (propagator_grid, flow_blocks)]
+        assert records[0] == records[1]
+        assert "error=None" in records[0] and "non-finite entries" in records[0]
+
+    def test_search_reads_a_stream_once_and_in_order(self):
+        # A qubit generator with every Pauli map entry in play, cut into
+        # blocks of 1 to 1018 grid points across the 1024-point product slices.
+        gen = constant_generator(0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * SIGMA_Y, [
+            (SIGMA_MINUS, 0.4), (SIGMA_Z, 0.2), (SIGMA_X + 0.5j * SIGMA_Y, 0.1)])
+        flow, times = grid_flow(gen, 3.0, 1e-3)
+        cuts = (1, 2, 4, 7, 700, 1024, 1030, 2048, 2049)
+        read = []
+
+        def stream():
+            for k0, block in tiled(flow, *cuts):
+                read.append(k0)
+                yield k0, block
+
+        got = search_pairs(stream(), 30, times, seed=4)
+        assert read == [0, *cuts]
+        assert search_record(got) == search_record(search_pairs(flow, 30, times, seed=4))
+        op = _pair_operator(tiled(flow, *cuts), times.size)[1]
+        assert np.array_equal(op, _pair_operator(flow, times.size)[1])
+
+    @pytest.mark.parametrize("blocks, message", [
+        (lambda f: tiled(f, 50)[::-1], "block at grid point 50 does not follow grid point 0"),
+        (lambda f: [(0, f[:50]), (51, f[51:])], "block at grid point 51 does not follow grid point 50"),
+        (lambda f: [(0, f[:50]), (49, f[49:])], "block at grid point 49 does not follow grid point 50"),
+        (lambda f: tiled(f[:-1], 50), r"flow shape \(100, d\^2, d\^2\) is not"),
+        (lambda f: tiled(f, 50) + [(101, f[:1])], r"flow shape \(102, 4, 4\) is not"),
+        (lambda f: [(0, f[:50]), (50, f[50:, :3, :3])], r"flow shape \(101, 3, 3\) is not"),
+        (lambda f: [(0, f[:50]), (50, f[50:].reshape(51, 16))], r"flow shape \(101, 16\) is not"),
+        (lambda f: [(0, f[:50]), (50, np.zeros((51, 9, 9)))], r"flow shape \(101, 9, 9\) is not"),
+        (lambda f: [], r"flow shape \(0, d\^2, d\^2\) is not"),
+    ])
+    def test_stream_that_does_not_tile_the_grid_rejected(self, blocks, message):
+        flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
+        assert times.size == 101
+        with pytest.raises(ValueError, match=message):
+            search_pairs(blocks(flow), 2, times)
+        with pytest.raises(ValueError, match=message):
+            trajectory(blocks(flow), Z_PAIR, times)
+
+    def test_blow_up_raises_before_any_pair_is_evaluated(self, monkeypatch):
+        import nmflow.measure
+
+        times = make_time_grid(1.0, 1e-2)
+        evaluated = []
+        distances = nmflow.measure._distances
+        monkeypatch.setattr(nmflow.measure, "_distances",
+                            lambda *args: evaluated.append(1) or distances(*args))
+        message = r"^propagator has non-finite entries at t=0\.3$"
+        with pytest.raises(InvariantViolation, match=message):
+            search_pairs(flow_blocks(blow_up_generator(), times), 5, times)
+        with pytest.raises(InvariantViolation, match=message):
+            trajectory(flow_blocks(blow_up_generator(), times), X_PAIR, times)
+        assert evaluated == []
+        (record,) = sweep(lambda _: flow_blocks(blow_up_generator(), times), [0.0], times, 5)
+        assert record.error == "propagator has non-finite entries at t=0.3"
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, None, 0), "n_pairs must be >= 1"),
+        ((5, -1.0, 0), "threshold must be nonnegative"),
+        ((5, None, -1), "seed must be an integer"),
+    ])
+    def test_arguments_are_checked_before_the_flow_is_read(self, args, message):
+        times = make_time_grid(1.0, 1e-2)
+        n_pairs, threshold, seed = args
+        with pytest.raises(ValueError, match=message):
+            search_pairs(flow_blocks(blow_up_generator(), times), n_pairs, times, threshold, seed)
+        with pytest.raises(ValueError, match="grid intervals; sigma needs >= 10"):
+            search_pairs(flow_blocks(blow_up_generator(), times), 5, times[:5])
+
+    def test_qubit_search_on_the_stream_holds_less_than_half_the_array(self):
+        import tracemalloc
+
+        # Fixed before the stream was read: at T = 40,001 the complex flow is
+        # 10.2 MB and the Pauli map, which a search on the stream holds
+        # instead, 3.84 MB; both peaks include building the flow.
+        gen = jc_generator(JCParams(delta=8.0))
+        times = make_time_grid(40.0, 1e-3)
+        search_pairs(flow_blocks(gen, times[:11]), 1, times[:11])  # first-call imports stay out
+        peaks, records = [], []
+        for make in (propagator_grid, flow_blocks):
+            tracemalloc.start()
+            try:
+                records.append(search_record(search_pairs(make(gen, times), 20, times, seed=0)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert records[0] == records[1]
+        assert peaks[1] < 0.5 * peaks[0]
+
+
+def test_grid_must_end_at_the_horizon():
+    with pytest.raises(ValueError, match="^horizon 4 is not a whole number of steps 0.3$"):
+        make_time_grid(4, 0.3)
+    assert make_time_grid(2.5, 1e-3)[-1] == 2.5
+    assert make_time_grid(20 * np.pi / 40, np.pi / 40).size == 21

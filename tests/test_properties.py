@@ -170,8 +170,9 @@ def oscillating_qubit_generator(hx, hz, rates):
 def joined_pair_values(flow, diffs, times, threshold):
     """Values, errors and intervals (rows indexing pairs) of _pair_values."""
     values, errors, found = [], [], []
+    d, op = _pair_operator(flow, times.size)
     for start, _, vals, errs, (rows, a, b, c) in _pair_values(
-        flow, len(diffs), lambda i, j: diffs[i:j], times, threshold
+        op, d, len(diffs), lambda i, j: diffs[i:j], times, threshold
     ):
         values.append(vals)
         errors += errs
@@ -192,7 +193,7 @@ def test_windowed_pair_values_equal_the_full_evaluation(hx, hz, rates, threshold
     # The flags against a stacked eigensolve of dQ_k: no step where some Bloch
     # length can grow is skipped, and a skipped step keeps at least half its
     # margin of 1e-13 of the scale (the other half covers the eigensolve's rounding).
-    op = _pair_operator(flow, 2)
+    _, op = _pair_operator(flow, times.size)
     m = op[1:].transpose(2, 0, 1)
     q = m.swapaxes(1, 2) @ m
     top = np.linalg.eigvalsh(q[1:] - q[:-1])[:, -1]
