@@ -14,6 +14,7 @@ from .dynamics import (
     Propagator,
     apply_generator,
     evolve_state,
+    flow_blocks,
     propagator_between,
     propagator_grid,
     choi_of,

@@ -964,7 +964,7 @@ def tiled(flow, *cuts):
 
 class TestFlowStream:
     """A flow given as a block stream (dynamics.flow_blocks) is read as the
-    array of the same blocks would be: one path, the same products."""
+    array of the same blocks would be: one path, the same bits."""
 
     @pytest.mark.parametrize("name", sorted(STREAM_CASES))
     def test_stream_results_equal_the_array_bit_for_bit(self, name):
