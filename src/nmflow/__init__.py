@@ -28,12 +28,14 @@ from .models import (
     jc_rate,
     jc_decay_exponent,
     jc_generator,
+    jc_flow,
     spinbath_f,
     spinbath_flow,
     spinbath_trace_distance,
     spinbath_rate,
     spinbath_generator,
     semigroup_generator,
+    semigroup_flow,
 )
 from .measure import (
     TrajectoryGrid,

@@ -5,7 +5,8 @@ names (horizon_over_lambda, step_times_a, ...); unknown keys are errors.
 Command-line flags mirror the config fields, take the model's reduced time
 unit (1/lambda, 1/A, 1/gamma0), and win over the file. All commands are
 deterministic given the config, including seeds; outputs are CSV (17
-significant digits) or JSON with a schema_version field.
+significant digits) or JSON with a schema_version field, and a flow field
+("exact" or "rk4") where a command evolves states.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -26,7 +27,7 @@ from .exceptions import ConfigError, NumericalError
 from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
 MODELS = ("jc", "spinbath", "semigroup", "custom-file")
@@ -286,13 +287,16 @@ def load_custom_generator(path):
     return gen
 
 
+def _jc_params(cfg):
+    values = cfg.values
+    return models.JCParams(gamma0=values["gamma0_over_lambda"], lam=1.0,
+                           delta=values["delta_over_lambda"])
+
+
 def build_generator(cfg):
     values = cfg.values
     if cfg.model == "jc":
-        params = models.JCParams(
-            gamma0=values["gamma0_over_lambda"], lam=1.0, delta=values["delta_over_lambda"]
-        )
-        return models.jc_generator(params, nonnegative_rate=values["clamp_rate"])
+        return models.jc_generator(_jc_params(cfg), nonnegative_rate=values["clamp_rate"])
     if cfg.model == "semigroup":
         return models.semigroup_generator(1.0)
     if cfg.model == "custom-file":
@@ -311,14 +315,27 @@ def time_grid(cfg):
         raise ConfigError(str(exc)) from None
 
 
+def flow_method(cfg):
+    """How build_flow gets the flow: "exact" for the closed forms of the spin
+    bath, the semigroup and the unclamped jc model, "rk4" for the clamped jc
+    model and custom-file, whose flow is integrated."""
+    rk4 = cfg.model == "custom-file" or (cfg.model == "jc" and cfg.values["clamp_rate"])
+    return "rk4" if rk4 else "exact"
+
+
 def build_flow(cfg, times):
-    """Flow Phi(t_k, 0) of the model on times: the exact array for the spin
-    bath, for the others the block stream of RK4 integration of the
-    generator (dynamics.flow_blocks), which the command reads once."""
+    """Flow Phi(t_k, 0) of the model on times, which the command reads once:
+    the exact array for the spin bath, the exact block stream of amplitude
+    damping for the semigroup and the unclamped jc model, and otherwise the
+    block stream of RK4 integration of the generator (dynamics.flow_blocks)."""
+    if flow_method(cfg) == "rk4":
+        return flow_blocks(build_generator(cfg), times)
     if cfg.model == "spinbath":
         params = models.SpinBathParams(coupling_a=1.0, n_spins=cfg.values["n_spins"])
         return models.spinbath_flow(params, times)
-    return flow_blocks(build_generator(cfg), times)
+    if cfg.model == "semigroup":
+        return models.semigroup_flow(1.0, times)
+    return models.jc_flow(_jc_params(cfg), times)
 
 
 def resolve_pair(cfg):
@@ -429,7 +446,8 @@ def cmd_trajectory(cfg):
     traj = trajectory(build_flow(cfg, times), pair, times)
     header = [TIME_COLUMN[cfg.model], "trace_distance", "sigma"]
     rows = list(zip(traj.times.tolist(), traj.d_values.tolist(), traj.sigma_values.tolist()))
-    write_output(cfg, header, rows, {"trajectory": _records(header, rows)})
+    write_output(cfg, header, rows,
+                 {"flow": flow_method(cfg), "trajectory": _records(header, rows)})
     return 0
 
 
@@ -452,6 +470,7 @@ def cmd_measure(cfg):
     header = ["a", "b", "contribution"]
     rows = [[iv.a, iv.b, iv.contribution] for iv in result.intervals]
     payload = {
+        "flow": flow_method(cfg),
         "n_value": result.n_value,
         "horizon": result.horizon,
         "intervals": _records(header, rows),
@@ -483,7 +502,7 @@ def cmd_sweep(cfg):
               "best_pair", "error"]
     rows = [[rec.parameter, rec.n_sampled_max, rec.n_canonical, rec.n_value,
              rec.best_pair_label or "", rec.error or ""] for rec in records]
-    write_output(cfg, header, rows, {"sweep": _records(header, rows)})
+    write_output(cfg, header, rows, {"flow": flow_method(cfg), "sweep": _records(header, rows)})
     if all(rec.error for rec in records):
         raise NumericalError("every sweep point failed; first: " + records[0].error)
     return 0
@@ -496,7 +515,7 @@ def cmd_divisibility(cfg):
     report = divisibility_report(gen, grid, tol=cfg.values["cp_tol"], h=cfg.step)
     header = ["t_start", "t_end", "is_cp", "least_choi_eigenvalue"]
     rows = [[v.t_start, v.t_end, v.is_cp, v.least_choi_eigenvalue] for v in report.intervals]
-    payload = {"divisible": report.divisible, "intervals": _records(header, rows)}
+    payload = {"flow": "rk4", "divisible": report.divisible, "intervals": _records(header, rows)}
     write_output(cfg, header, rows, payload)
     return 0
 

@@ -25,7 +25,8 @@ TRACE_DRIFT_TOL = 1e-8
 EVOLVE_POSITIVITY_TOL = 1e-8
 PROPAGATOR_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-7
-# RK4 steps whose step maps are built together; bounds the stage-matrix memory.
+# RK4 steps whose step maps are built together, which bounds the stage-matrix
+# memory, and grid points per block of a flow stream.
 STEP_BLOCK = 256
 
 

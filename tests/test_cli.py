@@ -14,10 +14,12 @@ import pytest
 import nmflow
 from nmflow.cli import KEYS, build_parser, main, resolve_config, time_grid
 from nmflow.exceptions import ConfigError
+from nmflow.measure import make_time_grid
 from nmflow.models import (
     POLE_TOL,
     JCParams,
     SpinBathParams,
+    jc_amplitude,
     jc_rate,
     spinbath_f,
     spinbath_pole_distance,
@@ -267,7 +269,7 @@ class TestRate:
         assert run("rate", "--model", "semigroup", "--horizon", "2",
                    "--step", "0.1", "--format", "json", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert all(rec["gamma_over_gamma0"] == 1.0 for rec in payload["rate"])
 
     def test_json_pole_rows_are_strict_json(self, tmp_path):
@@ -496,21 +498,60 @@ class TestNumericalFailure:
         assert code == 3
         assert "non-finite entries at t=" in capsys.readouterr().err
 
+    # The clamped jc rate at strong coupling, integrated by RK4 on a coarse
+    # grid across the poles of the unclamped rate, which that step cannot
+    # resolve: the canonical z pair fails (a negative contribution).
+    CLAMPED_POLES = ("--gamma0", "20", "--clamp-rate", "--horizon", "20", "--step", "5e-2")
+
     def test_failed_canonical_pair_is_exit_3(self, tmp_path, capsys):
-        code = run("measure", "--model", "jc", "--gamma0", "5", "--delta", "0",
-                   "--n-pairs", "10", "--horizon", "20", "--step", "1e-3",
-                   "--format", "json", "--output", str(tmp_path / "m.json"))
+        code = run("measure", "--model", "jc", *self.CLAMPED_POLES, "--delta", "0",
+                   "--n-pairs", "10", "--format", "json", "--output", str(tmp_path / "m.json"))
         assert code == 3
         assert "canonical pair failed: canonical-z" in capsys.readouterr().err
 
     def test_failed_canonical_pair_is_a_sweep_error(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert run("sweep", "--model", "jc", "--gamma0", "5", "--delta-min", "0",
+        assert run("sweep", "--model", "jc", *self.CLAMPED_POLES, "--delta-min", "0",
                    "--delta-max", "8", "--delta-points", "2", "--n-pairs", "2",
-                   "--horizon", "20", "--step", "1e-3", "--output", str(out)) == 0
+                   "--output", str(out)) == 0
         _, rows = read_csv_grid(str(out))
         assert rows[0][5].startswith("canonical pair failed: canonical-z")
-        assert rows[1][5] == "" and rows[1][3] > 0.0
+        assert rows[1][5] == "" and math.isfinite(rows[1][3])
+
+
+class TestStrongCoupling:
+    """gamma0 = 5 lambda on resonance: G(t) has zeros, where the jc rate has
+    poles that RK4 cannot cross; the exact flow crosses them. For the
+    canonical x pair D(t) = |G(t)|, so its measure on the grid is N_x, the
+    sum of the positive increments of |G|."""
+
+    ARGS = ("--model", "jc", "--gamma0", "5", "--delta", "0", "--horizon", "20",
+            "--step", "1e-3")
+
+    def abs_g(self, times):
+        return np.abs(jc_amplitude(JCParams(gamma0=5.0, lam=1.0, delta=0.0), times))
+
+    def test_measure_is_the_x_pair_within_the_endpoint_interpolation(self, tmp_path):
+        # The gap to N_x is O(h): the growth intervals interpolate their ends
+        # at the cusps of |G| (2.36e-4, 1.30e-4 and 5.6e-5 at h = 2e-3, 1e-3
+        # and 5e-4).
+        out = tmp_path / "m.json"
+        assert run("measure", *self.ARGS, "--n-pairs", "100", "--format", "json",
+                   "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        n_x = np.maximum(np.diff(self.abs_g(make_time_grid(20.0, 1e-3))), 0.0).sum()
+        assert payload["flow"] == "exact"
+        assert payload["best_pair"]["label"] == "canonical-x"
+        assert payload["failures"] == []
+        assert abs(payload["n_value"] - n_x) <= 2e-4
+
+    def test_trajectory_of_the_x_pair_is_abs_g(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run("trajectory", *self.ARGS, "--pair", "x", "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        times, d_values = np.array([row[:2] for row in rows]).T
+        assert times.size == 20_001
+        assert np.max(np.abs(d_values - self.abs_g(times))) <= 1e-12
 
 
 class TestSweep:
@@ -573,6 +614,50 @@ class TestDivisibility:
         # 17 significant digits means float cells survive a write/read cycle.
         assert rows[1][0] == 0.25
         assert isinstance(rows[0][3], float)
+
+
+class TestFlowMethod:
+    """Every command that evolves a pair names its flow in JSON: the closed
+    forms of the spin bath, the semigroup and the unclamped jc model are
+    "exact", the clamped jc model and custom-file integrate RK4
+    (dynamics.flow_blocks), and divisibility always integrates."""
+
+    @pytest.mark.parametrize("argv, flow", [
+        ("trajectory --model jc --delta 5", "exact"),
+        ("trajectory --model jc --delta 5 --clamp-rate", "rk4"),
+        ("trajectory --model spinbath --n-spins 5", "exact"),
+        ("trajectory --model custom-file", "rk4"),
+        ("measure --model jc --delta 8 --n-pairs 2", "exact"),
+        ("measure --model jc --delta 8 --n-pairs 2 --clamp-rate", "rk4"),
+        ("measure --model semigroup --n-pairs 2", "exact"),
+        ("measure --model custom-file --n-pairs 2", "rk4"),
+        ("sweep --model jc --delta-points 2 --n-pairs 2", "exact"),
+        ("sweep --model jc --delta-points 2 --n-pairs 2 --clamp-rate", "rk4"),
+        ("divisibility --model jc --delta 5 --grid-points 2", "rk4"),
+        ("divisibility --model semigroup --grid-points 2", "rk4"),
+    ])
+    def test_json_names_the_flow_it_used(self, tmp_path, monkeypatch, argv, flow):
+        import nmflow.cli
+
+        integrated = []
+        flow_blocks = nmflow.cli.flow_blocks
+        monkeypatch.setattr(nmflow.cli, "flow_blocks",
+                            lambda *args: integrated.append(1) or flow_blocks(*args))
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        gen_file.write_text(json.dumps({
+            "hamiltonian": {"re": zeros, "im": zeros},
+            "channels": [{"operator": {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros},
+                          "rate": 1.0}],
+        }))
+        extra = ["--generator-file", str(gen_file)] if "custom-file" in argv else []
+        out = tmp_path / "out.json"
+        assert run(*argv.split(), *extra, "--horizon", "1", "--step", "0.01",
+                   "--format", "json", "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["schema_version"] == 3 and payload["flow"] == flow
+        if not argv.startswith("divisibility"):
+            assert bool(integrated) == (flow == "rk4")
 
 
 def _same_cell(csv_cell, json_cell):

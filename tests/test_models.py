@@ -3,15 +3,18 @@ import pytest
 
 from oracles import spin_bath_coherence_factor, state_rng, volterra_amplitude
 
-from nmflow.dynamics import evolve_state
+from nmflow.dynamics import STEP_BLOCK, evolve_state, propagator_grid
 from nmflow.exceptions import NumericalError
+from nmflow.measure import _pair_operator, canonical_pairs, make_time_grid, search_pairs, trajectory
 from nmflow.models import (
     JCParams,
     SpinBathParams,
     jc_amplitude,
     jc_decay_exponent,
+    jc_flow,
     jc_generator,
     jc_rate,
+    semigroup_flow,
     semigroup_generator,
     spinbath_f,
     spinbath_generator,
@@ -225,6 +228,8 @@ class TestSemigroup:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="nonnegative"):
             semigroup_generator(-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            semigroup_flow(-1.0, np.linspace(0.0, 1.0, 11))
 
     def test_distance_decays_exponentially(self):
         gen = semigroup_generator(1.0)
@@ -233,6 +238,52 @@ class TestSemigroup:
         s2 = evolve_state(gen, MINUS_X, grid)
         d = np.array([trace_distance(a, b) for a, b in zip(s1, s2)])
         assert np.max(np.abs(d - np.exp(-0.5 * grid))) < 1e-7
+
+
+# The jc points, and None for the semigroup, of the exact-versus-RK4 checks.
+EXACT_CASES = [*(JCParams(gamma0=g0, delta=delta)
+                 for g0, delta in ((0.01, 8.0), (0.01, 0.0), (0.5, 4.0), (5.0, 3.0))), None]
+
+
+class TestExactFlow:
+    """The amplitude-damping flow of jc_flow and semigroup_flow against RK4
+    integration of the same generators, where RK4 resolves them."""
+
+    @pytest.mark.parametrize("params", EXACT_CASES, ids=lambda p: (
+        f"jc-{p.gamma0}-{p.delta}" if p else "semigroup"))
+    def test_exact_stream_matches_rk4(self, params):
+        if params is None:
+            gen, exact = semigroup_generator(1.0), lambda t: semigroup_flow(1.0, t)
+        else:
+            gen, exact = jc_generator(params), lambda t: jc_flow(params, t)
+        times = make_time_grid(10.0, 1e-3)
+        rk4 = propagator_grid(gen, times)
+        blocks = list(exact(times))
+        assert [k0 for k0, _ in blocks] == list(range(0, times.size, STEP_BLOCK))
+        flow = np.concatenate([block for _, block in blocks])
+        assert flow.shape == rk4.shape
+        assert np.max(np.abs(flow - rk4)) <= 1e-12
+        on_exact = search_pairs(exact(times), 50, times, seed=1).best.n_value
+        assert abs(on_exact - search_pairs(rk4, 50, times, seed=1).best.n_value) <= 1e-10
+        # The stream and the array of its blocks reduce to the same bits.
+        op = _pair_operator(exact(times), times.size)[1]
+        assert np.array_equal(op, _pair_operator(flow, times.size)[1])
+
+    def test_a_zero_of_g_is_a_valid_grid_point(self):
+        # gamma0 = 5 lambda on resonance: G(t) = exp(-t/2) (cos(3t/2) +
+        # sin(3t/2)/3), whose first zero t0 is grid point 100. The rate has a
+        # pole there, the map is the full decay to the ground level.
+        params = JCParams(gamma0=5.0, delta=0.0)
+        t0 = 2.0 / 3.0 * (np.pi - np.arctan(3.0))
+        times = np.arange(301) * (t0 / 100)
+        assert abs(jc_amplitude(params, times[100])) < 1e-15
+        flow = np.concatenate([block for _, block in jc_flow(params, times)])
+        assert np.isfinite(flow).all()
+        assert abs(flow[100, 0, 0]) < 1e-30 and flow[100, 3, 0] == 1.0
+        x_pair = next(pair for pair in canonical_pairs(2) if pair.label == "canonical-x")
+        d = trajectory(jc_flow(params, times), x_pair, times).d_values
+        assert np.max(np.abs(d - np.abs(jc_amplitude(params, times)))) <= 1e-15
+        assert search_pairs(jc_flow(params, times), 20, times).failures == []
 
 
 class TestParamValidation:
