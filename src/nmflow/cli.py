@@ -31,9 +31,6 @@ SCHEMA_VERSION = 3
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
 MODELS = ("jc", "spinbath", "semigroup", "custom-file")
-# Models with a master-equation generator: divisibility integrates its
-# two-time maps.
-EVOLVED = ("jc", "semigroup", "custom-file")
 ALL_COMMANDS = frozenset({"rate", "trajectory", "measure", "sweep", "divisibility"})
 SEARCH = ("measure", "sweep")
 
@@ -103,8 +100,8 @@ def _keys(models, commands, *rows):
 
 
 # The one list of keys: defaults, flags, allowed keys, value rules and the
-# parser all come from here. --horizon and --step set the time keys of the
-# chosen model.
+# parser all come from here. --horizon and --step set the chosen model's time
+# keys, and the commands of its --horizon row are the commands the model runs.
 KEYS = (
     *_keys(MODELS, ALL_COMMANDS,
            ("model", MODELS, "jc", "--model", "physical model"),
@@ -147,7 +144,7 @@ KEYS = (
            ("pair", ("z", "x"), "z", "--pair", "canonical initial pair"),
            ("pair_bloch", str, None, "--pair-bloch", "'x,y,z;x,y,z'"),
            ("pair_files", str, None, "--pair-files", "'file1;file2'")),
-    *_keys(EVOLVED, {"divisibility"},
+    *_keys(MODELS, {"divisibility"},
            ("grid_points", int, "20", "--grid-points", "intervals of the divisibility grid",
             "at least 1"),
            ("cp_tol", float, "1e-7", "--cp-tol", "tolerance on the least Choi eigenvalue",
@@ -219,11 +216,13 @@ def _flag_key(flag, model):
 
 
 def resolve_config(args, command):
-    """The RunConfig of a command from the config file and the flags (which
-    win): every value, given or default, is parsed by its key once."""
+    """The RunConfig of a command that the model runs (see KEYS) from the config
+    file and the flags (which win), every value parsed by its key once."""
     file_cfg = parse_config_file(args.config) if args.config else {}
     model_key = KEY_TABLE["model"]
     model = model_key.parse(args.model or file_cfg.get("model") or model_key.default)
+    if command not in _flag_key("--horizon", model).commands:
+        raise ConfigError(f"command {command!r} is not defined for model {model!r}")
     for key in file_cfg:
         if key not in KEY_TABLE:
             raise ConfigError(f"unknown config key {key!r} for model {model!r}")
@@ -282,8 +281,11 @@ def load_custom_generator(path):
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: missing field {exc}")
     gen = constant_generator(ham, channels)
-    if "dim" in data and int(data["dim"]) != gen.dim:
-        raise ConfigError(f"{path}: declared dim {data['dim']} != matrix dim {gen.dim}")
+    dim = data.get("dim", gen.dim)
+    if type(dim) is not int:  # a JSON integer: not a float, a string or a bool
+        raise ConfigError(f"{path}: dim must be an integer, got {json.dumps(dim)}")
+    if dim != gen.dim:
+        raise ConfigError(f"{path}: declared dim {dim} != matrix dim {gen.dim}")
     return gen
 
 
@@ -294,16 +296,15 @@ def _jc_params(cfg):
 
 
 def build_generator(cfg):
+    """The generator of a jc, semigroup or custom-file run, for divisibility and RK4."""
     values = cfg.values
     if cfg.model == "jc":
         return models.jc_generator(_jc_params(cfg), nonnegative_rate=values["clamp_rate"])
     if cfg.model == "semigroup":
         return models.semigroup_generator(1.0)
-    if cfg.model == "custom-file":
-        if "generator_file" not in values:
-            raise ConfigError("model custom-file needs key generator_file")
-        return load_custom_generator(values["generator_file"])
-    raise ConfigError(f"model {cfg.model!r} has no master-equation generator")
+    if "generator_file" not in values:
+        raise ConfigError("model custom-file needs key generator_file")
+    return load_custom_generator(values["generator_file"])
 
 
 def time_grid(cfg):
@@ -324,10 +325,10 @@ def flow_method(cfg):
 
 
 def build_flow(cfg, times):
-    """Flow Phi(t_k, 0) of the model on times, which the command reads once:
-    the exact array for the spin bath, the exact block stream of amplitude
-    damping for the semigroup and the unclamped jc model, and otherwise the
-    block stream of RK4 integration of the generator (dynamics.flow_blocks)."""
+    """Flow Phi(t_k, 0) of the model on times, a block stream that the
+    command reads once: the exact phase-covariant map of the spin bath, the
+    semigroup and the unclamped jc model, otherwise RK4 integration of the
+    generator (dynamics.flow_blocks)."""
     if flow_method(cfg) == "rk4":
         return flow_blocks(build_generator(cfg), times)
     if cfg.model == "spinbath":
@@ -430,11 +431,9 @@ def cmd_rate(cfg):
         header = [time_col, "gamma_over_a", "flag"]
         rows = [[t, g, "pole" if p else ""]
                 for t, g, p in zip(times.tolist(), gammas.tolist(), pole.tolist())]
-    elif cfg.model == "semigroup":
+    else:  # semigroup, the last model that runs rate
         header = [time_col, "gamma_over_gamma0", "flag"]
         rows = [[t, 1.0, ""] for t in times.tolist()]
-    else:
-        raise ConfigError(f"model {cfg.model!r} does not support an analytic rate")
     write_output(cfg, header, rows, {"rate": _records(header, rows)})
     return 0
 
@@ -488,9 +487,8 @@ def cmd_measure(cfg):
 
 
 def cmd_sweep(cfg):
-    """Columns delta, N_sampled_max, N_canonical_pair across a detuning grid."""
-    if cfg.model != "jc":
-        raise ConfigError("sweep is defined for the jc model only")
+    """Columns delta, N_sampled_max, N_canonical_pair (the canonical z pair's
+    value), N and the best pair across a detuning grid."""
     values = cfg.values
     times = time_grid(cfg)
     family = lambda delta: build_flow(

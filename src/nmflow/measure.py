@@ -450,7 +450,10 @@ def _direction_pair(x, label):
 
 @dataclass
 class PairSearch:
-    """Full record of a maximization run over initial pairs."""
+    """Full record of a maximization run over initial pairs: the best pair's
+    result, n_canonical the value of the first canonical pair (canonical-z
+    for qubits), not the larger of the two, and n_sampled_max the largest
+    value of the sampled pairs."""
 
     best: MeasureResult
     n_canonical: float
@@ -568,7 +571,8 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
 
 @dataclass
 class SweepRecord:
-    """One parameter point of a sweep: overall, canonical and sampled maxima."""
+    """One parameter point of a sweep: the overall maximum, the first
+    canonical pair's value and the sampled maximum (see PairSearch)."""
 
     parameter: float
     n_value: float = np.nan

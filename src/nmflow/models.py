@@ -11,7 +11,8 @@ of a constant rate.
 
 Central spin dephasing in a bath of N spins (maximally mixed bath):
 populations are frozen and coherences are multiplied by f(t) = cos^N(2At),
-which spinbath_flow gives exactly on a time grid.
+which spinbath_flow gives exactly on a time grid. The three exact flows are
+one phase-covariant qubit map, streamed by _phase_covariant_flow.
 The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi, so that
 generator is exposed for demonstrations only, never integrated across poles.
 """
@@ -107,35 +108,32 @@ def jc_generator(params, nonnegative_rate=False):
                          channels=[(SIGMA_MINUS, rate)])
 
 
-def amplitude_damping_flow(c):
-    """Exact flow Phi(t_k, 0) of H = 0 with the one channel sigma_minus, for
-    the coherence factor c[k] = c(t_k) >= 0 on a grid, as a stream of (k0,
-    block) like dynamics.flow_blocks, of at most STEP_BLOCK grid points per
-    block. On column-stacked 2x2 matrices, index 0 the excited level, the
-    excited population is scaled by c^2 and decays into the ground level,
-    and both coherences are scaled by c. c = 0 is the full decay, not an
-    error."""
-    c = np.asarray(c, dtype=float)
-    for k0 in range(0, c.size, STEP_BLOCK):
-        ck = c[k0 : k0 + STEP_BLOCK]
-        block = np.zeros((ck.size, 4, 4), dtype=complex)
-        block[:, 0, 0] = ck * ck
-        block[:, 1, 1] = block[:, 2, 2] = ck
-        block[:, 3, 0] = 1.0 - ck * ck
+def _phase_covariant_flow(times, coherence, damped):
+    """Exact flow Phi(t_k, 0) of a phase-covariant qubit map on times, as a
+    stream of (k0, block) like dynamics.flow_blocks, of at most STEP_BLOCK
+    grid points per block. On column-stacked 2x2 matrices, index 0 the
+    excited level, both coherences are scaled by c = coherence(t) and the
+    excited population by p, the rest of it going to the ground level: p =
+    c^2 for amplitude damping (damped), where c = 0 is the full decay, not
+    an error, and p = 1 for pure dephasing. c is evaluated one block of
+    times at a time: the complex temporaries of |G| on the whole grid raised
+    the peak RSS of the README jc measure by about 1 MB."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    for k0 in range(0, times.size, STEP_BLOCK):
+        c = coherence(times[k0 : k0 + STEP_BLOCK])
+        p = c * c if damped else 1.0
+        block = np.zeros((c.size, 4, 4), dtype=complex)
+        block[:, 0, 0] = p
+        block[:, 1, 1] = block[:, 2, 2] = c
+        block[:, 3, 0] = 1.0 - p
         block[:, 3, 3] = 1.0
         yield k0, block
 
 
 def jc_flow(params, times):
     """Exact flow of jc_generator(params) on times: amplitude damping with
-    coherence factor |G(t)| (see amplitude_damping_flow). |G| is evaluated
-    STEP_BLOCK grid points at a time: the complex temporaries of the whole
-    grid raised the peak RSS of the README jc measure by about 1 MB."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    c = np.empty(times.size)
-    for k in range(0, times.size, STEP_BLOCK):
-        c[k : k + STEP_BLOCK] = np.abs(jc_amplitude(params, times[k : k + STEP_BLOCK]))
-    return amplitude_damping_flow(c)
+    coherence factor |G(t)| (see _phase_covariant_flow)."""
+    return _phase_covariant_flow(times, lambda t: np.abs(jc_amplitude(params, t)), damped=True)
 
 
 @dataclass
@@ -171,13 +169,9 @@ def spinbath_trace_distance(params, a, b, t):
 
 
 def spinbath_flow(params, times):
-    """Exact flow Phi(t_k, 0) = diag(1, f, f, 1) on column-stacked 2x2
-    matrices: populations frozen, both coherences scaled by f(t_k)."""
-    f = np.atleast_1d(spinbath_f(params, times))
-    flow = np.zeros((f.size, 4, 4), dtype=complex)
-    flow[:, 0, 0] = flow[:, 3, 3] = 1.0
-    flow[:, 1, 1] = flow[:, 2, 2] = f
-    return flow
+    """Exact flow Phi(t_k, 0) = diag(1, f, f, 1) on times: populations
+    frozen, both coherences scaled by f(t_k) (see _phase_covariant_flow)."""
+    return _phase_covariant_flow(times, lambda t: spinbath_f(params, t), damped=False)
 
 
 def spinbath_pole_distance(params, t):
@@ -223,7 +217,7 @@ def semigroup_generator(gamma0):
 
 def semigroup_flow(gamma0, times):
     """Exact flow of semigroup_generator(gamma0) on times: amplitude damping
-    with coherence factor exp(-gamma0 t / 2) (see amplitude_damping_flow)."""
+    with coherence factor exp(-gamma0 t / 2) (see _phase_covariant_flow)."""
     if gamma0 < 0:
         raise ValueError(f"semigroup rate must be nonnegative, got {gamma0}")
-    return amplitude_damping_flow(np.exp(-0.5 * gamma0 * np.asarray(times, dtype=float)))
+    return _phase_covariant_flow(times, lambda t: np.exp(-0.5 * gamma0 * t), damped=True)

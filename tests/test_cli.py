@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nmflow
-from nmflow.cli import KEYS, build_parser, main, resolve_config, time_grid
+from nmflow.cli import KEYS, MODELS, build_parser, main, resolve_config, time_grid
 from nmflow.exceptions import ConfigError
 from nmflow.measure import make_time_grid
 from nmflow.models import (
@@ -31,6 +31,16 @@ from nmflow.states import DensityMatrix, save_state
 
 def run(*argv):
     return main(list(argv))
+
+
+# The commands that each model runs, as the README's Command | Models table
+# states them.
+RUNS = {
+    "jc": ("rate", "trajectory", "measure", "sweep", "divisibility"),
+    "spinbath": ("rate", "trajectory", "measure"),
+    "semigroup": ("rate", "trajectory", "measure", "divisibility"),
+    "custom-file": ("trajectory", "measure", "divisibility"),
+}
 
 
 def read_csv_grid(path):
@@ -153,6 +163,34 @@ class TestConfigHandling:
         named = {name for span in re.findall(r"`([^`]+)`", section)
                  for name in re.split(r"[^\w]+", span)}
         assert [key.name for key in KEYS if key.name not in named] == []
+
+    def test_readme_command_table_is_the_rule(self):
+        # The Models column of each command against the --horizon rows of
+        # KEYS, whose commands are the commands that a model runs.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| Command | Models |", 1)[1].split("\n\n", 1)[0]
+        column = {command: set(MODELS) if models.strip() == "all"
+                  else set(re.findall(r"`([\w-]+)`", models))
+                  for command, models in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.M)}
+        horizon = [key for key in KEYS if key.flag == "--horizon"]
+        rule = {command: {model for key in horizon for model in key.models
+                          if command in key.commands}
+                for command in set().union(*(key.commands for key in horizon))}
+        assert column == rule
+
+    @pytest.mark.parametrize("model", sorted(RUNS))
+    @pytest.mark.parametrize("command", RUNS["jc"])
+    def test_a_model_runs_only_its_commands(self, tmp_path, capsys, model, command):
+        out = tmp_path / "o.csv"
+        argv = [command, "--model", model, "--output", str(out)]
+        if command in RUNS[model]:
+            args = build_parser().parse_args(argv)
+            assert resolve_config(args, command).model == model
+        else:
+            assert run(*argv) == 2
+            assert capsys.readouterr().err == (
+                f"nmflow: config error: command {command!r} is not defined for model {model!r}\n")
+            assert not out.exists()
 
     def test_horizon_must_be_a_whole_number_of_steps(self):
         def grid(horizon, step):
@@ -477,6 +515,24 @@ class TestMeasure:
                    "--horizon", "5", "--step", "0.01",
                    "--output", str(tmp_path / "m.json")) == 2
 
+    @pytest.mark.parametrize("dim", ["null", "[2]", "2.5", '"2"', "true"])
+    def test_generator_file_dim_must_be_a_json_integer(self, tmp_path, capsys, dim):
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        generator = json.dumps({
+            "hamiltonian": {"re": zeros, "im": zeros},
+            "channels": [{"operator": {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros},
+                          "rate": 1.0}],
+        })
+        gen_file.write_text('{"dim": ' + dim + ", " + generator[1:])
+        out = tmp_path / "m.json"
+        assert run("measure", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
+                   "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"nmflow: config error: {gen_file}: dim must be an integer, got {dim}\n")
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["measure", "trajectory", "divisibility"])
@@ -567,10 +623,6 @@ class TestSweep:
         assert rows[0][3] == 0.0   # resonant point is Markovian
         assert rows[-1][3] > 0.0   # detuned point is not
         assert all(row[5] == "" for row in rows)
-
-    def test_sweep_requires_jc(self, tmp_path):
-        assert run("sweep", "--model", "semigroup",
-                   "--output", str(tmp_path / "s.csv")) == 2
 
     def test_sweep_is_deterministic(self, tmp_path):
         outs = []

@@ -161,7 +161,6 @@ class TestTrajectory:
     def test_spinbath_flow_matches_closed_form_distance(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
         times = make_time_grid(3.0, 1e-3)
-        flow = spinbath_flow(params, times)
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(50):
@@ -172,6 +171,7 @@ class TestTrajectory:
             pair = StatePair(qubit_from_bloch(b.real, -b.imag, a),
                              qubit_from_bloch(-b.real, b.imag, -a))
             closed = spinbath_trace_distance(params, a, b, times)
+            flow = spinbath_flow(params, times)  # a stream, read once
             worst = max(worst, np.max(np.abs(trajectory(flow, pair, times).d_values - closed)))
         assert worst <= 1e-14
 
@@ -936,14 +936,24 @@ class TestSearchMemory:
         assert peak <= bound
 
 
-# (generator, steps, step): the jc benchmark grid on resonance, where no step
-# is evaluated but the edges, and detuned; a grid of several flow blocks and a
-# partial one; and a d = 3 generator, whose blocks are assembled into one array.
+def rk4_stream(make_gen):
+    """The RK4 flow stream on a grid of the generator that make_gen builds."""
+    return lambda times: flow_blocks(make_gen(), times)
+
+
+# (flow stream on a grid, steps, step): the RK4 stream of the jc benchmark
+# grid on resonance, where no step is evaluated but the edges, and detuned; a
+# grid of several flow blocks and a partial one; a d = 3 generator, whose
+# blocks are assembled into one array; and the spin bath's exact stream,
+# whose every step is evaluated.
 STREAM_CASES = {
-    "jc-delta-0": (lambda: jc_generator(JCParams(delta=0.0)), 10_000, 1e-3),
-    "jc-delta-8": (lambda: jc_generator(JCParams(delta=8.0)), 10_000, 1e-3),
-    "jc-delta-8-blocks": (lambda: jc_generator(JCParams(delta=8.0)), 3 * STEP_BLOCK + 17, 1e-2),
-    "callable-d3": (callable_d3_generator, 3 * STEP_BLOCK + 17, 1e-2),
+    "jc-delta-0": (rk4_stream(lambda: jc_generator(JCParams(delta=0.0))), 10_000, 1e-3),
+    "jc-delta-8": (rk4_stream(lambda: jc_generator(JCParams(delta=8.0))), 10_000, 1e-3),
+    "jc-delta-8-blocks": (rk4_stream(lambda: jc_generator(JCParams(delta=8.0))),
+                          3 * STEP_BLOCK + 17, 1e-2),
+    "callable-d3": (rk4_stream(callable_d3_generator), 3 * STEP_BLOCK + 17, 1e-2),
+    "spinbath": (lambda times: spinbath_flow(SpinBathParams(coupling_a=1.0, n_spins=20), times),
+                 3 * STEP_BLOCK + 17, 1e-2),
 }
 
 
@@ -963,29 +973,32 @@ def tiled(flow, *cuts):
 
 
 class TestFlowStream:
-    """A flow given as a block stream (dynamics.flow_blocks) is read as the
-    array of the same blocks would be: one path, the same bits."""
+    """A flow given as a block stream (dynamics.flow_blocks or an exact model
+    flow) is read as the array of the same blocks would be: one path, the
+    same bits."""
 
     @pytest.mark.parametrize("name", sorted(STREAM_CASES))
     def test_stream_results_equal_the_array_bit_for_bit(self, name):
-        make_gen, steps, step = STREAM_CASES[name]
-        gen, times = make_gen(), make_time_grid(steps * step, step)
+        stream, steps, step = STREAM_CASES[name]
+        times = make_time_grid(steps * step, step)
         assert times.size == steps + 1
-        flow = propagator_grid(gen, times)
+        flow = np.concatenate([block for _, block in stream(times)])
+        dim = round(np.sqrt(flow.shape[-1]))
         for threshold in (None, 1e-6):
             on_array = search_pairs(flow, 40, times, threshold, seed=2)
-            on_stream = search_pairs(flow_blocks(gen, times), 40, times, threshold, seed=2)
+            on_stream = search_pairs(stream(times), 40, times, threshold, seed=2)
             assert search_record(on_stream) == search_record(on_array)
-        for pair in random_pairs(gen.dim, 9, 2) + canonical_pairs(gen.dim):
+        for pair in random_pairs(dim, 9, 2) + canonical_pairs(dim):
             expected = trajectory(flow, pair, times)
-            got = trajectory(flow_blocks(gen, times), pair, times)
+            got = trajectory(stream(times), pair, times)
             assert np.array_equal(got.d_values, expected.d_values)
             assert np.array_equal(got.sigma_values, expected.sigma_values)
-            assert n_for_pair(flow_blocks(gen, times), pair, times) == n_for_pair(flow, pair, times)
+            assert n_for_pair(stream(times), pair, times) == n_for_pair(flow, pair, times)
         # A sweep whose second point blows up; repr, as its values are NaN.
-        records = [repr(sweep(lambda p: make(blow_up_generator() if p else gen, times),
-                              [0.0, 1.0], times, 10, seed=3))
-                   for make in (propagator_grid, flow_blocks)]
+        blow_up = blow_up_generator()
+        records = [repr(sweep(make, [0.0, 1.0], times, 10, seed=3)) for make in (
+            lambda p: propagator_grid(blow_up, times) if p else flow,
+            lambda p: flow_blocks(blow_up, times) if p else stream(times))]
         assert records[0] == records[1]
         assert "error=None" in records[0] and "non-finite entries" in records[0]
 

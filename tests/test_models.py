@@ -17,6 +17,7 @@ from nmflow.models import (
     semigroup_flow,
     semigroup_generator,
     spinbath_f,
+    spinbath_flow,
     spinbath_generator,
     spinbath_rate,
     spinbath_trace_distance,
@@ -222,6 +223,18 @@ class TestSpinBath:
     def test_invalid_population_gap(self):
         with pytest.raises(ValueError, match="a must lie"):
             spinbath_trace_distance(SpinBathParams(), 1.5, 0.0, 0.0)
+
+    def test_flow_streams_the_closed_form(self):
+        # The README spin-bath grid: 10,001 points, 39 full blocks and a
+        # partial one, equal to the bit to diag(1, f, f, 1) of the whole grid.
+        params = SpinBathParams(coupling_a=1.0, n_spins=20)
+        times = make_time_grid(5.0, 5e-4)
+        blocks = list(spinbath_flow(params, times))
+        assert [k0 for k0, _ in blocks] == list(range(0, times.size, STEP_BLOCK))
+        expected = np.zeros((times.size, 4, 4), dtype=complex)
+        expected[:, 0, 0] = expected[:, 3, 3] = 1.0
+        expected[:, 1, 1] = expected[:, 2, 2] = spinbath_f(params, times)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), expected)
 
 
 class TestSemigroup:
