@@ -258,7 +258,8 @@ def load_custom_generator(path):
     """Constant generator from a JSON file.
 
     Schema: {"dim": d, "hamiltonian": {"re": [[..]], "im": [[..]]},
-    "channels": [{"operator": {"re": .., "im": ..}, "rate": r}, ...]}.
+    "channels": [{"operator": {"re": .., "im": ..}, "rate": r}, ...]}, every
+    matrix entry and rate a JSON number.
     """
     try:
         with open(path) as fh:
@@ -266,16 +267,29 @@ def load_custom_generator(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read generator file {path}: {exc}")
 
+    def number(x, what):
+        # float() and NumPy would also take a string, a bool or null.
+        if type(x) not in (int, float):
+            raise ConfigError(f"{path}: {what} must be a number, got {json.dumps(x)}")
+        return x
+
     def matrix(node, what):
         try:
-            return np.asarray(node["re"], dtype=float) + 1j * np.asarray(node["im"], dtype=float)
-        except (KeyError, TypeError, ValueError):
+            parts = node["re"], node["im"]
+            entries = [x for part in parts for row in part for x in row]
+        except (KeyError, TypeError):
+            raise ConfigError(f"{path}: malformed {what} matrix")
+        for x in entries:
+            number(x, f"{what} matrix entry")
+        try:
+            return np.asarray(parts[0], dtype=float) + 1j * np.asarray(parts[1], dtype=float)
+        except ValueError:
             raise ConfigError(f"{path}: malformed {what} matrix")
 
     try:
         ham = matrix(data["hamiltonian"], "hamiltonian")
         channels = [
-            (matrix(ch["operator"], "channel operator"), float(ch["rate"]))
+            (matrix(ch["operator"], "channel operator"), number(ch["rate"], "channel rate"))
             for ch in data["channels"]
         ]
     except (KeyError, TypeError) as exc:
@@ -523,24 +537,27 @@ COMMANDS = {"rate": cmd_rate, "trajectory": cmd_trajectory, "measure": cmd_measu
 
 
 def build_parser():
-    """Flags take their values as strings: resolve_config parses them."""
+    """Flags take their values as strings: resolve_config parses them. Every
+    command has every flag, declared once on a parent parser that the
+    commands' parsers share."""
+    flags = argparse.ArgumentParser(add_help=False)
+    # Not a key: the file of key = value lines.
+    flags.add_argument("--config", help="flat key=value config file")
+    for flag, keys in FLAGS.items():
+        kind = keys[0].kind
+        help = "; ".join(f"{key.help} [{key.name}]" for key in keys)
+        if kind is bool:
+            flags.add_argument(flag, action="store_const", const="true", help=help)
+        else:
+            choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            flags.add_argument(flag, metavar=choices, help=help)
     parser = argparse.ArgumentParser(
         prog="nmflow",
         description="Open-system dynamics and the trace-distance non-Markovianity measure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        # Not a key: the file of key = value lines.
-        p.add_argument("--config", help="flat key=value config file")
-        for flag, keys in FLAGS.items():
-            kind = keys[0].kind
-            help = "; ".join(f"{key.help} [{key.name}]" for key in keys)
-            if kind is bool:
-                p.add_argument(flag, action="store_const", const="true", help=help)
-            else:
-                choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
-                p.add_argument(flag, metavar=choices, help=help)
+        sub.add_parser(name, help=fn.__doc__, parents=[flags])
     return parser
 
 

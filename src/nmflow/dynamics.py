@@ -25,8 +25,9 @@ TRACE_DRIFT_TOL = 1e-8
 EVOLVE_POSITIVITY_TOL = 1e-8
 PROPAGATOR_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-7
-# RK4 steps whose step maps are built together, which bounds the stage-matrix
-# memory, and grid points per block of a flow stream.
+# RK4 steps whose step maps are built together in a flow, which bounds the
+# stage-matrix memory, and grid points per block of a flow stream; a block of
+# two-time maps holds STEP_BLOCK * 16 / d^2 steps (_group_steps).
 STEP_BLOCK = 256
 
 
@@ -227,11 +228,12 @@ def _rk4_increments(compiled, times, h):
 
 
 def _running_maps(compiled, t0, h, n):
-    """Real Phi(t0 + k h, t0), k = 1..n, of g <= STEP_BLOCK intervals
-    integrated in lockstep (t0 and h of shape (g,)), as (k0, maps) per block
-    of m <= STEP_BLOCK // g steps from step k0, with maps[j] = Phi(t0 + (k0 +
+    """Real Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in
+    lockstep (t0 and h of shape (g,)), as (k0, maps) per block of m <=
+    max(1, STEP_BLOCK // g) steps from step k0, with maps[j] = Phi(t0 + (k0 +
     j + 1) h, t0) of shape (g, d^2, d^2), so that a block holds at most
-    STEP_BLOCK steps' stage matrices however the steps split into intervals.
+    STEP_BLOCK steps' stage matrices however the steps split into intervals,
+    or one step of each interval when g > STEP_BLOCK.
 
     A block's RK4 increments E_j are composed by a Hillis-Steele prefix scan
     that never forms the identity, (I + B)(I + A) = I + (A + B + BA):
@@ -248,7 +250,7 @@ def _running_maps(compiled, t0, h, n):
     """
     d2 = compiled.gen.dim ** 2
     s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
-    block = STEP_BLOCK // t0.size
+    block = max(1, STEP_BLOCK // t0.size)
     for k0 in range(0, n, block):
         times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)[:, None]
         maps = _rk4_increments(compiled, times, h)
@@ -268,14 +270,46 @@ def _running_maps(compiled, t0, h, n):
         s = maps[-1]
 
 
+def _group_steps(d):
+    """RK4 steps whose stage matrices a block of two-time maps holds at d:
+    STEP_BLOCK at d = 4, more below it and fewer above, at least one."""
+    return max(1, STEP_BLOCK * 16 // d ** 2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _interval_maps(compiled, t0, h, n):
     """Phi(t0 + n h, t0) of g intervals with the same step count n >= 1,
-    stacked (g, d^2, d^2) and column-stacked complex. Only the running maps
-    are kept, so memory does not grow with n."""
-    for _, maps in _running_maps(compiled, t0, h, n):
-        pass
-    return compiled.complex(maps[-1], np.empty(maps[-1].shape, dtype=complex))
+    integrated in lockstep (t0 and h of shape (g,)), stacked (g, d^2, d^2)
+    and column-stacked complex.
+
+    An interval needs only its last map, so no prefix is formed: the RK4
+    increments E_j of a block of m <= _group_steps(d) // g steps are
+    multiplied pairwise, (I + B)(I + A) = I + (A + B + BA), from the block's
+    end, a tree that gives the last map of _running_maps' scan in m - 1
+    products, ceil(log2 m) batched. S + P S carries the block's I + P into
+    the running map S, so memory does not grow with n. Maps with a
+    non-finite entry are made again by _running_maps, which raises
+    InvariantViolation at the first time where one appears.
+    """
+    d2 = compiled.gen.dim ** 2
+    s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
+    block = _group_steps(compiled.gen.dim) // t0.size
+    for k0 in range(0, n, block):
+        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)[:, None]
+        e = _rk4_increments(compiled, times, h)
+        while len(e) > 1:
+            odd = len(e) % 2
+            earlier, later = e[odd::2], e[odd + 1 :: 2]
+            product = later @ earlier
+            product += earlier
+            later += product
+            e = e[1 - odd :: 2]
+        s = s + e[0] @ s
+    if not np.isfinite(s).all():
+        for _, maps in _running_maps(compiled, t0, h, n):
+            pass
+        s = maps[-1]
+    return compiled.complex(s, np.empty(s.shape, dtype=complex))
 
 
 def _substeps(span, h):
@@ -482,14 +516,15 @@ class DivisibilityReport:
         return all(v.is_cp for v in self.intervals)
 
 
-def _lockstep_groups(n):
+def _lockstep_groups(n, d):
     """(start, stop) of the runs of consecutive intervals with the same step
     count n[k], cut so that a group of more than one interval holds at most
-    STEP_BLOCK steps."""
+    _group_steps(d) steps: 1024 for qubits, STEP_BLOCK at d = 4."""
+    limit = _group_steps(d)
     a = 0
     while a < n.size:
         b = a + 1
-        while b < n.size and b - a < STEP_BLOCK // n[a] and n[b] == n[a]:
+        while b < n.size and b - a < limit // n[a] and n[b] == n[a]:
             b += 1
         yield a, b
         a = b
@@ -500,10 +535,11 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
 
     h is the RK4 substep used to build each interval propagator; it defaults
     to 1/100 of the interval length. The generator is compiled once, and
-    consecutive intervals with the same step count are integrated in lockstep,
-    in groups of at most STEP_BLOCK steps whose Choi matrices go to one
-    stacked eigensolve. A group that fails is re-run one interval at a time,
-    so that the exception names the first failing interval.
+    consecutive intervals with the same step count are integrated in lockstep
+    (_interval_maps, one product per interval), in groups of at most
+    STEP_BLOCK * 16 / d^2 steps whose Choi matrices go to one stacked
+    eigensolve. A group that fails is re-run one interval at a time, so that
+    the exception names the first failing interval.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
@@ -521,7 +557,7 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
         return hermitian_eigenvalues(_choi_matrices(maps, gen.dim), tol=1e-9)[:, 0]
 
     least = []
-    for a, b in _lockstep_groups(n):
+    for a, b in _lockstep_groups(n, gen.dim):
         try:
             least.extend(least_choi_eigenvalues(a, b))
         except (NumericalError, ValueError):

@@ -533,6 +533,35 @@ class TestMeasure:
             f"nmflow: config error: {gen_file}: dim must be an integer, got {dim}\n")
         assert not out.exists()
 
+    # (field, JSON value, message): strings, bools and null that float() and
+    # NumPy would cast.
+    @pytest.mark.parametrize("field, value, message", [
+        ("hamiltonian re", '"0"', 'hamiltonian matrix entry must be a number, got "0"'),
+        ("hamiltonian im", "false", "hamiltonian matrix entry must be a number, got false"),
+        ("operator re", "true", "channel operator matrix entry must be a number, got true"),
+        ("operator im", "null", "channel operator matrix entry must be a number, got null"),
+        ("rate", '"1.0"', 'channel rate must be a number, got "1.0"'),
+        ("rate", "true", "channel rate must be a number, got true"),
+    ])
+    def test_generator_file_takes_numbers_only(self, tmp_path, capsys, field, value, message):
+        gen_file = tmp_path / "gen.json"
+        ham = {"re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        op = {"re": [[0.0, 0.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        channel = {"operator": op, "rate": 1.0}
+        if field == "rate":
+            channel["rate"] = "VALUE"
+        else:
+            name, part = field.split()
+            (ham if name == "hamiltonian" else op)[part][0][0] = "VALUE"
+        text = json.dumps({"dim": 2, "hamiltonian": ham, "channels": [channel]})
+        gen_file.write_text(text.replace('"VALUE"', value))
+        out = tmp_path / "m.json"
+        assert run("measure", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
+                   "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"nmflow: config error: {gen_file}: {message}\n"
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["measure", "trajectory", "divisibility"])

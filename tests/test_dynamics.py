@@ -24,6 +24,8 @@ from nmflow.dynamics import (
     STEP_BLOCK,
     TRACE_DRIFT_TOL,
     _CompiledGenerator,
+    _group_steps,
+    _interval_maps,
     _lockstep_groups,
     _rk4_increments,
     _running_maps,
@@ -377,7 +379,8 @@ REAL_BASIS_GENERATORS = {
 
 class TestRealBasis:
     """The integrators' real representation B^dag K B in the orthonormal
-    Hermitian basis B, and the prefix scan that composes the step maps."""
+    Hermitian basis B, the prefix scan that composes the step maps of a flow,
+    and the product tree that composes those of an interval."""
 
     @pytest.mark.parametrize("name", sorted(REAL_BASIS_GENERATORS))
     def test_real_stacks_map_back_to_the_generator(self, name):
@@ -424,6 +427,25 @@ class TestRealBasis:
         got = np.concatenate([maps for _, maps in _running_maps(compiled, t0, h, n)])
         assert got.shape == (n, g, d2, d2)
         assert np.max(np.abs(got - np.stack(expected))) < 1e-13
+
+    # One, two and three steps; one below, at and one above STEP_BLOCK and the
+    # qubit group size 1024; and several blocks at every d.
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("name", ["jc-delta-8", "callable-d3", "rotating-d4"])
+    def test_interval_product_equals_the_last_scanned_map(self, name, n):
+        # The scan, which flows keep, is the oracle of the two-time maps. The
+        # product tree is the scan's last map where their blocks agree, so
+        # only block boundaries may move the rounding.
+        compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
+        g = max(1, min(3, _group_steps(compiled.gen.dim) // n))
+        t0 = 0.1 * np.arange(g)
+        h = 1e-2 * (1.0 + 0.1 * np.arange(g))
+        for _, maps in _running_maps(compiled, t0, h, n):
+            pass
+        expected = compiled.complex(maps[-1], np.empty(maps[-1].shape, dtype=complex))
+        got = _interval_maps(compiled, t0, h, n)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= LOCKSTEP_TOL
 
 
 class TestChoi:
@@ -543,13 +565,20 @@ LOCKSTEP_CASES = {
     "jc-delta-8": (jc8, np.linspace(0.0, 4.0, 41), 1e-3),
     "random-d4": (random_d4_generator, np.linspace(0.0, 2.0, 21), 5e-3),
     # One-step intervals whose steps total one below, at and one above
-    # STEP_BLOCK: one group, one full group, a full group and one more.
+    # STEP_BLOCK, one qubit group, and the same at the qubit group size of
+    # 1024 steps: one group, one full group, a full group and one more.
     "one-step-x255": (jc8, 1e-2 * np.arange(STEP_BLOCK), 1e-2),
     "one-step-x256": (jc8, 1e-2 * np.arange(STEP_BLOCK + 1), 1e-2),
     "one-step-x257": (jc8, 1e-2 * np.arange(STEP_BLOCK + 2), 1e-2),
-    # 20 steps each: a group of STEP_BLOCK // 20 = 12 intervals and one more.
+    "one-step-x1023": (jc8, 1e-2 * np.arange(1024), 1e-2),
+    "one-step-x1024": (jc8, 1e-2 * np.arange(1025), 1e-2),
+    "one-step-x1025": (jc8, 1e-2 * np.arange(1026), 1e-2),
+    # 20 steps each: one qubit group of 13 intervals; a full group of 1024 //
+    # 20 = 51 intervals, and a full group and one more.
     "20-steps-x13": (jc8, 0.2 * np.arange(14), 1e-2),
-    # 300 steps each: every interval alone, its steps in blocks of STEP_BLOCK.
+    "20-steps-x51": (jc8, 0.2 * np.arange(52), 1e-2),
+    "20-steps-x52": (jc8, 0.2 * np.arange(53), 1e-2),
+    # 300 steps each: one qubit group of three intervals, 900 steps.
     "300-steps-x3": (jc8, 3.0 * np.arange(4), 1e-2),
     # Step counts 5, 5, 2, 2, 2, 10, 1, 30, 5: runs of different lengths.
     "non-uniform": (
@@ -602,12 +631,32 @@ class TestLockstepDivisibility:
         ):
             divisibility_report(gen, grid, h=0.00625)
 
+    def test_blow_up_in_a_later_block_names_its_first_time(self):
+        # 3000 qubit steps in blocks of 1024: the rate turns at t = 25, inside
+        # the third block, and the maps are first non-finite at step 2507.
+        rate = lambda t: np.where(np.asarray(t) > 25.0, -1e15, 1.0)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        message = "propagator has non-finite entries at t=25.07"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            propagator_between(gen, 0.0, 30.0, 1e-2)
+        with pytest.raises(InvariantViolation,
+                           match=f"^interval 0 \\[0\\.0, 30\\.0\\]: {re.escape(message)}$"):
+            divisibility_report(gen, [0.0, 30.0], h=1e-2)
+
+    def test_blow_up_in_a_wide_group_names_its_first_time(self):
+        # 300 one-step intervals, more than STEP_BLOCK, in one qubit group: the
+        # scan that names the time takes one step of each at a time.
+        rate = lambda t: np.where(np.asarray(t) > 2.001, -1e200, 1.0)
+        compiled = _CompiledGenerator(GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)]))
+        with pytest.raises(InvariantViolation, match=r"^propagator has non-finite entries at t=2\.01$"):
+            _interval_maps(compiled, 1e-2 * np.arange(300), np.full(300, 1e-2), 1)
+
     def test_equal_intervals_get_equal_step_counts(self):
         # span / h rounds to just above 20 on some of these intervals.
         n, step = _substeps(np.diff(np.linspace(0.0, 12.0, 601)), 1e-3)
         assert np.all(n == 20)
         assert np.max(np.abs(step - 1e-3)) < 1e-15
-        assert len(list(_lockstep_groups(n))) == 50
+        assert len(list(_lockstep_groups(n, 2))) == 12
 
     def test_first_stage_is_k_itself_to_the_bit(self):
         # The stage sum starts from k1 = K, as the product K @ I would give it:
