@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -282,9 +283,13 @@ def load_custom_generator(path):
         for x in entries:
             number(x, f"{what} matrix entry")
         try:
-            return np.asarray(parts[0], dtype=float) + 1j * np.asarray(parts[1], dtype=float)
+            real, imag = (np.asarray(part, dtype=float) for part in parts)
         except ValueError:
             raise ConfigError(f"{path}: malformed {what} matrix")
+        if real.shape != imag.shape:
+            raise ConfigError(f"{path}: {what} matrix has re of shape {real.shape}, "
+                              f"im {imag.shape}")
+        return real + 1j * imag
 
     try:
         ham = matrix(data["hamiltonian"], "hamiltonian")
@@ -353,8 +358,9 @@ def build_flow(cfg, times):
     return models.jc_flow(_jc_params(cfg), times)
 
 
-def resolve_pair(cfg):
-    """Initial pair from a canonical name, Bloch vectors, or state files."""
+def resolve_pair(cfg, dim):
+    """Initial pair from a canonical name (the pair of dimension dim), Bloch
+    vectors, or state files."""
     spec = cfg.values.get("pair_bloch")
     if spec:
         halves = [half.split(",") for half in spec.split(";")]
@@ -375,7 +381,7 @@ def resolve_pair(cfg):
             raise ConfigError(str(exc))
         return StatePair(rho1, rho2, label="files")
     label = "canonical-" + cfg.values["pair"]
-    return next(pair for pair in canonical_pairs(2) if pair.label == label)
+    return next(pair for pair in canonical_pairs(dim) if pair.label == label)
 
 
 def format_number(x):
@@ -454,9 +460,11 @@ def cmd_rate(cfg):
 
 def cmd_trajectory(cfg):
     """Columns t, D, sigma for one initial pair."""
-    pair = resolve_pair(cfg)
     times = time_grid(cfg)
-    traj = trajectory(build_flow(cfg, times), pair, times)
+    # A canonical pair takes the dimension of the flow's first block.
+    k0, first = next(flow := build_flow(cfg, times))
+    pair = resolve_pair(cfg, math.isqrt(first.shape[-1]))
+    traj = trajectory(itertools.chain([(k0, first)], flow), pair, times)
     header = [TIME_COLUMN[cfg.model], "trace_distance", "sigma"]
     rows = list(zip(traj.times.tolist(), traj.d_values.tolist(), traj.sigma_values.tolist()))
     write_output(cfg, header, rows,

@@ -175,17 +175,6 @@ class _CompiledGenerator:
         return ks
 
 
-def apply_generator(gen, t, rho):
-    """Right-hand side -i[H, rho] + sum_i gamma_i (A rho A^dag - {A^dag A, rho}/2)
-    at time t, through the compiled K(t) at that one time."""
-    rho = check_complex_matrix(rho)
-    if rho.shape[0] != gen.dim:
-        raise ValueError(f"state dimension {rho.shape[0]} != generator dim {gen.dim}")
-    compiled = _CompiledGenerator(gen)
-    x = compiled.basis.conj().T @ rho.reshape(-1, order="F")
-    return (compiled.basis @ (compiled.matrices([t])[0] @ x)).reshape(rho.shape, order="F")
-
-
 def _check_uniform_grid(t_grid):
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:

@@ -13,8 +13,7 @@ Central spin dephasing in a bath of N spins (maximally mixed bath):
 populations are frozen and coherences are multiplied by f(t) = cos^N(2At),
 which spinbath_flow gives exactly on a time grid. The three exact flows are
 one phase-covariant qubit map, streamed by _phase_covariant_flow.
-The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi, so that
-generator is exposed for demonstrations only, never integrated across poles.
+The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi.
 """
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .dynamics import STEP_BLOCK, GeneratorSpec
 from .exceptions import NumericalError
-from .states import SIGMA_MINUS, SIGMA_Z
+from .states import SIGMA_MINUS
 
 AMPLITUDE_FLOOR = 1e-300
 POLE_TOL = 1e-9
@@ -195,16 +194,6 @@ def spinbath_rate(params, t):
         )
     out = params.coupling_a * params.n_spins * np.tan(2.0 * params.coupling_a * t_arr)
     return float(out) if out.ndim == 0 else out
-
-
-def spinbath_generator(params):
-    """Formal generator H = 0, single channel (sigma_z, A N tan(2At)).
-
-    Exposed for the negative-rate demonstration; do not integrate across the
-    tan poles.
-    """
-    return GeneratorSpec(dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
-                         channels=[(SIGMA_Z, lambda t: spinbath_rate(params, t))])
 
 
 def semigroup_generator(gamma0):

@@ -59,9 +59,6 @@ class DensityMatrix:
     def dim(self):
         return self.matrix.shape[0]
 
-    def purity(self):
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass
 class StatePair:

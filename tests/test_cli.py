@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 import nmflow
-from nmflow.cli import KEYS, MODELS, build_parser, main, resolve_config, time_grid
+from nmflow.cli import (
+    KEYS,
+    MODELS,
+    build_parser,
+    load_custom_generator,
+    main,
+    resolve_config,
+    time_grid,
+)
+from nmflow.dynamics import flow_blocks
 from nmflow.exceptions import ConfigError
-from nmflow.measure import make_time_grid
+from nmflow.measure import canonical_pairs, make_time_grid, trajectory
 from nmflow.models import (
     POLE_TOL,
     JCParams,
@@ -41,6 +50,17 @@ RUNS = {
     "semigroup": ("rate", "trajectory", "measure", "divisibility"),
     "custom-file": ("trajectory", "measure", "divisibility"),
 }
+
+
+def test_importing_the_package_loads_no_layer():
+    # The layer modules are the import path: nmflow itself re-exports nothing.
+    src = str(Path(nmflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, nmflow; print(sorted(m for m in sys.modules if m.startswith('nmflow')))"
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['nmflow']"
 
 
 def read_csv_grid(path):
@@ -382,6 +402,46 @@ class TestTrajectory:
                    "--horizon", "2", "--step", "0.01",
                    "--output", str(tmp_path / "o.csv")) == 2
 
+    @staticmethod
+    def write_ladder(gen_file):
+        """A d = 3 ladder: H = diag(0, 1, 2), lowering operators |0><1| and
+        |1><2| at rate 0.5."""
+        zeros = np.zeros((3, 3)).tolist()
+        lowering = [np.outer(np.eye(3)[i], np.eye(3)[i + 1]) for i in range(2)]
+        gen_file.write_text(json.dumps({
+            "hamiltonian": {"re": np.diag([0.0, 1.0, 2.0]).tolist(), "im": zeros},
+            "channels": [{"operator": {"re": op.tolist(), "im": zeros}, "rate": 0.5}
+                         for op in lowering],
+        }))
+
+    @pytest.mark.parametrize("name", ["z", "x"])
+    def test_canonical_pairs_take_the_flow_dimension(self, tmp_path, name):
+        gen_file = tmp_path / "gen.json"
+        self.write_ladder(gen_file)
+        out = tmp_path / "traj.csv"
+        assert run("trajectory", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--pair", name, "--horizon", "1", "--step", "0.01",
+                   "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        times = make_time_grid(1.0, 0.01)
+        pair = canonical_pairs(3)[["z", "x"].index(name)]
+        gen = load_custom_generator(str(gen_file))
+        expected = trajectory(flow_blocks(gen, times), pair, times)
+        assert rows[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(np.array(rows), np.column_stack(
+            [expected.times, expected.d_values, expected.sigma_values]))
+
+    def test_bloch_pair_is_for_qubits_only(self, tmp_path, capsys):
+        gen_file = tmp_path / "gen.json"
+        self.write_ladder(gen_file)
+        out = tmp_path / "traj.csv"
+        assert run("trajectory", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--pair-bloch", "0,0,1;0,0,-1", "--horizon", "1", "--step", "0.01",
+                   "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "nmflow: config error: pair dimension 2 != flow dimension 3\n")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -560,6 +620,25 @@ class TestMeasure:
                    "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
                    "--output", str(out)) == 2
         assert capsys.readouterr().err == f"nmflow: config error: {gen_file}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("im", [[[0.5]], [[0.5, 0.5]]])
+    @pytest.mark.parametrize("what", ["hamiltonian", "channel operator"])
+    def test_generator_file_parts_have_one_shape(self, tmp_path, capsys, what, im):
+        # NumPy would broadcast an im part of another shape against re.
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        ham = {"re": [[1.0, 0.0], [0.0, -1.0]], "im": zeros}
+        op = {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros}
+        (ham if what == "hamiltonian" else op)["im"] = im
+        gen_file.write_text(json.dumps({"hamiltonian": ham,
+                                        "channels": [{"operator": op, "rate": 1.0}]}))
+        out = tmp_path / "m.json"
+        assert run("measure", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
+                   "--output", str(out)) == 2
+        assert capsys.readouterr().err == (f"nmflow: config error: {gen_file}: {what} matrix "
+                                           f"has re of shape (2, 2), im {np.shape(im)}\n")
         assert not out.exists()
 
 

@@ -12,7 +12,6 @@ from oracles import (
     callable_d3_generator,
     canonical_rates,
     generator_superoperator,
-    lindblad_rhs,
     random_mixed_state,
     random_pure_state,
     rk4_flow,
@@ -32,7 +31,6 @@ from nmflow.dynamics import (
     _substeps,
     GeneratorSpec,
     Propagator,
-    apply_generator,
     choi_of,
     constant_generator,
     divisibility_report,
@@ -60,60 +58,6 @@ MIXED = DensityMatrix(0.5 * np.eye(2, dtype=complex))
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return a + a.conj().T
-
-
-class TestApplyGenerator:
-    def test_identity_commutes_with_pure_hamiltonian(self):
-        gen = constant_generator(SIGMA_Z, [])
-        out = apply_generator(gen, 0.0, MIXED.matrix)
-        assert np.max(np.abs(out)) == 0.0
-
-    def test_amplitude_damping_hand_case(self):
-        # gamma=1, A=sigma_minus on the excited projector: population leaves
-        # the excited level at rate 1.
-        gen = semigroup_generator(1.0)
-        out = apply_generator(gen, 0.0, PLUS.matrix)
-        expected = np.diag([-1.0, 1.0]).astype(complex)
-        assert np.max(np.abs(out - expected)) < 1e-14
-
-    def test_matches_directly_coded_dissipator(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 3)
-        ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-               for _ in range(2)]
-        rates = [0.7, -0.3]
-        gen = constant_generator(h, list(zip(ops, rates)))
-        for _ in range(20):
-            rho = random_hermitian(rng, 3)
-            ours = apply_generator(gen, 0.0, rho)
-            theirs = lindblad_rhs(h, ops, rates, rho)
-            assert np.max(np.abs(ours - theirs)) < 1e-12
-
-    def test_traceless_on_random_hermitian_inputs(self):
-        gen = jc_generator(JCParams(delta=3.0))
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            rho = random_hermitian(rng, 2)
-            assert abs(np.trace(apply_generator(gen, 0.5, rho))) < 1e-12
-
-    def test_dimension_mismatch(self):
-        gen = semigroup_generator(1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            apply_generator(gen, 0.0, np.eye(3, dtype=complex))
-
-    def test_non_finite_rate(self):
-        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, lambda t: np.inf)])
-        with pytest.raises(ValueError, match="rate"):
-            apply_generator(gen, 0.0, PLUS.matrix)
-
-    def test_superoperator_matches_direct_action(self):
-        gen = jc_generator(JCParams(delta=5.0))
-        k = generator_superoperator(gen, 0.7)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            rho = random_hermitian(rng, 2)
-            via_matrix = (k @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
-            assert np.max(np.abs(via_matrix - apply_generator(gen, 0.7, rho))) < 1e-12
 
 
 class TestEvolveState:
@@ -835,6 +779,13 @@ class TestRateEvaluation:
         with pytest.raises(NumericalError, match="singular"):
             propagator_grid(gen, np.linspace(0.0, 1.0, 11))
         assert calls == [1]
+
+    def test_non_finite_rate_names_the_first_stage_time(self):
+        # Stage times on this grid are multiples of 1/16.
+        rate = lambda t: np.where(t < 0.3, 1.0, np.inf)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        with pytest.raises(ValueError, match=r"^non-finite rate at t=0\.3125$"):
+            propagator_grid(gen, 0.125 * np.arange(9))
 
     def test_scalar_only_rate_is_evaluated_pointwise(self):
         gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, lambda t: float(t))])

@@ -18,7 +18,6 @@ from nmflow.models import (
     semigroup_generator,
     spinbath_f,
     spinbath_flow,
-    spinbath_generator,
     spinbath_rate,
     spinbath_trace_distance,
 )
@@ -212,13 +211,6 @@ class TestSpinBath:
             dminus = spinbath_trace_distance(params, 0.0, 1.0, t - hstep)
             slope = (dplus - dminus) / (2 * hstep)
             assert np.sign(slope) == -np.sign(gamma)
-
-    def test_generator_freezes_populations(self):
-        from nmflow.dynamics import apply_generator
-
-        gen = spinbath_generator(SpinBathParams(coupling_a=1.0, n_spins=4))
-        rhs = apply_generator(gen, 0.3, EXCITED.matrix)
-        assert np.max(np.abs(rhs)) < 1e-12  # diagonal states are fixed points
 
     def test_invalid_population_gap(self):
         with pytest.raises(ValueError, match="a must lie"):

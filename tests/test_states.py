@@ -116,7 +116,8 @@ class TestRandomStates:
     def test_pure_state_is_rank_one(self):
         for seed in range(50):
             rho = random_pure_state(3, seed)
-            assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+            purity = np.trace(rho.matrix @ rho.matrix).real
+            assert purity == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism(self):
         a = random_pure_state(4, 123)
