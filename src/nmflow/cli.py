@@ -17,8 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ RULES = {
 BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One configuration key and its command-line flag.
 
     kind is float, int or str for a typed value, bool for a switch flag
@@ -189,8 +187,7 @@ def parse_config_file(path):
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved configuration for one command: the typed value of every key
     given or with a default, and the names of the keys given."""
 
@@ -249,6 +246,10 @@ def resolve_config(args, command):
         raise ConfigError("no output path given (key 'output' or flag --output)")
     values = {key.name: key.parse(given.get(key.name, key.default))
               for key in KEYS if key.name in given or key.default is not None}
+    low, high = values["delta_over_lambda_min"], values["delta_over_lambda_max"]
+    if values["delta_points"] == 1 and "delta_over_lambda_max" in given and high != low:
+        raise ConfigError(f"delta_points is 1: delta_over_lambda_max {high} would be ignored; "
+                          f"give it equal to delta_over_lambda_min ({low}) or leave it out")
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir:
         values["output"] = os.path.join(out_dir, os.path.basename(values["output"]))
@@ -514,7 +515,7 @@ def cmd_sweep(cfg):
     values = cfg.values
     times = time_grid(cfg)
     family = lambda delta: build_flow(
-        replace(cfg, values={**values, "delta_over_lambda": delta}), times
+        cfg._replace(values={**values, "delta_over_lambda": delta}), times
     )
     records = sweep(family, _delta_range(cfg), times, values["n_pairs"],
                     values.get("sigma_threshold"), values["seed"])

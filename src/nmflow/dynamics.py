@@ -12,8 +12,7 @@ Hermitian operator basis B, as B^dag S B, and the public outputs go back to
 column-stacked complex maps only at the edge.
 """
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ DEFAULT_CP_TOL = 1e-7
 STEP_BLOCK = 256
 
 
-@dataclass
 class GeneratorSpec:
     """Time-local generator data: H(t) plus (jump operator, rate) channels.
 
@@ -41,13 +39,10 @@ class GeneratorSpec:
     superoperator structure once per run.
     """
 
-    dim: int
-    hamiltonian: object
-    channels: List[Tuple[object, object]]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+    def __init__(self, dim, hamiltonian, channels):
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        self.dim, self.hamiltonian, self.channels = dim, hamiltonian, channels
 
 
 def constant_generator(hamiltonian, channels):
@@ -363,22 +358,15 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     return [DensityMatrix._checked(m, positivity_tol, TRACE_DRIFT_TOL) for m in states]
 
 
-@dataclass
 class Propagator:
     """Linear map on states for [t_start, t_end], as a d^2 x d^2 superoperator."""
 
-    dim: int
-    t_start: float
-    t_end: float
-    superoperator: np.ndarray
-
-    def __post_init__(self):
-        s = check_complex_matrix(self.superoperator)
-        d = self.dim
-        if s.shape[0] != d * d:
-            raise ValueError(f"superoperator shape {s.shape} != ({d * d}, {d * d})")
-        _check_maps(s[None], d)
-        self.superoperator = s
+    def __init__(self, dim, t_start, t_end, superoperator):
+        s = check_complex_matrix(superoperator)
+        if s.shape[0] != dim * dim:
+            raise ValueError(f"superoperator shape {s.shape} != ({dim * dim}, {dim * dim})")
+        _check_maps(s[None], dim)
+        self.dim, self.t_start, self.t_end, self.superoperator = dim, t_start, t_end, s
 
     def apply(self, rho):
         """Apply the map to a matrix (not necessarily a valid state)."""
@@ -488,16 +476,14 @@ def is_cp(p, tol=DEFAULT_CP_TOL):
     return least >= -tol, least
 
 
-@dataclass
-class IntervalVerdict:
+class IntervalVerdict(NamedTuple):
     t_start: float
     t_end: float
     is_cp: bool
     least_choi_eigenvalue: float
 
 
-@dataclass
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     intervals: List[IntervalVerdict]
 
     @property

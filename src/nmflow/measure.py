@@ -20,8 +20,7 @@ truncated at a finite horizon; a run whose last interval still contributes
 more than 0.5 is flagged as diverging.
 """
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,18 +45,13 @@ TRACE_ROW_TOL = 1e-12
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
 
 
-@dataclass
 class TrajectoryGrid:
     """Sampled trace distance and its rate of change on a uniform time grid."""
 
-    times: np.ndarray
-    d_values: np.ndarray
-    sigma_values: np.ndarray
-
-    def __post_init__(self):
-        t, _ = _check_uniform_grid(self.times)
-        d = np.asarray(self.d_values, dtype=float)
-        s = np.asarray(self.sigma_values, dtype=float)
+    def __init__(self, times, d_values, sigma_values):
+        t, _ = _check_uniform_grid(times)
+        d = np.asarray(d_values, dtype=float)
+        s = np.asarray(sigma_values, dtype=float)
         if not (t.size == d.size == s.size):
             raise ValueError("times, d_values and sigma_values must match in length")
         # Written so that NaN fails it too.
@@ -269,19 +263,19 @@ def trajectory(flow, pair, times):
     return trajectory_from_values(times, work[0, 0])
 
 
-@dataclass
 class GrowthInterval:
     """A maximal interval (a, b) of positive sigma and its D(b) - D(a)."""
 
-    a: float
-    b: float
-    contribution: float
+    def __init__(self, a, b, contribution):
+        if not a < b:
+            raise ValueError(f"need a < b, got ({a}, {b})")
+        if contribution < -1e-12:
+            raise ValueError(f"negative contribution {contribution}")
+        self.a, self.b, self.contribution = a, b, contribution
 
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got ({self.a}, {self.b})")
-        if self.contribution < -1e-12:
-            raise ValueError(f"negative contribution {self.contribution}")
+    # Equal by value, so that results holding the same intervals are equal.
+    def __eq__(self, other):
+        return type(other) is GrowthInterval and vars(self) == vars(other)
 
 
 def _check_threshold(threshold):
@@ -350,8 +344,7 @@ def _interval_list(a, b, contributions):
     return [GrowthInterval(float(x), float(y), float(z)) for x, y, z in zip(a, b, contributions)]
 
 
-@dataclass
-class MeasureResult:
+class MeasureResult(NamedTuple):
     """Truncated non-Markovianity value with the detected growth intervals."""
 
     intervals: List[GrowthInterval]
@@ -363,7 +356,7 @@ class MeasureResult:
     diverging: bool = False
 
 
-def _measure_result(intervals, times, pair):
+def _measure_result(intervals, times, pair, samples_evaluated=1, seed=None):
     """MeasureResult of a pair's growth intervals: N is their plain sum, in
     interval order."""
     return MeasureResult(
@@ -371,6 +364,8 @@ def _measure_result(intervals, times, pair):
         n_value=float(sum(iv.contribution for iv in intervals)),
         horizon=float(times[-1]),
         best_pair=pair,
+        samples_evaluated=samples_evaluated,
+        seed=seed,
         diverging=bool(intervals) and intervals[-1].contribution > DIVERGENCE_CONTRIBUTION,
     )
 
@@ -386,12 +381,14 @@ def n_for_pair(flow, pair, times, threshold=None):
 
 
 def canonical_pairs(dim):
-    """The always-evaluated pairs: antipodal z-axis and x-axis (for d=2) pairs."""
-    s, states = 1.0 / np.sqrt(2.0), []
-    for amplitudes in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s)):
-        psi = np.zeros(dim, dtype=complex)
-        psi[:2] = amplitudes
-        states.append(DensityMatrix(np.outer(psi, psi.conj())))
+    """The always-evaluated pairs: antipodal z-axis and x-axis (for d=2) pairs,
+    |0><0|, |1><1| and (|0><0| + |1><1| +- |0><1| +- |1><0|) / 2, exact in
+    binary (the outer product of (1, +-1) / sqrt(2) has trace 1 - 2^-52)."""
+    m = np.zeros((4, dim, dim), dtype=complex)
+    m[0, 0, 0] = m[1, 1, 1] = 1.0
+    m[2:, 0, 0] = m[2:, 1, 1] = m[2, 0, 1] = m[2, 1, 0] = 0.5
+    m[3, 0, 1] = m[3, 1, 0] = -0.5
+    states = [DensityMatrix(x) for x in m]
     return [StatePair(*states[:2], label="canonical-z"),
             StatePair(*states[2:], label="canonical-x")]
 
@@ -448,8 +445,7 @@ def _direction_pair(x, label):
     return StatePair(DensityMatrix(rho1), DensityMatrix(rho2), label=label)
 
 
-@dataclass
-class PairSearch:
+class PairSearch(NamedTuple):
     """Full record of a maximization run over initial pairs: the best pair's
     result, n_canonical the value of the first canonical pair (canonical-z
     for qubits), not the larger of the two, and n_sampled_max the largest
@@ -459,7 +455,7 @@ class PairSearch:
     n_canonical: float
     n_sampled_max: float
     samples_evaluated: int
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
 
 
 def _pair_values(op, d, n, diffs, times, threshold=None):
@@ -563,14 +559,12 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
         # the reported maximum cannot be trusted. Their failures come first.
         raise NumericalError("canonical pair failed: " + failures[0])
     pair = canonical[best] if best < m else _direction_pair(diff, label(best))
-    result = _measure_result(_interval_list(*intervals), times, pair)
-    evaluated = result.samples_evaluated = m + n_pairs - len(failures)
-    result.seed = seed
+    evaluated = m + n_pairs - len(failures)
+    result = _measure_result(_interval_list(*intervals), times, pair, evaluated, seed)
     return PairSearch(result, n_canonical[0], n_sampled_max, evaluated, failures)
 
 
-@dataclass
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One parameter point of a sweep: the overall maximum, the first
     canonical pair's value and the sampled maximum (see PairSearch)."""
 

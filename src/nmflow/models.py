@@ -16,7 +16,6 @@ one phase-covariant qubit map, streamed by _phase_covariant_flow.
 The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ AMPLITUDE_FLOOR = 1e-300
 POLE_TOL = 1e-9
 
 
-@dataclass
 class JCParams:
     """Lorentzian-reservoir parameters: coupling gamma0, width lam, detuning delta.
 
@@ -36,15 +34,12 @@ class JCParams:
     gamma0/lam = 0.01.
     """
 
-    gamma0: float = 0.01
-    lam: float = 1.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+    def __init__(self, gamma0=0.01, lam=1.0, delta=0.0):
+        if gamma0 <= 0:
+            raise ValueError(f"gamma0 must be positive, got {gamma0}")
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
+        self.gamma0, self.lam, self.delta = gamma0, lam, delta
 
 
 def _jc_amplitude_and_derivative(params, t):
@@ -135,18 +130,15 @@ def jc_flow(params, times):
     return _phase_covariant_flow(times, lambda t: np.abs(jc_amplitude(params, t)), damped=True)
 
 
-@dataclass
 class SpinBathParams:
     """Central-spin model: coupling A (inverse time) and bath size N."""
 
-    coupling_a: float = 1.0
-    n_spins: int = 20
-
-    def __post_init__(self):
-        if self.coupling_a <= 0:
-            raise ValueError(f"coupling_a must be positive, got {self.coupling_a}")
-        if self.n_spins < 1:
-            raise ValueError(f"n_spins must be >= 1, got {self.n_spins}")
+    def __init__(self, coupling_a=1.0, n_spins=20):
+        if coupling_a <= 0:
+            raise ValueError(f"coupling_a must be positive, got {coupling_a}")
+        if n_spins < 1:
+            raise ValueError(f"n_spins must be >= 1, got {n_spins}")
+        self.coupling_a, self.n_spins = coupling_a, n_spins
 
 
 def spinbath_f(params, t):

@@ -6,9 +6,6 @@ relaxed by integrator callers). The library draws no random states: a pair
 search draws pair differences from its own counter-based stream (see
 measure._directions).
 """
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .linalg import _eigvalsh, hermitian_eigenvalues
@@ -34,19 +31,14 @@ def check_complex_matrix(m, finite=True):
     return m
 
 
-@dataclass
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit-trace, positive semidefinite."""
 
-    matrix: np.ndarray
-    positivity_tol: float = POSITIVITY_TOL
-    trace_tol: float = TRACE_TOL
-
-    def __post_init__(self):
+    def __init__(self, matrix, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
         # Finiteness is the first of check_states' rules.
-        m = check_complex_matrix(self.matrix, finite=False)
-        check_states(m[None], self.positivity_tol, self.trace_tol)
-        self.matrix = m
+        m = check_complex_matrix(matrix, finite=False)
+        check_states(m[None], positivity_tol, trace_tol)
+        self.matrix, self.positivity_tol, self.trace_tol = m, positivity_tol, trace_tol
 
     @classmethod
     def _checked(cls, m, positivity_tol, trace_tol):
@@ -60,17 +52,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass
 class StatePair:
     """A pair of equal-dimension states, optionally labelled."""
 
-    rho1: DensityMatrix
-    rho2: DensityMatrix
-    label: Optional[str] = None
-
-    def __post_init__(self):
-        if self.rho1.dim != self.rho2.dim:
-            raise ValueError(f"dimension mismatch: {self.rho1.dim} vs {self.rho2.dim}")
+    def __init__(self, rho1, rho2, label=None):
+        if rho1.dim != rho2.dim:
+            raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+        self.rho1, self.rho2, self.label = rho1, rho2, label
 
     @property
     def dim(self):

@@ -52,15 +52,30 @@ RUNS = {
 }
 
 
-def test_importing_the_package_loads_no_layer():
-    # The layer modules are the import path: nmflow itself re-exports nothing.
+def fresh_import(module):
+    """The sorted names in sys.modules after importing module in a fresh interpreter."""
     src = str(Path(nmflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys, nmflow; print(sorted(m for m in sys.modules if m.startswith('nmflow')))"
+    script = f"import sys, {module}; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "['nmflow']"
+    return done.stdout.split()
+
+
+def test_importing_the_package_loads_no_layer():
+    # The layer modules are the import path: nmflow itself re-exports nothing.
+    assert [m for m in fresh_import("nmflow") if m.startswith("nmflow")] == ["nmflow"]
+
+
+def test_importing_the_cli_builds_no_code():
+    # Records are NamedTuples or plain classes: no class body writes and execs
+    # methods, as dataclasses does. Every layer is still imported with the
+    # cli, where bench/child.py's tracer looks for it.
+    loaded = fresh_import("nmflow.cli")
+    assert "dataclasses" not in loaded
+    layers = ("states", "linalg", "dynamics", "models", "measure", "cli")
+    assert {f"nmflow.{layer}" for layer in layers} <= set(loaded)
 
 
 def read_csv_grid(path):
@@ -272,6 +287,24 @@ class TestConfigHandling:
 
 
 class TestRate:
+    @pytest.mark.parametrize("command", ["rate", "sweep"])
+    def test_one_detuning_point_takes_no_other_maximum(self, tmp_path, capsys, command):
+        # np.linspace(min, max, 1) is [min]: a maximum that differs would be ignored.
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", "jc", "--delta-points", "1", "--horizon", "2",
+                "--step", "0.1", "--output", str(out)] + ["--n-pairs", "2"] * (command == "sweep")
+        config = tmp_path / "range.conf"
+        config.write_text("delta_over_lambda_max = 10\n")
+        for given in (["--delta-max", "10"], ["--config", str(config)]):
+            assert run(*argv, "--delta-min", "0", *given) == 2
+            err = capsys.readouterr().err
+            assert "delta_over_lambda_max" in err and "delta_over_lambda_min" in err
+            assert not out.exists()
+        for given in (["--delta-max", "3"], []):
+            assert run(*argv, "--delta-min", "3", *given) == 0
+            _, rows = read_csv_grid(str(out))
+            assert [row[0] for row in rows] == [3.0] * (1 if command == "sweep" else 21)
+
     def test_jc_single_delta_matches_library(self, tmp_path):
         out = tmp_path / "rate.csv"
         assert run("rate", "--model", "jc", "--delta", "5", "--horizon", "2",

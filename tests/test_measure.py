@@ -61,11 +61,25 @@ from nmflow.states import (
     SIGMA_Z,
     DensityMatrix,
     StatePair,
+    bloch_from_qubit,
     qubit_from_bloch,
     trace_distance,
 )
 
 Z_PAIR, X_PAIR = canonical_pairs(2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_canonical_pairs_are_exact(dim):
+    # The x states are built from halves, not from squared 1/sqrt(2) amplitudes.
+    pairs = canonical_pairs(dim)
+    for pair in pairs:
+        assert [np.trace(rho.matrix).real for rho in (pair.rho1, pair.rho2)] == [1.0, 1.0]
+        assert trace_distance(pair.rho1, pair.rho2) == 1.0
+    if dim == 2:
+        x = pairs[1]
+        assert bloch_from_qubit(x.rho1) == (1.0, 0.0, 0.0)
+        assert bloch_from_qubit(x.rho2) == (-1.0, 0.0, 0.0)
 
 
 def blow_up_generator():
@@ -754,9 +768,9 @@ class TestBatchedPairs:
         zigzag = np.array([1.0] * 8 + [0.2, 0.99, 0.2, 1.0, 0.0] + [0.0] * 8)
         flow = bloch_map_flow(times, lambda t: zigzag, np.ones_like)
         values, errors, _ = pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
-        assert errors == [None, "negative contribution -0.7519046867142856"]
+        assert errors == [None, "negative contribution -0.7519046867142857"]
         assert values[0] == 0.0 and np.isnan(values[1])
-        with pytest.raises(ValueError, match="^negative contribution -0.7519046867142856$"):
+        with pytest.raises(ValueError, match="^negative contribution -0.7519046867142857$"):
             n_for_pair(flow, X_PAIR, times)
 
     def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
