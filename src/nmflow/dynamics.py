@@ -145,9 +145,10 @@ class _CompiledGenerator:
         """B^dag S B of maps S that preserve Hermiticity, stacked (..., d^2, d^2)."""
         return (self.basis.conj().T @ s @ self.basis).real
 
-    def complex(self, r, out):
-        """The column-stacked maps B R B^dag of the real maps R, stacked (m,
-        d^2, d^2), written into the complex out."""
+    def complex(self, r):
+        """The column-stacked complex maps B R B^dag of the real maps R, stacked
+        (m, d^2, d^2)."""
+        out = np.empty(r.shape, dtype=complex)
         if self.kron is None:
             np.matmul(self.basis @ r, self.basis.conj().T, out=out)
         else:
@@ -175,8 +176,8 @@ def _check_uniform_grid(t_grid):
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
     steps = np.diff(t)
-    if np.any(steps <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    if not np.all((steps > 0) & (steps < np.inf)):  # NaN fails it too
+        raise ValueError("time grid must be finite and strictly increasing")
     h = steps[0]
     if np.max(np.abs(steps - h)) > 1e-12 * max(1.0, abs(t[-1])):
         raise ValueError("time grid must be uniform")
@@ -185,9 +186,9 @@ def _check_uniform_grid(t_grid):
 
 def _rk4_increments(compiled, times, h):
     """Increments R - I of classical RK4 step maps R of dS/dt = K(t) S, real
-    and shaped (m, g, d^2, d^2), for steps of g intervals: row 2j of times,
-    shape (2m + 1, g), is the left point of step j, row 2j + 1 its midpoint
-    and row 2j + 2 its right point; h has shape (g,).
+    and shaped (m, ..., d^2, d^2): row 2j of times, shape (2m + 1, ...), is
+    the left point of step j, row 2j + 1 its midpoint and row 2j + 2 its
+    right point, and h, a step or an array of shape times.shape[1:], the step.
 
     RK4 is linear, so its increment on the identity is the map's. Adding
     E v to v, instead of forming R v, keeps the rounding of the 1 + O(h)
@@ -199,7 +200,7 @@ def _rk4_increments(compiled, times, h):
     d2 = compiled.gen.dim ** 2
     ks = compiled.matrices(times.ravel()).reshape(times.shape + (d2, d2))
     ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
-    h = h[:, None, None]
+    h = np.asarray(h)[..., None, None]
     eye = np.eye(d2)
     k = km @ (eye + 0.5 * h * ka)
     acc = ka + 2.0 * k
@@ -212,12 +213,9 @@ def _rk4_increments(compiled, times, h):
 
 
 def _running_maps(compiled, t0, h, n):
-    """Real Phi(t0 + k h, t0), k = 1..n, of g intervals integrated in
-    lockstep (t0 and h of shape (g,)), as (k0, maps) per block of m <=
-    max(1, STEP_BLOCK // g) steps from step k0, with maps[j] = Phi(t0 + (k0 +
-    j + 1) h, t0) of shape (g, d^2, d^2), so that a block holds at most
-    STEP_BLOCK steps' stage matrices however the steps split into intervals,
-    or one step of each interval when g > STEP_BLOCK.
+    """Real Phi(t0 + k h, t0), k = 1..n, of one interval, as (k0, maps) per
+    block of m <= STEP_BLOCK steps from step k0, with maps[j] = Phi(t0 + (k0
+    + j + 1) h, t0), stacked (m, d^2, d^2).
 
     A block's RK4 increments E_j are composed by a Hillis-Steele prefix scan
     that never forms the identity, (I + B)(I + A) = I + (A + B + BA):
@@ -232,11 +230,9 @@ def _running_maps(compiled, t0, h, n):
     overflow warnings by np.errstate, so that this exception is the one
     report (an errstate set in here would leak to them across each yield).
     """
-    d2 = compiled.gen.dim ** 2
-    s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
-    block = max(1, STEP_BLOCK // t0.size)
-    for k0 in range(0, n, block):
-        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)[:, None]
+    s = np.eye(compiled.gen.dim ** 2)
+    for k0 in range(0, n, STEP_BLOCK):
+        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + STEP_BLOCK, n) + 1)
         maps = _rk4_increments(compiled, times, h)
         shift = 1
         while shift < len(maps):
@@ -246,10 +242,9 @@ def _running_maps(compiled, t0, h, n):
             shift *= 2
         np.add(s, maps @ s, out=maps)
         yield k0, maps
-        bad = ~np.isfinite(maps).all(axis=(2, 3))
+        bad = ~np.isfinite(maps).all(axis=(1, 2))
         if bad.any():
-            j, i = np.unravel_index(np.argmax(bad), bad.shape)
-            t_bad = t0[i] + (k0 + 1 + j) * h[i]
+            t_bad = t0 + (k0 + 1 + np.argmax(bad)) * h
             raise InvariantViolation(f"propagator has non-finite entries at t={t_bad:.6g}")
         s = maps[-1]
 
@@ -271,9 +266,9 @@ def _interval_maps(compiled, t0, h, n):
     multiplied pairwise, (I + B)(I + A) = I + (A + B + BA), from the block's
     end, a tree that gives the last map of _running_maps' scan in m - 1
     products, ceil(log2 m) batched. S + P S carries the block's I + P into
-    the running map S, so memory does not grow with n. Maps with a
-    non-finite entry are made again by _running_maps, which raises
-    InvariantViolation at the first time where one appears.
+    the running map S, so memory does not grow with n. An interval whose
+    map has a non-finite entry is made again by _running_maps, one at a
+    time, which raises InvariantViolation at the first time where one appears.
     """
     d2 = compiled.gen.dim ** 2
     s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
@@ -289,11 +284,11 @@ def _interval_maps(compiled, t0, h, n):
             later += product
             e = e[1 - odd :: 2]
         s = s + e[0] @ s
-    if not np.isfinite(s).all():
-        for _, maps in _running_maps(compiled, t0, h, n):
+    for i in np.flatnonzero(~np.isfinite(s).all(axis=(1, 2))):
+        for _, maps in _running_maps(compiled, t0[i], h[i], n):
             pass
-        s = maps[-1]
-    return compiled.complex(s, np.empty(s.shape, dtype=complex))
+        s[i] = maps[-1]
+    return compiled.complex(s)
 
 
 def _substeps(span, h):
@@ -333,9 +328,9 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     x[0] = (compiled.basis.conj().T @ rho0.reshape(-1, order="F")).real
     states = np.empty((t.size, d, d), dtype=complex)
     a = 0
-    for k0, maps in _running_maps(compiled, t[:1], np.array([h]), t.size - 1):
+    for k0, maps in _running_maps(compiled, t[0], h, t.size - 1):
         b = k0 + 1 + len(maps)
-        x[k0 + 1 : b] = maps[:, 0] @ x[0]
+        x[k0 + 1 : b] = maps @ x[0]
         m = states[a:b] = (x[a:b] @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2)
         finite = np.isfinite(m).all(axis=(1, 2))
         drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
@@ -397,8 +392,8 @@ def propagator_between(gen, t1, t2, h):
 
     The degenerate interval t1 == t2 returns the identity map.
     """
-    if t2 < t1:
-        raise ValueError(f"need t1 <= t2, got {t1} > {t2}")
+    if not t1 <= t2:  # NaN fails it too
+        raise ValueError(f"need t1 <= t2, got t1={t1}, t2={t2}")
     d = gen.dim
     s = np.eye(d * d, dtype=complex)
     if t2 > t1:
@@ -423,8 +418,8 @@ def flow_blocks(gen, t_grid):
     t, h = _check_uniform_grid(t_grid)
     compiled = _CompiledGenerator(gen)
     yield 0, np.eye(gen.dim * gen.dim, dtype=complex)[None]
-    for k0, maps in _running_maps(compiled, t[:1], np.array([h]), t.size - 1):
-        yield k0 + 1, compiled.complex(maps[:, 0], np.empty(maps[:, 0].shape, dtype=complex))
+    for k0, maps in _running_maps(compiled, t[0], h, t.size - 1):
+        yield k0 + 1, compiled.complex(maps)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -46,10 +46,11 @@ _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).
 
 
 class TrajectoryGrid:
-    """Sampled trace distance and its rate of change on a uniform time grid."""
+    """Sampled trace distance and its rate of change on a uniform time grid,
+    as trajectory and trajectory_from_values make it: they check the grid."""
 
     def __init__(self, times, d_values, sigma_values):
-        t, _ = _check_uniform_grid(times)
+        t = np.asarray(times, dtype=float)
         d = np.asarray(d_values, dtype=float)
         s = np.asarray(sigma_values, dtype=float)
         if not (t.size == d.size == s.size):
@@ -75,8 +76,8 @@ def _sigma(d, h, out):
 
 
 def trajectory_from_values(times, d_values):
-    """TrajectoryGrid from sampled D(t), sigma by _sigma."""
-    t = np.asarray(times, dtype=float)
+    """TrajectoryGrid from D(t) sampled on a uniform grid, sigma by _sigma."""
+    t, _ = _check_uniform_grid(times)
     d = np.asarray(d_values, dtype=float)
     if d.ndim != 1 or d.size < 3:
         raise ValueError(f"sigma needs a row of at least 3 values of D, got shape {d.shape}")
@@ -87,8 +88,8 @@ def trajectory_from_values(times, d_values):
 def make_time_grid(horizon, step):
     """The uniform grid 0, step, ..., horizon, which must end at the horizon:
     a whole number of steps, to a relative 1e-9, and at least 10 of them."""
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be positive")
+    if not (0 < horizon < math.inf and 0 < step < math.inf):  # NaN fails it too
+        raise ValueError("horizon and step must be positive and finite")
     if not abs(round(horizon / step) * step - horizon) <= 1e-9 * horizon:
         raise ValueError(f"horizon {horizon:g} is not a whole number of steps {step:g}")
     n = int(round(horizon / step))
@@ -98,13 +99,11 @@ def make_time_grid(horizon, step):
 
 
 def _grid(times):
-    """times as an array of at least 11 points. That they form a uniform grid
-    is checked once per call where it is needed: by TrajectoryGrid and by
-    search_pairs."""
+    """times as a uniform grid array of at least 11 points."""
     times = np.asarray(times, dtype=float)
     if times.size < 11:
         raise ValueError(f"{times.size - 1} grid intervals; sigma needs >= 10")
-    return times
+    return _check_uniform_grid(times)[0]
 
 
 def _blocks(flow, t):
@@ -249,8 +248,8 @@ def _distances(op, diffs, times, work):
 
 def trajectory(flow, pair, times):
     """D(t) and sigma(t) for the pair under the flow Phi(t_k, 0) on times, an
-    array (T, d^2, d^2) or a stream of blocks, which is consumed (see
-    search_pairs)."""
+    array (T, d^2, d^2) or a stream of blocks, which is consumed after times
+    is checked (see search_pairs)."""
     times = _grid(times)
     d, op = _pair_operator(flow, times.size)
     if pair.dim != d:
@@ -260,7 +259,7 @@ def trajectory(flow, pair, times):
     (error,) = _distances(op, diff[None], times, work)
     if error:
         raise InvariantViolation(error)
-    return trajectory_from_values(times, work[0, 0])
+    return TrajectoryGrid(times, work[0, 0], _sigma(work[0], times[1] - times[0], work[1])[0])
 
 
 class GrowthInterval:
@@ -393,10 +392,15 @@ def canonical_pairs(dim):
             StatePair(*states[2:], label="canonical-x")]
 
 
-def _check_seed(seed):
-    """A seed of the pair stream: a Python or NumPy integer in [0, 2^64)."""
+def _search_grid(n_pairs, times, threshold, seed):
+    """times as a grid (see _grid), once every other argument of a search but
+    its flow is checked; a seed is a Python or NumPy integer."""
+    if not n_pairs >= 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _check_threshold(threshold)
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return _grid(times)
 
 
 def _splitmix64(seed, start, n):
@@ -520,12 +524,7 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     up. For qubits the search holds the Pauli map (96 B per grid point)
     rather than the flow.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    _check_threshold(threshold)
-    _check_seed(seed)
-    times = _grid(times)
-    _check_uniform_grid(times)
+    times = _search_grid(n_pairs, times, threshold, seed)
     dim, op = _pair_operator(flow, times.size)
     canonical = canonical_pairs(dim)
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
@@ -584,8 +583,8 @@ def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     parameters = list(parameters)
     if not parameters:
         raise ValueError("parameter grid is empty")
-    _check_threshold(threshold)
-    _check_seed(seed)  # here: a point's ValueError is recorded, not raised
+    # Here, before any flow is built: a point's ValueError is recorded, not raised.
+    times = _search_grid(n_pairs, times, threshold, seed)
     records = []
     for value in parameters:
         try:

@@ -11,6 +11,7 @@ CRITERIA = {
     7: "CP propagators never increase the trace distance",
     8: "intermediate map loses complete positivity where the rate is negative",
     9: "integrator error shrinks at fourth order under step halving",
+    10: "a P-divisible map that is not CP-divisible scores zero",
 }
 
 

@@ -7,9 +7,10 @@ to be loosened.
 import numpy as np
 import pytest
 
-from oracles import random_mixed_state, random_pure_state, volterra_amplitude
+from oracles import pauli_map, random_mixed_state, random_pure_state, volterra_amplitude
 
 from nmflow.dynamics import (
+    GeneratorSpec,
     Propagator,
     divisibility_report,
     evolve_state,
@@ -18,6 +19,8 @@ from nmflow.dynamics import (
     propagator_grid,
 )
 from nmflow.measure import (
+    _growth_steps,
+    _pair_operator,
     canonical_pairs,
     default_threshold,
     make_time_grid,
@@ -37,6 +40,9 @@ from nmflow.models import (
     spinbath_trace_distance,
 )
 from nmflow.states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     StatePair,
     trace_distance,
@@ -233,3 +239,37 @@ def test_criterion_9_integrator_is_fourth_order():
         h /= 2.0
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0
+
+
+def test_criterion_10_p_divisible_map_scores_zero_but_is_not_cp_divisible():
+    # The eternally non-Markovian Pauli channel of Hall, Cresser, Li and
+    # Andersson, PRA 89, 042120 (2014): rates 1/2 on sigma_x and sigma_y and
+    # -tanh(t)/2 on sigma_z, each channel gamma (A rho A^dag - rho). Its Bloch
+    # scalings are (1 + e^{-2t})/2 on x and y and e^{-2t} on z, so the map is
+    # P-divisible (no pair's trace distance ever grows) while every
+    # intermediate map from t_a > 0 has the negative Choi eigenvalue
+    # (1 - 2 f(t_b)/f(t_a) + e^{-2(t_b - t_a)})/2, f(t) = (1 + e^{-2t})/2.
+    gen = GeneratorSpec(2, np.zeros((2, 2)), [
+        (SIGMA_X, 0.5), (SIGMA_Y, 0.5), (SIGMA_Z, lambda t: -0.5 * np.tanh(t))])
+    flow, times = grid_flow(gen, 3.0, 1e-3)
+    op = pauli_map(flow)
+    f = 0.5 * (1.0 + np.exp(-2.0 * times))
+    expected = np.zeros_like(op)
+    expected[1, 0] = expected[2, 1] = f
+    expected[3, 2] = np.exp(-2.0 * times)
+    assert np.max(np.abs(op - expected)) <= 1e-12
+    # No step can raise D for any pair, and the search finds no growth.
+    assert not _growth_steps(_pair_operator(flow, times.size)[1]).any()
+    search = search_pairs(flow, 200, times, seed=0)
+    assert search.failures == []
+    assert search.best.n_value == 0.0
+    # The map from 0 is CP; every later intermediate map is not.
+    grid = np.linspace(0.0, 3.0, 31)
+    report = divisibility_report(gen, grid, h=1e-3)
+    a, b = grid[:-1], grid[1:]
+    lam_xy = (1.0 + np.exp(-2.0 * b)) / (1.0 + np.exp(-2.0 * a))
+    closed = 0.5 * (1.0 - 2.0 * lam_xy + np.exp(-2.0 * (b - a)))
+    least = np.array([v.least_choi_eigenvalue for v in report.intervals])
+    assert np.max(np.abs(least - closed)) <= 1e-9
+    assert [v.is_cp for v in report.intervals] == [True] + [False] * 29
+    assert np.all(least[1:] < -1e-6)

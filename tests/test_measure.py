@@ -48,6 +48,7 @@ from nmflow.models import (
     JCParams,
     SpinBathParams,
     jc_amplitude,
+    jc_flow,
     jc_generator,
     jc_rate,
     semigroup_generator,
@@ -143,6 +144,25 @@ class TestTrajectory:
             search_pairs(flow, 2, bent)
         with pytest.raises(ValueError, match="^time grid must be uniform$"):
             trajectory_from_values(bent, np.zeros(bent.size))
+        # A NaN or an infinite time is refused too, and by trajectory before it
+        # reads a stream whose flow blows up.
+        message = "^time grid must be finite and strictly increasing$"
+        exact = jc_flow(JCParams(gamma0=5.0), make_time_grid(10.0, 1e-2))
+        for k, value in ((1, np.nan), (-1, np.inf)):
+            spoiled = times.copy()
+            spoiled[k] = value
+            with pytest.raises(ValueError, match=message):
+                trajectory(flow_blocks(blow_up_generator(), times), Z_PAIR, spoiled)
+            with pytest.raises(ValueError, match=message):
+                search_pairs(flow, 2, spoiled)
+            with pytest.raises(ValueError, match=message):
+                trajectory_from_values(spoiled, np.zeros(spoiled.size))
+            with pytest.raises(ValueError, match=message):
+                propagator_grid(semigroup_generator(1.0), spoiled)
+            spoiled = make_time_grid(10.0, 1e-2)
+            spoiled[k] = value
+            with pytest.raises(ValueError, match=message):
+                search_pairs(exact, 5, spoiled)
 
     def test_shared_grid_is_checked_once_per_call(self, monkeypatch):
         import nmflow.measure
@@ -1084,6 +1104,14 @@ class TestFlowStream:
             search_pairs(flow_blocks(blow_up_generator(), times), n_pairs, times, threshold, seed)
         with pytest.raises(ValueError, match="grid intervals; sigma needs >= 10"):
             search_pairs(flow_blocks(blow_up_generator(), times), 5, times[:5])
+        # sweep checks them once, before it builds the flow of any point.
+        built = []
+        family = lambda p: built.append(p) or flow_blocks(blow_up_generator(), times)
+        with pytest.raises(ValueError, match=message):
+            sweep(family, [0.0, 1.0], times, n_pairs, threshold, seed)
+        with pytest.raises(ValueError, match="grid intervals; sigma needs >= 10"):
+            sweep(family, [0.0, 1.0], times[:5], 5)
+        assert built == []
 
     def test_qubit_search_on_the_stream_holds_less_than_half_the_array(self):
         import tracemalloc
@@ -1111,3 +1139,7 @@ def test_grid_must_end_at_the_horizon():
         make_time_grid(4, 0.3)
     assert make_time_grid(2.5, 1e-3)[-1] == 2.5
     assert make_time_grid(20 * np.pi / 40, np.pi / 40).size == 21
+    # Not an OverflowError from round(inf / step).
+    for horizon, step in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="^horizon and step must be positive and finite$"):
+            make_time_grid(horizon, step)
