@@ -372,6 +372,23 @@ class TestRealBasis:
         assert got.shape == (n, d2, d2)
         assert np.max(np.abs(got - np.stack(expected))) < 1e-13
 
+    # (intervals g, steps n): lockstep groups of g > 1 intervals, the last with
+    # more steps than a d = 4 block of five intervals holds.
+    @pytest.mark.parametrize("g, n", [(3, 5), (12, 20), (5, STEP_BLOCK // 5 + 3)])
+    @pytest.mark.parametrize("name", ["jc-delta-8", "rotating-d4"])
+    def test_lockstep_maps_equal_the_sequential_product(self, name, g, n):
+        compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
+        t0 = 0.1 * np.arange(g)
+        h = 1e-2 * (1.0 + 0.1 * np.arange(g))
+        d2 = compiled.gen.dim ** 2
+        s = np.broadcast_to(np.eye(d2), (g, d2, d2))
+        for k in range(n):
+            times = t0 + 0.5 * h * np.arange(2 * k, 2 * k + 3)[:, None]
+            s = s + _rk4_increments(compiled, times, h)[0] @ s
+        got = _interval_maps(compiled, t0, h, n)
+        assert got.shape == (g, d2, d2)
+        assert np.max(np.abs(got - compiled.complex(s))) < 1e-13
+
     # One, two and three steps; one below, at and one above STEP_BLOCK and the
     # qubit group size 1024; and several blocks at every d.
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025, 3000])
