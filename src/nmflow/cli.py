@@ -11,7 +11,6 @@ significant digits) or JSON with a schema_version field, and a flow field
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -385,33 +384,84 @@ def resolve_pair(cfg, dim):
     return next(pair for pair in canonical_pairs(dim) if pair.label == label)
 
 
-def format_number(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
+# The output layer: each table formatted a column at a time, each file
+# written in one write, to the bytes of csv.writer (minimal quoting, \r\n)
+# and of json.dump(indent=2, allow_nan=False).
+
+
+class Records(NamedTuple):
+    """A payload value that write_json writes as one object per row, keyed
+    by the header."""
+
+    header: list
+    rows: list
+
+
+def _csv_text(x):
+    """One CSV field: "%.17g" for a float, true/false, else str, quoted
+    where csv.writer quotes it (a comma, a quote or a line end in it)."""
+    text = ("true" if x else "false") if type(x) is bool else (
+        "%.17g" % x if isinstance(x, float) else str(x))
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def write_csv(path, header, rows):
+    """header, then rows of two or more fields, one format per row: a
+    "%.17g" slot per column of floats, the _csv_text of any other column."""
+    text = ",".join(map(_csv_text, header)) + "\r\n"
+    if rows:
+        specs, columns = zip(*(("%.17g", cells) if set(map(type, cells)) == {float}
+                               else ("%s", list(map(_csv_text, cells)))
+                               for cells in zip(*rows, strict=True)))
+        text += "".join(map((",".join(specs) + "\r\n").__mod__, zip(*columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_number(x) for x in row])
+        fh.write(text)
+
+
+def _json_floats(values):
+    """The float repr of each value, as json.dump writes it, NaN as null."""
+    texts = list(map(float.__repr__, values))
+    return ["null" if s == "nan" else s for s in texts] if "nan" in texts else texts
+
+
+def _json_text(x):
+    """json.dump's text of one record value, NaN as null."""
+    if type(x) is bool:
+        return "true" if x else "false"
+    return _json_floats([x])[0] if isinstance(x, float) else json.dumps(x)
+
+
+def _json_records(header, rows):
+    """The records as json.dump(indent=2) writes a payload value: one
+    template per record, filled from the formatted columns."""
+    if not rows:
+        return "[]"
+    columns = [_json_floats(cells) if set(map(type, cells)) == {float}
+               else list(map(_json_text, cells)) for cells in zip(*rows, strict=True)]
+    if any("inf" in texts or "-inf" in texts for texts in columns):
+        # The first infinity in record order raises json.dump's own error;
+        # indent selects its encoder, and so its message.
+        json.dumps(next(x for row in rows for x in row if isinstance(x, float) and math.isinf(x)),
+                   indent=2, allow_nan=False)
+    fields = ",\n".join("      " + json.dumps(name).replace("%", "%%") + ": %s"
+                        for name in header)
+    record = "    {\n" + fields + "\n    }"
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*columns))) + "\n  ]"
 
 
 def write_json(path, payload):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    """schema_version, then the payload, as json.dump(indent=2,
+    allow_nan=False) writes it: Records by _json_records, every other value
+    by json.dumps, so that a NaN or infinity outside the records raises
+    ValueError. The file is opened only once every value is formatted, so a
+    refused value leaves no file."""
+    items = (f"  {json.dumps(key)}: " + (
+        _json_records(*value) if isinstance(value, Records)
+        else json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
+        for key, value in {"schema_version": SCHEMA_VERSION, **payload}.items())
+    text = "{\n" + ",\n".join(items) + "\n}\n"
     with open(path, "w") as fh:
-        # An iterator in the payload (see _records) is written as a list;
-        # strict JSON has no NaN or infinity, so one raises instead.
-        json.dump(payload, fh, indent=2, default=list, allow_nan=False)
-        fh.write("\n")
-
-
-def _records(header, rows):
-    """The rows as JSON records keyed by header, made only if written, with
-    NaN (the one value unequal to itself) as null."""
-    return (dict(zip(header, (None if x != x else x for x in row))) for row in rows)
+        fh.write(text)
 
 
 def write_output(cfg, header, rows, payload):
@@ -455,7 +505,7 @@ def cmd_rate(cfg):
     else:  # semigroup, the last model that runs rate
         header = [time_col, "gamma_over_gamma0", "flag"]
         rows = [[t, 1.0, ""] for t in times.tolist()]
-    write_output(cfg, header, rows, {"rate": _records(header, rows)})
+    write_output(cfg, header, rows, {"rate": Records(header, rows)})
     return 0
 
 
@@ -469,7 +519,7 @@ def cmd_trajectory(cfg):
     header = [TIME_COLUMN[cfg.model], "trace_distance", "sigma"]
     rows = list(zip(traj.times.tolist(), traj.d_values.tolist(), traj.sigma_values.tolist()))
     write_output(cfg, header, rows,
-                 {"flow": flow_method(cfg), "trajectory": _records(header, rows)})
+                 {"flow": flow_method(cfg), "trajectory": Records(header, rows)})
     return 0
 
 
@@ -495,7 +545,7 @@ def cmd_measure(cfg):
         "flow": flow_method(cfg),
         "n_value": result.n_value,
         "horizon": result.horizon,
-        "intervals": _records(header, rows),
+        "intervals": Records(header, rows),
         "best_pair": _pair_report(result.best_pair),
         "samples_evaluated": result.samples_evaluated,
         "seed": result.seed,
@@ -523,7 +573,7 @@ def cmd_sweep(cfg):
               "best_pair", "error"]
     rows = [[rec.parameter, rec.n_sampled_max, rec.n_canonical, rec.n_value,
              rec.best_pair_label or "", rec.error or ""] for rec in records]
-    write_output(cfg, header, rows, {"flow": flow_method(cfg), "sweep": _records(header, rows)})
+    write_output(cfg, header, rows, {"flow": flow_method(cfg), "sweep": Records(header, rows)})
     if all(rec.error for rec in records):
         raise NumericalError("every sweep point failed; first: " + records[0].error)
     return 0
@@ -535,8 +585,8 @@ def cmd_divisibility(cfg):
     grid = np.linspace(0.0, cfg.horizon, cfg.values["grid_points"] + 1)
     report = divisibility_report(gen, grid, tol=cfg.values["cp_tol"], h=cfg.step)
     header = ["t_start", "t_end", "is_cp", "least_choi_eigenvalue"]
-    rows = [[v.t_start, v.t_end, v.is_cp, v.least_choi_eigenvalue] for v in report.intervals]
-    payload = {"flow": "rk4", "divisible": report.divisible, "intervals": _records(header, rows)}
+    rows = report.intervals  # IntervalVerdict tuples, in header order
+    payload = {"flow": "rk4", "divisible": report.divisible, "intervals": Records(header, rows)}
     write_output(cfg, header, rows, payload)
     return 0
 

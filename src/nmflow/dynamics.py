@@ -390,14 +390,15 @@ def propagator_between(gen, t1, t2, h):
     """Phi(t2, t1) by RK4 on dS/dt = K(t) S from the identity, in
     ceil((t2 - t1) / h) equal steps; memory does not grow with the step count.
 
-    The degenerate interval t1 == t2 returns the identity map.
+    The degenerate interval t1 == t2 returns the identity map. A non-finite
+    endpoint makes the length t2 - t1 inf or NaN, which _substeps refuses.
     """
     if not t1 <= t2:  # NaN fails it too
         raise ValueError(f"need t1 <= t2, got t1={t1}, t2={t2}")
     d = gen.dim
     s = np.eye(d * d, dtype=complex)
+    n, step = _substeps(np.array([t2 - t1], dtype=float), h)
     if t2 > t1:
-        n, step = _substeps(np.array([t2 - t1], dtype=float), h)
         s = _interval_maps(_CompiledGenerator(gen), np.array([t1], dtype=float), step, n[0])[0]
     return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
 
@@ -529,18 +530,17 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     least = []
     for a, b in _lockstep_groups(n, gen.dim):
         try:
-            least.extend(least_choi_eigenvalues(a, b))
+            least.append(least_choi_eigenvalues(a, b))
         except (NumericalError, ValueError):
             for k in range(a, b):
                 try:
-                    least.extend(least_choi_eigenvalues(k, k + 1))
+                    least.append(least_choi_eigenvalues(k, k + 1))
                 except (NumericalError, ValueError) as exc:
                     # Name the interval in place: rebuilding the exception would
                     # need its constructor's signature, and its type sets the
                     # exit code.
                     exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
                     raise
-    return DivisibilityReport([
-        IntervalVerdict(float(t[k]), float(t[k + 1]), bool(v >= -tol), float(v))
-        for k, v in enumerate(least)
-    ])
+    least, times = np.concatenate(least), t.tolist()
+    return DivisibilityReport(list(map(IntervalVerdict, times, times[1:],
+                                       (least >= -tol).tolist(), least.tolist())))

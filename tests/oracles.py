@@ -7,14 +7,17 @@ generator matrix built from it, the closed-form amplitude-damping solution,
 a brute-force bath average for the central-spin model, a cyclic Jacobi
 eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
 decoherence rates of a generator, and the one-pair-at-a-time measure: trace
-distances, sigma and growth intervals of each pair on its own, and the
-SplitMix64 pair-direction stream in Python integers.
+distances, sigma and growth intervals of each pair on its own, the
+SplitMix64 pair-direction stream in Python integers, and the CLI's output
+writers as they were written cell by cell on csv.writer and json.dump.
 
 It also holds the seeded random-state sampler that the tests draw their
 states from (random_states and its one-state forms); the library itself
 draws no random states. callable_d3_generator is a test input that the flow
 tests of dynamics and measure share.
 """
+import csv
+import json
 import math
 
 import numpy as np
@@ -384,3 +387,33 @@ def callable_d3_generator():
     return GeneratorSpec(
         3, lambda t: h0 + np.sin(t) * h1, [(lambda t: a + np.cos(2.0 * t) * b, rate)]
     )
+
+
+def format_number(x):
+    """One CSV cell as the cell-by-cell writer formatted it."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def write_csv(path, header, rows):
+    """The byte oracle of cli.write_csv: csv.writer, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_number(x) for x in row])
+
+
+def records(header, rows):
+    """The rows as JSON records keyed by header, NaN as null."""
+    return [dict(zip(header, (None if x != x else x for x in row))) for row in rows]
+
+
+def write_json(path, payload, schema_version):
+    """The byte oracle of cli.write_json, with every cli.Records value of the
+    payload given as records(header, rows): json.dump over the payload."""
+    payload = {"schema_version": schema_version, **payload}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")

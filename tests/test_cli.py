@@ -10,8 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import records as oracle_records
+from oracles import write_csv as oracle_csv
+from oracles import write_json as oracle_json
 
 import nmflow
+from nmflow import cli
 from nmflow.cli import (
     KEYS,
     MODELS,
@@ -893,3 +897,96 @@ class TestOneWriter:
                    for a, b in zip(row, rec))
         if argv.startswith("divisibility"):
             assert {rec["is_cp"] for rec in payload[table]} == {True, False}
+
+
+def _oracle_payload(payload):
+    return {key: oracle_records(*value) if isinstance(value, cli.Records) else value
+            for key, value in payload.items()}
+
+
+def assert_written_as_oracle(tmp_path, header, rows, payload):
+    """cli.write_csv and cli.write_json write the bytes of the cell-by-cell
+    csv.writer and json.dump writers of tests/oracles.py."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    cli.write_csv(new, header, rows)
+    oracle_csv(old, header, rows)
+    assert new.read_bytes() == old.read_bytes()
+    cli.write_json(new, payload)
+    oracle_json(old, _oracle_payload(payload), cli.SCHEMA_VERSION)
+    assert new.read_bytes() == old.read_bytes()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestWriterOracles:
+    @pytest.mark.parametrize("argv", [
+        "rate --model jc --delta-min 0 --delta-max 2 --delta-points 3 --horizon 1 --step 0.1",
+        f"rate --model spinbath --n-spins 5 --horizon {60 * np.pi / 40} --step {np.pi / 40}",
+        "rate --model semigroup --horizon 1 --step 0.01",
+        "trajectory --model jc --delta 8 --pair x --horizon 2 --step 1e-3",
+        "measure --model jc --delta 8 --n-pairs 4 --horizon 20 --step 0.01",
+        "measure --model jc --delta 8 --n-pairs 4 --horizon 5 --step 0.01 --clamp-rate",
+        "measure --model spinbath --n-spins 20 --n-pairs 4 --horizon 5 --step 5e-4",
+        # A failed point: its values are NaN, and its error string has a comma.
+        "sweep --model jc --gamma0 20 --clamp-rate --horizon 20 --step 0.1 --delta-min 0 "
+        "--delta-max 8 --delta-points 2 --n-pairs 2",
+        "divisibility --model jc --delta 5 --horizon 3 --grid-points 12 --step 5e-3",
+    ])
+    def test_every_command_payload(self, tmp_path, monkeypatch, argv):
+        tables = []
+        monkeypatch.setattr(cli, "write_output", lambda cfg, *table: tables.append(table))
+        assert run(*shlex.split(argv), "--output", str(tmp_path / "out")) == 0
+        ((header, rows, payload),) = tables
+        assert_written_as_oracle(tmp_path, header, rows, payload)
+
+    def test_every_cell_kind(self, tmp_path):
+        tiny = 2.2250738585072014e-308 / 3  # subnormal
+        header = ["t", "mixed", "is_cp", "text", "σ,\"%s\"", "n"]
+        rows = [
+            [-0.0, 1, True, "", 1e308, 0],
+            (5e-324, None, False, "a,b", NAN, -7),
+            [tiny, 'q"uote', True, "line\nbreak", 0.1, 2**70],
+            [NAN, 2.5, False, "Φ(t) ≥ ñ", -1e-300, 1],
+            (1.0, NAN, True, "100% %s\r", -0.0, 3),
+            [1 / 3, False, False, "nan", 123456789.0, 4],
+        ]
+        assert_written_as_oracle(tmp_path, header, rows,
+                                 {"flow": "rk4", "pair": {"label": "σ", "v": [0.5, -0.0]},
+                                  "table": cli.Records(header, rows), "after": None})
+
+    def test_infinity_is_written_to_csv(self, tmp_path):
+        assert_written_as_oracle(tmp_path, ["a", "b"], [[INF, -INF], ["x", INF]], {})
+
+    def test_empty_record_list(self, tmp_path):
+        header = ["a", "b", "contribution"]
+        assert_written_as_oracle(tmp_path, header, [],
+                                 {"n_value": 0.0, "intervals": cli.Records(header, [])})
+
+    @pytest.mark.parametrize("payload", [
+        {"table": cli.Records(["a", "b"], [[1.0, 2.0], [NAN, INF]])},
+        {"table": cli.Records(["a", "b"], [[1.0, -INF], [INF, 2.0]])},
+        {"table": cli.Records(["a", "b"], [[1.0, 2.0], [INF, -INF]])},
+        {"table": cli.Records(["a", "b"], [["x", 1.0], [INF, "y"]])},
+        {"n_value": NAN, "table": cli.Records(["a"], [[INF]])},
+        {"table": cli.Records(["a"], [[1.0]]), "pair": {"v": [0.0, -INF]}},
+    ])
+    def test_a_non_finite_value_is_refused_as_json_dump_refuses_it(self, tmp_path, payload):
+        # NaN in a record is null; any other NaN or infinity raises json.dump's
+        # exception, naming the first in writing order. cli.write_json formats
+        # everything before it opens the file, so it leaves no file behind.
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        with pytest.raises(ValueError) as expected:
+            oracle_json(old, _oracle_payload(payload), cli.SCHEMA_VERSION)
+        with pytest.raises(ValueError) as raised:
+            cli.write_json(new, payload)
+        assert str(raised.value) == str(expected.value)
+        assert "JSON compliant" in str(raised.value)
+        assert not new.exists()
+
+    def test_an_existing_file_is_kept_when_a_value_is_refused(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("previous run\n")
+        with pytest.raises(ValueError):
+            cli.write_json(path, {"n_value": INF})
+        assert path.read_text() == "previous run\n"

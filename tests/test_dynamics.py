@@ -167,6 +167,9 @@ class TestPropagator:
         gen = semigroup_generator(1.0)
         p = propagator_between(gen, 0.7, 0.7, 1e-3)
         assert np.array_equal(p.superoperator, np.eye(4, dtype=complex))
+        # Its step is checked like any other.
+        with pytest.raises(ValueError, match="^step must be positive, got 0.0$"):
+            propagator_between(gen, 0.7, 0.7, 0.0)
         # A NaN endpoint is refused, not taken for a degenerate interval.
         for t1, t2 in ((0.0, np.nan), (np.nan, 0.5), (0.5, 0.2)):
             with pytest.raises(ValueError, match=f"^need t1 <= t2, got t1={t1}, t2={t2}$"):
@@ -490,6 +493,13 @@ class TestDivisibility:
             divisibility_report(gen, [0.0, 1.0, np.inf])
         with pytest.raises(ValueError, match="^interval length must be finite"):
             propagator_between(gen, 0.0, np.inf, 1e-3)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf])
+    def test_infinite_one_point_interval_rejected(self, t):
+        # t1 == t2 passes the order check; its length inf - inf is NaN, so the
+        # degenerate interval is not taken for the identity.
+        with pytest.raises(ValueError, match=r"^interval length must be finite, got \[nan\]$"):
+            propagator_between(semigroup_generator(1.0), t, t, 1e-3)
 
     def test_failure_keeps_its_type_and_names_the_interval(self):
         class RateBlowUp(NumericalError):
