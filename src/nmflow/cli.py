@@ -379,6 +379,8 @@ def resolve_pair(cfg, dim):
             rho1, rho2 = (load_state(p.strip()) for p in paths)
         except ValueError as exc:
             raise ConfigError(str(exc))
+        except OSError as exc:
+            raise ConfigError(f"cannot read state file {exc.filename}: {exc}")
         return StatePair(rho1, rho2, label="files")
     label = "canonical-" + cfg.values["pair"]
     return next(pair for pair in canonical_pairs(dim) if pair.label == label)
@@ -466,11 +468,15 @@ def write_json(path, payload):
 
 def write_output(cfg, header, rows, payload):
     """The one writer of every command: the rows under header as CSV, or the
-    payload as JSON, in the configured format."""
-    if cfg.values["format"] == "csv":
-        write_csv(cfg.values["output"], header, rows)
-    else:
-        write_json(cfg.values["output"], payload)
+    payload as JSON, in the configured format (an unwritable path is a ConfigError)."""
+    path = cfg.values["output"]
+    try:
+        if cfg.values["format"] == "csv":
+            write_csv(path, header, rows)
+        else:
+            write_json(path, payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}")
 
 
 def _delta_range(cfg):

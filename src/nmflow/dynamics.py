@@ -5,7 +5,8 @@ The generator is d rho/dt = -i[H(t), rho] + sum_i gamma_i(t) (A_i rho A_i^dag
 propagators Phi(t2, t1) are products of fixed-step RK4 step maps; their
 complete positivity is decided through the Choi matrix.
 
-Superoperators act on column-stacked density matrices: vec(rho) stacks the
+A map is a plain (d^2, d^2) complex array, and a stack of maps (..., d^2,
+d^2); maps act on column-stacked density matrices: vec(rho) stacks the
 columns, so vec(A rho B) = (B^T kron A) vec(rho). The integrators work with
 real maps instead: a map that preserves Hermiticity is real in an orthonormal
 Hermitian operator basis B, as B^dag S B, and the public outputs go back to
@@ -17,8 +18,8 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .exceptions import InvariantViolation, NumericalError
-from .linalg import _eigvalsh, hermitian_eigenvalues, hermiticity_defect
-from .states import DensityMatrix, check_complex_matrix
+from .linalg import hermitian_eigenvalues, hermiticity_defect
+from .states import DensityMatrix, _failing_state, check_complex_matrix
 
 TRACE_DRIFT_TOL = 1e-8
 EVOLVE_POSITIVITY_TOL = 1e-8
@@ -294,26 +295,32 @@ def _interval_maps(compiled, t0, h, n):
 def _substeps(span, h):
     """RK4 step count ceil(span / h), at least 1, and the equal step span / count
     that fills each span exactly. The slack is relative, so that the rounding
-    of span / h adds no step however far the span lies from 0."""
+    of span / h adds no step however far the span lies from 0. A count that
+    an int64 cannot hold is refused, as the cast would wrap it."""
     if not np.all(np.isfinite(span)):
         raise ValueError(f"interval length must be finite, got {span}")
     if not np.all(np.asarray(h) > 0):
         raise ValueError(f"step must be positive, got {h}")
-    n = np.maximum(1, np.ceil(span / h * (1.0 - 1e-12))).astype(int)
-    return n, span / n
+    with np.errstate(over="ignore"):
+        n = np.maximum(1.0, np.ceil(span / h * (1.0 - 1e-12)))
+    if not np.all(n < 2.0 ** 63):
+        k = np.argmin(n < 2.0 ** 63)
+        raise ValueError(f"interval length {span[k]} over step {np.broadcast_to(h, span.shape)[k]} "
+                         "needs more RK4 steps than an int64 count holds")
+    return n.astype(int), span / n
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
+def evolve_state(gen, rho0, t_grid):
     """RK4 solution of the master equation sampled on a uniform grid from 0.
 
     The real maps of the flow (as in propagator_grid) act on rho0's real
     coordinates in the Hermitian basis, so every state is Hermitian, with a
     real trace, by construction. The states of each block of the flow are
-    checked at once: a non-finite entry, trace drift beyond 1e-8 or an
-    eigenvalue below -positivity_tol raises InvariantViolation naming the
-    first offending grid time. These are check_states' rules, so the
-    returned DensityMatrix objects are built without a second check.
+    checked at once by check_states' rules, with trace drift allowed to
+    TRACE_DRIFT_TOL and eigenvalues down to -EVOLVE_POSITIVITY_TOL: the first
+    state that fails raises InvariantViolation with its rule and grid time.
+    So the returned DensityMatrix objects are built without a second check.
     """
     t, h = _check_uniform_grid(t_grid)
     if abs(t[0]) > 1e-15:
@@ -331,48 +338,24 @@ def evolve_state(gen, rho0, t_grid, positivity_tol=EVOLVE_POSITIVITY_TOL):
     for k0, maps in _running_maps(compiled, t[0], h, t.size - 1):
         b = k0 + 1 + len(maps)
         x[k0 + 1 : b] = maps @ x[0]
-        m = states[a:b] = (x[a:b] @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2)
-        finite = np.isfinite(m).all(axis=(1, 2))
-        drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
-        least = _eigvalsh(np.where(finite[:, None, None], m, 0.0))[:, 0]
-        bad = ~finite | (drift > TRACE_DRIFT_TOL) | (least < -positivity_tol)
-        if bad.any():
-            k = np.argmax(bad)
-            if not finite[k]:
-                raise InvariantViolation(f"state has non-finite entries at t={t[a + k]}")
-            if drift[k] > TRACE_DRIFT_TOL:
-                raise InvariantViolation(
-                    f"trace drift {drift[k]:.3e} beyond {TRACE_DRIFT_TOL:.1e} at t={t[a + k]}"
-                )
-            raise InvariantViolation(
-                f"state eigenvalue {least[k]:.3e} below -{positivity_tol:.1e} at t={t[a + k]} "
-                "(step too coarse, or the generator is not CP)"
-            )
+        states[a:b] = (x[a:b] @ compiled.basis.T).reshape(-1, d, d).swapaxes(1, 2)
+        if failing := _failing_state(states[a:b], EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL):
+            raise InvariantViolation(f"{failing[1]} at t={t[a + failing[0]]}")
         a = b
     # Trace is monitored, never silently renormalized.
-    return [DensityMatrix._checked(m, positivity_tol, TRACE_DRIFT_TOL) for m in states]
+    return [DensityMatrix._checked(m) for m in states]
 
 
-class Propagator:
-    """Linear map on states for [t_start, t_end], as a d^2 x d^2 superoperator."""
-
-    def __init__(self, dim, t_start, t_end, superoperator):
-        s = check_complex_matrix(superoperator)
-        if s.shape[0] != dim * dim:
-            raise ValueError(f"superoperator shape {s.shape} != ({dim * dim}, {dim * dim})")
-        _check_maps(s[None], dim)
-        self.dim, self.t_start, self.t_end, self.superoperator = dim, t_start, t_end, s
-
-    def apply(self, rho):
-        """Apply the map to a matrix (not necessarily a valid state)."""
-        m = rho.matrix if isinstance(rho, DensityMatrix) else check_complex_matrix(rho)
-        v = self.superoperator @ m.reshape(-1, order="F")
-        return v.reshape(self.dim, self.dim, order="F")
-
-
-def _check_maps(s, d):
-    """Raise InvariantViolation unless every map of the stack s, shape
-    (g, d^2, d^2), preserves trace and Hermiticity."""
+def _check_maps(s):
+    """s, a map or a stack of maps (..., d^2, d^2), as a complex array, and d.
+    Raises ValueError unless s has that shape and finite entries, and
+    InvariantViolation unless every map preserves trace and Hermiticity."""
+    s = np.asarray(s, dtype=complex)
+    d = math.isqrt(s.shape[-1]) if s.ndim >= 2 else 0
+    if s.ndim < 2 or s.shape[-2] != s.shape[-1] or d * d != s.shape[-1] or s.size == 0:
+        raise ValueError(f"expected a (d^2, d^2) map or a stack of them, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("map has non-finite entries")
     # Trace preservation: the adjoint must fix vec(identity).
     w = np.eye(d, dtype=complex).reshape(-1)
     tp_defect = np.max(np.abs(w @ s - w))
@@ -384,23 +367,24 @@ def _check_maps(s, d):
     hp_defect = np.max(np.abs(s5 - s5.transpose(0, 2, 1, 4, 3).conj()))
     if hp_defect > PROPAGATOR_TOL:
         raise InvariantViolation(f"propagator not Hermiticity preserving: defect {hp_defect:.3e}")
+    return s, d
 
 
 def propagator_between(gen, t1, t2, h):
     """Phi(t2, t1) by RK4 on dS/dt = K(t) S from the identity, in
     ceil((t2 - t1) / h) equal steps; memory does not grow with the step count.
+    The map, a (d^2, d^2) array, is checked by _check_maps.
 
     The degenerate interval t1 == t2 returns the identity map. A non-finite
     endpoint makes the length t2 - t1 inf or NaN, which _substeps refuses.
     """
     if not t1 <= t2:  # NaN fails it too
         raise ValueError(f"need t1 <= t2, got t1={t1}, t2={t2}")
-    d = gen.dim
-    s = np.eye(d * d, dtype=complex)
+    s = np.eye(gen.dim ** 2, dtype=complex)
     n, step = _substeps(np.array([t2 - t1], dtype=float), h)
     if t2 > t1:
         s = _interval_maps(_CompiledGenerator(gen), np.array([t1], dtype=float), step, n[0])[0]
-    return Propagator(dim=d, t_start=float(t1), t_end=float(t2), superoperator=s)
+    return _check_maps(s)[0]
 
 
 def flow_blocks(gen, t_grid):
@@ -436,9 +420,12 @@ def propagator_grid(gen, t_grid):
     return phis
 
 
-def _choi_matrices(s, d):
-    """Choi matrices of the stack of maps s, shape (g, d^2, d^2), made exactly
-    Hermitian; raises InvariantViolation if a trace is not d."""
+def choi_of(s):
+    """Choi matrix C = sum_jk E_jk kron Phi(E_jk) of a map, or of each map of
+    a stack (..., d^2, d^2), assembled from images of the matrix units and
+    made exactly Hermitian. The maps are checked by _check_maps; a Choi
+    trace other than d raises InvariantViolation too."""
+    s, d = _check_maps(s)
     # s5[g, b, a, k, j] = Phi(E_jk)[a, b]: column j + d*k of S is vec(Phi(E_jk)).
     s5 = s.reshape(-1, d, d, d, d)
     c = s5.transpose(0, 4, 2, 3, 1).reshape(-1, d * d, d * d)
@@ -446,17 +433,9 @@ def _choi_matrices(s, d):
     tr = np.trace(c, axis1=1, axis2=2).real
     bad = np.abs(tr - d) > 1e-8
     if bad.any():
-        raise InvariantViolation(
-            f"Choi trace {tr[np.argmax(bad)]} differs from {d} beyond 1e-8 "
-            "(map not trace preserving)"
-        )
-    return c
-
-
-def choi_of(p):
-    """Choi matrix C = sum_jk E_jk kron Phi(E_jk) of a propagator, Hermitian,
-    assembled from images of the matrix units."""
-    return _choi_matrices(p.superoperator[None], p.dim)[0]
+        raise InvariantViolation(f"Choi trace {tr[np.argmax(bad)]} differs from {d} beyond 1e-8 "
+                                 "(map not trace preserving)")
+    return c.reshape(s.shape)
 
 
 def _check_cp_tol(tol):
@@ -465,10 +444,12 @@ def _check_cp_tol(tol):
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def is_cp(p, tol=DEFAULT_CP_TOL):
-    """Complete-positivity verdict: (least Choi eigenvalue >= -tol, that eigenvalue)."""
+def is_cp(s, tol=DEFAULT_CP_TOL):
+    """Complete-positivity verdict of a map, or of each map of a stack (...,
+    d^2, d^2) (see choi_of): (least Choi eigenvalue >= -tol, that
+    eigenvalue), NumPy scalars for a map and arrays of shape ... for a stack."""
     _check_cp_tol(tol)
-    least = float(hermitian_eigenvalues(choi_of(p), tol=1e-9)[0])
+    least = hermitian_eigenvalues(choi_of(s), tol=1e-9)[..., 0]
     return least >= -tol, least
 
 
@@ -508,8 +489,8 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     to 1/100 of the interval length. The generator is compiled once, and
     consecutive intervals with the same step count are integrated in lockstep
     (_interval_maps, one product per interval), in groups of at most
-    STEP_BLOCK * 16 / d^2 steps whose Choi matrices go to one stacked
-    eigensolve. A group that fails is re-run one interval at a time, so that
+    STEP_BLOCK * 16 / d^2 steps, each group scored by one is_cp call, one
+    stacked eigensolve. A group that fails is re-run one interval at a time, so that
     the exception names the first failing interval.
     """
     t = np.asarray(t_grid, dtype=float)
@@ -522,25 +503,23 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     n, step = _substeps(span, span / 100.0 if h is None else h)
     compiled = _CompiledGenerator(gen)
 
-    def least_choi_eigenvalues(a, b):
-        maps = _interval_maps(compiled, t[a:b], step[a:b], n[a])
-        _check_maps(maps, gen.dim)
-        return hermitian_eigenvalues(_choi_matrices(maps, gen.dim), tol=1e-9)[:, 0]
+    def verdicts(a, b):
+        return is_cp(_interval_maps(compiled, t[a:b], step[a:b], n[a]), tol)
 
-    least = []
+    groups = []
     for a, b in _lockstep_groups(n, gen.dim):
         try:
-            least.append(least_choi_eigenvalues(a, b))
+            groups.append(verdicts(a, b))
         except (NumericalError, ValueError):
             for k in range(a, b):
                 try:
-                    least.append(least_choi_eigenvalues(k, k + 1))
+                    groups.append(verdicts(k, k + 1))
                 except (NumericalError, ValueError) as exc:
                     # Name the interval in place: rebuilding the exception would
                     # need its constructor's signature, and its type sets the
                     # exit code.
                     exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
                     raise
-    least, times = np.concatenate(least), t.tolist()
-    return DivisibilityReport(list(map(IntervalVerdict, times, times[1:],
-                                       (least >= -tol).tolist(), least.tolist())))
+    ok, least = (np.concatenate(column).tolist() for column in zip(*groups))
+    times = t.tolist()
+    return DivisibilityReport(list(map(IntervalVerdict, times, times[1:], ok, least)))

@@ -90,6 +90,8 @@ def make_time_grid(horizon, step):
     a whole number of steps, to a relative 1e-9, and at least 10 of them."""
     if not (0 < horizon < math.inf and 0 < step < math.inf):  # NaN fails it too
         raise ValueError("horizon and step must be positive and finite")
+    if not horizon / step < math.inf:
+        raise ValueError(f"horizon {horizon:g} over step {step:g} is not a finite step count")
     if not abs(round(horizon / step) * step - horizon) <= 1e-9 * horizon:
         raise ValueError(f"horizon {horizon:g} is not a whole number of steps {step:g}")
     n = int(round(horizon / step))

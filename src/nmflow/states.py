@@ -1,10 +1,10 @@
 """Quantum states and the trace-distance metric.
 
 States are d x d complex density matrices. Validation tolerances:
-Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10 (slightly
-relaxed by integrator callers). The library draws no random states: a pair
-search draws pair differences from its own counter-based stream (see
-measure._directions).
+Hermiticity and unit trace to 1e-12, least eigenvalue >= -1e-10
+(dynamics.evolve_state applies the same rules with its own tolerances). The
+library draws no random states: a pair search draws pair differences from
+its own counter-based stream (see measure._directions).
 """
 import numpy as np
 
@@ -34,17 +34,17 @@ def check_complex_matrix(m, finite=True):
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit-trace, positive semidefinite."""
 
-    def __init__(self, matrix, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
+    def __init__(self, matrix):
         # Finiteness is the first of check_states' rules.
         m = check_complex_matrix(matrix, finite=False)
-        check_states(m[None], positivity_tol, trace_tol)
-        self.matrix, self.positivity_tol, self.trace_tol = m, positivity_tol, trace_tol
+        check_states(m[None])
+        self.matrix = m
 
     @classmethod
-    def _checked(cls, m, positivity_tol, trace_tol):
+    def _checked(cls, m):
         """The state m, which the caller has checked by check_states' rules."""
         rho = cls.__new__(cls)
-        rho.matrix, rho.positivity_tol, rho.trace_tol = m, positivity_tol, trace_tol
+        rho.matrix = m
         return rho
 
     @property
@@ -81,11 +81,12 @@ def trace_distance(rho1, rho2):
     return min(max(d, 0.0), 1.0)
 
 
-def check_states(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
-    """Check a stack (n, d, d) of states at once: finite, Hermitian to
-    HERMITICITY_TOL, unit trace and least eigenvalue >= -positivity_tol
-    (closed form for qubits, one stacked eigensolve for d > 2). The first
-    state that fails raises the error of the first rule it breaks."""
+def _failing_state(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
+    """(k, reason) for the first state k of the stack m, shape (n, d, d),
+    that breaks a state rule, with the first rule it breaks, or None: finite,
+    Hermitian to HERMITICITY_TOL, unit trace to trace_tol and least
+    eigenvalue >= -positivity_tol (closed form for qubits, one stacked
+    eigensolve for d > 2)."""
     finite = np.isfinite(m).all(axis=(1, 2))
     defect = np.abs(m - m.swapaxes(1, 2).conj()).max(axis=(1, 2))
     tr = np.trace(m, axis1=1, axis2=2)
@@ -98,15 +99,22 @@ def check_states(m, positivity_tol=POSITIVITY_TOL, trace_tol=TRACE_TOL):
     ok = finite & (defect <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= trace_tol)
     ok &= least >= -positivity_tol
     if ok.all():
-        return
-    k = np.argmin(ok)
+        return None
+    k = int(np.argmin(ok))
     if not finite[k]:
-        raise ValueError("matrix has non-finite entries")
+        return k, "matrix has non-finite entries"
     if defect[k] > HERMITICITY_TOL:
-        raise ValueError(f"state is not Hermitian: defect {defect[k]:.3e}")
+        return k, f"state is not Hermitian: defect {defect[k]:.3e}"
     if abs(tr[k] - 1.0) > trace_tol:
-        raise ValueError(f"state trace {tr[k]} differs from 1 beyond {trace_tol:.1e}")
-    raise ValueError(f"state has eigenvalue {least[k]:.3e} below -{positivity_tol:.1e}")
+        return k, f"state trace {tr[k]} differs from 1 beyond {trace_tol:.1e}"
+    return k, f"state has eigenvalue {least[k]:.3e} below -{positivity_tol:.1e}"
+
+
+def check_states(m):
+    """Check a stack (n, d, d) of states at once: the first state that fails
+    raises ValueError with the first rule it breaks (see _failing_state)."""
+    if failing := _failing_state(m):
+        raise ValueError(failing[1])
 
 
 def bloch_from_qubit(rho):

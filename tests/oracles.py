@@ -3,7 +3,8 @@
 Everything here is deliberately coded apart from the library implementations
 it checks: the Volterra memory-kernel solver for the cavity amplitude, a
 second Hilbert-Schmidt sampler, a direct dissipator evaluation and the
-generator matrix built from it, the closed-form amplitude-damping solution,
+generator matrix built from it, a map applied to a state by its column
+stacking, the closed-form amplitude-damping solution,
 a brute-force bath average for the central-spin model, a cyclic Jacobi
 eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
 decoherence rates of a generator, and the one-pair-at-a-time measure: trace
@@ -87,6 +88,13 @@ def generator_superoperator(gen, t):
     return np.stack(
         [lindblad_rhs(h, ops, rates, e).reshape(-1, order="F") for e in units], axis=1
     )
+
+
+def apply_map(s, rho):
+    """The column-stacked map s, shape (d^2, d^2), applied to rho (a
+    DensityMatrix or any d x d matrix): vec(Phi(rho)) = S vec(rho)."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    return (s @ m.reshape(-1, order="F")).reshape(m.shape, order="F")
 
 
 def amplitude_damping_solution(gamma0, rho0, t):

@@ -7,11 +7,10 @@ to be loosened.
 import numpy as np
 import pytest
 
-from oracles import pauli_map, random_mixed_state, random_pure_state, volterra_amplitude
+from oracles import apply_map, pauli_map, random_mixed_state, random_pure_state, volterra_amplitude
 
 from nmflow.dynamics import (
     GeneratorSpec,
-    Propagator,
     divisibility_report,
     evolve_state,
     is_cp,
@@ -186,7 +185,7 @@ def test_criterion_7_cp_propagators_contract():
     for gen in generators:
         phis = propagator_grid(gen, grid)
         for k in rng.integers(1, grid.size, size=70):
-            p = Propagator(2, 0.0, float(grid[k]), phis[k])
+            p = phis[k]
             ok, _ = is_cp(p)
             assert ok
             n_propagators += 1
@@ -194,7 +193,7 @@ def test_criterion_7_cp_propagators_contract():
                 r1 = random_mixed_state(2, 1000 * n_propagators + j, worker=0)
                 r2 = random_pure_state(2, 1000 * n_propagators + j, worker=1)
                 before = trace_distance(r1, r2)
-                after = trace_distance(p.apply(r1), p.apply(r2))
+                after = trace_distance(apply_map(p, r1), apply_map(p, r2))
                 assert after <= before + 1e-9
                 n_checks += 1
     assert n_propagators >= 200

@@ -253,6 +253,44 @@ class TestConfigHandling:
         assert "horizon 4 is not a whole number of steps 0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # A step count beyond int64 would wrap to -2^63 and return the identity.
+        (["divisibility", "--model", "semigroup", "--horizon", "1e20", "--grid-points", "2",
+          "--step", "1e-3", "--format", "json"],
+         "interval length 5e+19 over step 0.001 needs more RK4 steps than an int64 count holds"),
+        (["rate", "--model", "jc", "--horizon", "1e300", "--step", "1e-300"],
+         "horizon 1e+300 over step 1e-300 is not a finite step count"),
+    ])
+    def test_step_count_out_of_range_is_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.out"
+        assert run(*argv, "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"nmflow: config error: {message}\n"
+        assert not out.exists()
+
+    def test_unreadable_pair_file_is_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        out = tmp_path / "o.csv"
+        out.write_text("kept")
+        assert run("trajectory", "--model", "semigroup", "--pair-files",
+                   f"{missing};{tmp_path / 'missing2'}", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"nmflow: config error: cannot read state file {missing}: "
+            f"[Errno 2] No such file or directory: '{missing}'\n")
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, format, where):
+        (tmp_path / "kept").write_text("kept")
+        out = tmp_path if where == "a directory" else tmp_path / "missing" / "o.out"
+        assert run("rate", "--model", "semigroup", "--horizon", "1", "--step", "0.1",
+                   "--format", format, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"nmflow: config error: cannot write output file {out}: [Errno ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert (tmp_path / "kept").read_text() == "kept"
+
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 1\nseed = 2\n")

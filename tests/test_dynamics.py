@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from oracles import (
     amplitude_damping_solution,
+    apply_map,
     callable_d3_generator,
     canonical_rates,
     generator_superoperator,
@@ -30,7 +31,6 @@ from nmflow.dynamics import (
     _running_maps,
     _substeps,
     GeneratorSpec,
-    Propagator,
     choi_of,
     constant_generator,
     divisibility_report,
@@ -47,6 +47,7 @@ from nmflow.states import (
     SIGMA_X,
     SIGMA_Z,
     DensityMatrix,
+    _failing_state,
     trace_distance,
 )
 
@@ -97,8 +98,7 @@ class TestEvolveState:
         # At rate -1e5 the flow turns non-finite at t=0.3, in the same block of
         # steps as t=0.01; the state check still names the earlier time.
         gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
-        message = (f"state eigenvalue {least} below -1.0e-08 at t=0.01 "
-                   "(step too coarse, or the generator is not CP)")
+        message = f"state has eigenvalue {least} below -1.0e-08 at t=0.01"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             evolve_state(gen, PLUS, np.linspace(0.0, 1.0, 101))
 
@@ -119,9 +119,7 @@ class TestEvolveState:
         m = np.stack([s.matrix for s in states])
         assert np.array_equal(m, m.conj().swapaxes(1, 2))
         assert np.all(np.trace(m, axis1=1, axis2=2).imag == 0.0)
-        check(m, EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL)
-        assert {(s.positivity_tol, s.trace_tol) for s in states} == {
-            (EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL)}
+        assert _failing_state(m, EVOLVE_POSITIVITY_TOL, TRACE_DRIFT_TOL) is None
         assert np.max(np.abs(states[0].matrix - rho0.matrix)) <= 1e-15 and states[0].dim == gen.dim
 
     def test_non_finite_state_names_its_time(self, monkeypatch):
@@ -138,7 +136,7 @@ class TestEvolveState:
                 yield k0, maps
 
         monkeypatch.setattr(nmflow.dynamics, "_running_maps", spoiled)
-        with pytest.raises(InvariantViolation, match=r"^state has non-finite entries at t=0\.06$"):
+        with pytest.raises(InvariantViolation, match=r"^matrix has non-finite entries at t=0\.06$"):
             evolve_state(semigroup_generator(1.0), PLUS, np.linspace(0.0, 1.0, 101))
 
     def test_step_halving_is_fourth_order(self):
@@ -166,7 +164,7 @@ class TestPropagator:
     def test_degenerate_interval_is_identity(self):
         gen = semigroup_generator(1.0)
         p = propagator_between(gen, 0.7, 0.7, 1e-3)
-        assert np.array_equal(p.superoperator, np.eye(4, dtype=complex))
+        assert p.dtype == complex and np.array_equal(p, np.eye(4))
         # Its step is checked like any other.
         with pytest.raises(ValueError, match="^step must be positive, got 0.0$"):
             propagator_between(gen, 0.7, 0.7, 0.0)
@@ -180,7 +178,7 @@ class TestPropagator:
         k = generator_superoperator(gen, 0.0)
         for t in (0.3, 1.1, 2.7):
             p = propagator_between(gen, 0.0, t, 1e-3)
-            assert np.max(np.abs(p.superoperator - expm(k * t))) < 1e-7
+            assert np.max(np.abs(p - expm(k * t))) < 1e-7
 
     def test_flow_composition(self):
         gen = jc_generator(JCParams(delta=5.0))
@@ -188,7 +186,7 @@ class TestPropagator:
         p01 = propagator_between(gen, 0.0, 1.0, h)
         p12 = propagator_between(gen, 1.0, 2.5, h)
         p02 = propagator_between(gen, 0.0, 2.5, h)
-        defect = np.max(np.abs(p12.superoperator @ p01.superoperator - p02.superoperator))
+        defect = np.max(np.abs(p12 @ p01 - p02))
         assert defect < 1e-7
 
     def test_nested_composition(self):
@@ -197,20 +195,34 @@ class TestPropagator:
         p12 = propagator_between(gen, 0.5, 1.0, h)
         p23 = propagator_between(gen, 1.0, 1.8, h)
         p13 = propagator_between(gen, 0.5, 1.8, h)
-        assert np.max(np.abs(p23.superoperator @ p12.superoperator
-                             - p13.superoperator)) < 1e-7
+        assert np.max(np.abs(p23 @ p12 - p13)) < 1e-7
 
     def test_grid_matches_pointwise_builds(self):
         gen = jc_generator(JCParams(delta=5.0))
         grid = np.linspace(0.0, 2.0, 201)
         phis = propagator_grid(gen, grid)
         p = propagator_between(gen, 0.0, 2.0, grid[1] - grid[0])
-        assert np.max(np.abs(phis[-1] - p.superoperator)) < 1e-12
+        assert np.max(np.abs(phis[-1] - p)) < 1e-12
 
-    def test_invariants_rejected_for_non_tp_matrix(self):
-        bad = np.eye(4, dtype=complex) * 1.5
-        with pytest.raises(InvariantViolation, match="trace preserving"):
-            Propagator(dim=2, t_start=0.0, t_end=1.0, superoperator=bad)
+    def test_returned_map_is_checked(self, monkeypatch):
+        # A map spoiled after integration is refused, not returned.
+        import nmflow.dynamics
+
+        monkeypatch.setattr(nmflow.dynamics, "_interval_maps",
+                            lambda *args: 1.5 * np.eye(4, dtype=complex)[None])
+        with pytest.raises(InvariantViolation, match="^propagator not trace preserving"):
+            propagator_between(semigroup_generator(1.0), 0.0, 1.0, 1e-2)
+
+    def test_step_count_beyond_int64_is_refused(self):
+        # 1e23 steps: the cast to an int64 count would wrap to -2^63, run no
+        # step and return the identity.
+        message = "interval length 1e+20 over step 0.001 needs more RK4 steps than an int64 count holds"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagator_between(semigroup_generator(1.0), 0.0, 1e20, 1e-3)
+        with pytest.raises(ValueError, match="needs more RK4 steps than an int64 count holds$"):
+            divisibility_report(semigroup_generator(1.0), [0.0, 5e19, 1e20], h=1e-3)
+        with pytest.raises(ValueError, match="^interval length 1.0 over step 5e-324 needs more"):
+            propagator_between(semigroup_generator(1.0), 0.0, 1.0, 5e-324)
 
     def test_apply_matches_evolution(self):
         gen = jc_generator(JCParams(delta=5.0))
@@ -218,7 +230,7 @@ class TestPropagator:
         p = propagator_between(gen, 0.0, 1.0, 1e-3)
         rho0 = random_mixed_state(2, 17)
         states = evolve_state(gen, rho0, grid)
-        assert np.max(np.abs(p.apply(rho0) - states[-1].matrix)) < 1e-9
+        assert np.max(np.abs(apply_map(p, rho0) - states[-1].matrix)) < 1e-9
 
 
 def random_d4_generator():
@@ -273,7 +285,7 @@ class TestFlowMatchesStepByStepOracle:
         t2 = t1 + steps * self.h
         p = propagator_between(gen, t1, t2, self.h)
         expected = self.oracle(gen, t1 + (t2 - t1) / steps * np.arange(steps + 1))[-1]
-        assert np.max(np.abs(p.superoperator - expected)) < 1e-12
+        assert np.max(np.abs(p - expected)) < 1e-12
 
     def test_evolve_state(self, name, steps):
         gen = FLOW_GENERATORS[name]()
@@ -431,9 +443,41 @@ class TestChoi:
         # rho -> tr(rho) I/2, built directly: S = vec(I/2) vec(I)^dag.
         v_id = np.eye(2, dtype=complex).reshape(-1, order="F")
         s = np.outer(0.5 * v_id, v_id.conj())
-        p = Propagator(dim=2, t_start=0.0, t_end=1.0, superoperator=s)
-        c = choi_of(p)
+        c = choi_of(s)
         assert np.allclose(np.linalg.eigvalsh(c), [0.5] * 4, atol=1e-12)
+
+    def test_stack_gives_the_bits_of_one_map_calls(self):
+        phis = propagator_grid(jc8(), np.linspace(0.0, 4.0, 41))
+        stack = phis[1:].reshape(5, 8, 4, 4)
+        c = choi_of(stack)
+        ok, least = is_cp(stack)
+        assert c.shape == stack.shape and ok.shape == least.shape == (5, 8)
+        for i, j in itertools.product(range(5), range(8)):
+            one_ok, one_least = is_cp(stack[i, j])
+            assert c[i, j].tobytes() == choi_of(stack[i, j]).tobytes()
+            assert ok[i, j] == one_ok and least[i, j].tobytes() == one_least.tobytes()
+        # A list is a map too.
+        assert choi_of(phis[3].tolist()).tobytes() == choi_of(phis[3]).tobytes()
+
+    @pytest.mark.parametrize("check", [choi_of, is_cp])
+    def test_maps_are_checked(self, check):
+        # A map that does not preserve trace, one that does not preserve
+        # Hermiticity (rho -> rho with its (0, 1) entry doubled), and either
+        # inside a stack of good maps.
+        good = np.eye(4, dtype=complex)
+        not_hp = good.copy()
+        not_hp[2, 2] = 2.0
+        for bad, what in ((1.5 * good, "trace"), (not_hp, "Hermiticity")):
+            for maps in (bad, np.stack([good, bad, good])):
+                with pytest.raises(InvariantViolation, match=f"^propagator not {what} preserving"):
+                    check(maps)
+        for shape in ((4,), (4, 3), (3, 3), (2, 0, 0), (1, 8, 8)):
+            with pytest.raises(ValueError, match=r"^expected a \(d\^2, d\^2\) map or a stack"):
+                check(np.zeros(shape))
+        nan = good.copy()
+        nan[0, 3] = np.nan
+        with pytest.raises(ValueError, match="^map has non-finite entries$"):
+            check(nan)
 
     def test_cpt_propagators_have_positive_choi(self):
         for delta in (0.0, 5.0):
@@ -691,7 +735,7 @@ class TestPropagatorMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.superoperator.shape == (16, 16)
+        assert p.shape == (16, 16)
         # All 2 x 10^4 + 1 intermediate maps of 256 complex entries take 82 MB.
         assert peak < 8e6
 
@@ -841,13 +885,13 @@ class TestContractionAndMonotonicity:
             grid = np.linspace(0.0, 5.0, 501)
             phis = propagator_grid(gen, grid)
             for k in (50, 200, 450):
-                p = Propagator(2, 0.0, grid[k], phis[k])
+                p = phis[k]
                 for _ in range(10):
                     r1 = random_mixed_state(2, rng_seed, worker=0)
                     r2 = random_pure_state(2, rng_seed, worker=1)
                     rng_seed += 1
                     before = trace_distance(r1, r2)
-                    after = trace_distance(p.apply(r1), p.apply(r2))
+                    after = trace_distance(apply_map(p, r1), apply_map(p, r2))
                     assert after <= before + 1e-9
                     combos += 1
         assert combos == 60

@@ -1143,3 +1143,6 @@ def test_grid_must_end_at_the_horizon():
     for horizon, step in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan), (1.0, np.inf)):
         with pytest.raises(ValueError, match="^horizon and step must be positive and finite$"):
             make_time_grid(horizon, step)
+    # Finite inputs whose step count horizon / step is not.
+    with pytest.raises(ValueError, match=r"^horizon 1e\+300 over step 1e-300 is not a finite step count$"):
+        make_time_grid(1e300, 1e-300)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_distances, pair_value
+from oracles import apply_map, pair_distances, pair_value
 
 import nmflow.measure
 from nmflow.dynamics import GeneratorSpec, divisibility_report, propagator_between, propagator_grid
@@ -141,7 +141,7 @@ def test_cp_interval_maps_contract_the_trace_distance(rho1, rho2, delta, gamma0,
     for v in report.intervals:
         if v.is_cp:
             p = propagator_between(gen, v.t_start, v.t_end, STEP)
-            assert trace_distance(p.apply(rho1), p.apply(rho2)) <= before + 1e-12
+            assert trace_distance(apply_map(p, rho1), apply_map(p, rho2)) <= before + 1e-12
 
 
 # A rate a + b cos(w t + phi) per channel; b > a makes it change sign.
