@@ -26,7 +26,7 @@ from .exceptions import ConfigError, NumericalError
 from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 OUTPUT_DIR_ENV = "NMFLOW_OUTPUT_DIR"
 
 MODELS = ("jc", "spinbath", "semigroup", "custom-file")
@@ -37,7 +37,6 @@ SEARCH = ("measure", "sweep")
 # The value rules of the key table's rule column: the range a number must lie in.
 RULES = {
     "positive": lambda x: x > 0,
-    "nonnegative": lambda x: x >= 0,
     "at least 1": lambda x: x >= 1,
     "in [0, 2^64)": lambda x: 0 <= x < 2**64,
 }
@@ -107,8 +106,6 @@ KEYS = (
            ("format", ("csv", "json"), "csv", "--format", "output format")),
     *_keys(MODELS, SEARCH,
            ("seed", int, "0", "--seed", "pair-sampling seed", "in [0, 2^64)"),
-           ("sigma_threshold", float, None, "--sigma-threshold",
-            "growth threshold on sigma (default: relative to its peak)", "nonnegative"),
            ("n_pairs", int, "1000", "--n-pairs", "sampled initial pairs", "at least 1")),
     *_keys({"jc"}, ALL_COMMANDS,
            ("horizon_over_lambda", float, "60", "--horizon", "jc: horizon in units of 1/lambda",
@@ -540,10 +537,7 @@ def cmd_measure(cfg):
     """Structured report: truncated measure value, intervals, best pair."""
     times = time_grid(cfg)
     values = cfg.values
-    search = search_pairs(
-        build_flow(cfg, times), values["n_pairs"], times,
-        threshold=values.get("sigma_threshold"), seed=values["seed"],
-    )
+    search = search_pairs(build_flow(cfg, times), values["n_pairs"], times, values["seed"])
     result = search.best
     header = ["a", "b", "contribution"]
     rows = [[iv.a, iv.b, iv.contribution] for iv in result.intervals]
@@ -573,8 +567,7 @@ def cmd_sweep(cfg):
     family = lambda delta: build_flow(
         cfg._replace(values={**values, "delta_over_lambda": delta}), times
     )
-    records = sweep(family, _delta_range(cfg), times, values["n_pairs"],
-                    values.get("sigma_threshold"), values["seed"])
+    records = sweep(family, _delta_range(cfg), times, values["n_pairs"], values["seed"])
     header = ["delta_over_lambda", "n_sampled_max", "n_canonical_pair", "n_value",
               "best_pair", "error"]
     rows = [[rec.parameter, rec.n_sampled_max, rec.n_canonical, rec.n_value,

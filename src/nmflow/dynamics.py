@@ -197,9 +197,24 @@ def _rk4_increments(compiled, times, h):
     accumulated in that order as the stages are made, so that at most two
     stages are held at once; k1 = K, and its -0.0 entries turn +0.0 in the
     sum, as they would in the product K @ I.
+
+    Raises InvariantViolation at the first stage time where h ||K(t)||_inf,
+    the largest absolute row sum of the real stage matrix times the step,
+    exceeds 1: a step that the generator's rates outrun, as across a pole of
+    a rate, whose RK4 map cannot be trusted.
     """
     d2 = compiled.gen.dim ** 2
     ks = compiled.matrices(times.ravel()).reshape(times.shape + (d2, d2))
+    # Row sums by one matrix-vector product; the largest of each stage time
+    # only if the largest of all, times the largest step, exceeds 1.
+    rows = np.abs(ks).reshape(-1, d2) @ np.ones(d2)
+    if not rows.max() * np.max(h) <= 1.0:  # NaN fails it too
+        hk = rows.reshape(times.shape + (d2,)).max(axis=-1) * h
+        if not np.all(hk <= 1.0):
+            i = np.unravel_index(np.argmin(np.where(hk <= 1.0, np.inf, times)), times.shape)
+            raise InvariantViolation(
+                f"step {np.broadcast_to(h, times.shape)[i]:.6g} cannot resolve the generator "
+                f"at t={times[i]:.6g}: h*||K|| = {hk[i]:.3g} > 1")
     ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
     h = np.asarray(h)[..., None, None]
     eye = np.eye(d2)

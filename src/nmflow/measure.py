@@ -7,17 +7,18 @@ of a generator or a closed form): an array of shape (T, d^2, d^2), or a
 stream of (k0, block) pairs that tile the grid in order, such as
 dynamics.flow_blocks, read once.
 
-The measure is the maximal total growth of the trace distance over all
-intervals where its derivative sigma is positive, maximized over pairs of
-initial states. N is homogeneous in rho1 - rho2 and an optimal pair is
-orthogonal, so the maximization is a deterministic seeded random search over
-pair differences (see _directions), drawn from a counter-based SplitMix64
-stream, with the two canonical qubit pairs always evaluated first, so known
-maximizers are never missed. For qubits a search evaluates D only around the
-steps whose map can expand some pair difference (see _growth_steps), where
-information can flow back; for d > 2 at every grid point. Everything is
-truncated at a finite horizon; a run whose last interval still contributes
-more than 0.5 is flagged as diverging.
+The measure is the total rise of the trace distance D, the integral of its
+derivative sigma over sigma > 0, maximized over pairs of initial states. On
+the grid that is the positive variation of D, the sum of its rising steps
+D(t_{k+1}) - D(t_k) > RISE_FLOOR. N is homogeneous in rho1 - rho2 and an
+optimal pair is orthogonal, so the maximization is a deterministic seeded
+random search over pair differences (see _directions), drawn from a
+counter-based SplitMix64 stream, with the two canonical qubit pairs always
+evaluated first, so known maximizers are never missed. For qubits a search
+evaluates D only at the ends of the steps whose map can expand some pair
+difference (see _growth_steps), where information can flow back; for d > 2
+at every grid point. Everything is truncated at a finite horizon; a run
+whose last interval still contributes more than 0.5 is flagged as diverging.
 """
 import math
 from typing import List, NamedTuple, Optional
@@ -30,12 +31,17 @@ from .linalg import _eigvalsh, hermitian_eigenvalues
 from .states import DensityMatrix, StatePair
 
 D_VALUE_TOL = 1e-10
-THRESHOLD_FLOOR = 1e-12
-THRESHOLD_SCALE = 1e-9
+# A grid step counts as a rise of D, which lies in [0, 1], only above this
+# absolute floor: about 450 ulp of 1, far above the few ulp of rounding of a
+# computed D (see _growth_steps), and at most 1e-9 lost on 10^4 steps.
+RISE_FLOOR = 1e-13
+# Most steps of a make_time_grid grid, refused before anything is allocated:
+# 10^7 steps are 80 MB of times and a 0.96 GB Pauli map in a qubit search.
+MAX_GRID_STEPS = 10**7
 DIVERGENCE_CONTRIBUTION = 0.5
 # Entries of the work arrays of one block of pairs (at least one pair), which
 # bound the memory of a search: for qubits the two (pairs x grid points)
-# buffers of D and sigma, for d > 2 the (pairs x grid points x d^2) evolved
+# buffers of D and its steps, for d > 2 the (pairs x grid points x d^2) evolved
 # differences.
 PAIR_BLOCK = 100_000
 # A qubit step is skipped unless it may raise D (see _growth_steps).
@@ -65,33 +71,28 @@ class TrajectoryGrid:
         return float(self.times[1] - self.times[0])
 
 
-def _sigma(d, h, out):
-    """sigma of each row of D, shape (P, T), on a grid of step h, written into
-    out: second-order differences, central in the interior and one-sided at
-    the ends (np.gradient's edge_order=2 stencil, operation for operation)."""
-    np.divide(np.subtract(d[:, 2:], d[:, :-2], out=out[:, 1:-1]), 2.0 * h, out=out[:, 1:-1])
-    out[:, 0] = -1.5 / h * d[:, 0] + 2.0 / h * d[:, 1] + -0.5 / h * d[:, 2]
-    out[:, -1] = 0.5 / h * d[:, -3] + -2.0 / h * d[:, -2] + 1.5 / h * d[:, -1]
-    return out
-
-
 def trajectory_from_values(times, d_values):
-    """TrajectoryGrid from D(t) sampled on a uniform grid, sigma by _sigma."""
-    t, _ = _check_uniform_grid(times)
+    """TrajectoryGrid from D(t) sampled on a uniform grid, sigma by second-order
+    differences, central in the interior and one-sided at the ends
+    (np.gradient's edge_order=2), as trajectory makes it."""
+    t, h = _check_uniform_grid(times)
     d = np.asarray(d_values, dtype=float)
     if d.ndim != 1 or d.size < 3:
         raise ValueError(f"sigma needs a row of at least 3 values of D, got shape {d.shape}")
-    sigma = _sigma(d[None], t[1] - t[0], np.empty((1, d.size)))[0]
-    return TrajectoryGrid(times=t, d_values=d, sigma_values=sigma)
+    return TrajectoryGrid(times=t, d_values=d, sigma_values=np.gradient(d, h, edge_order=2))
 
 
 def make_time_grid(horizon, step):
     """The uniform grid 0, step, ..., horizon, which must end at the horizon:
-    a whole number of steps, to a relative 1e-9, and at least 10 of them."""
+    a whole number of steps, to a relative 1e-9, at least 10 and at most
+    MAX_GRID_STEPS of them."""
     if not (0 < horizon < math.inf and 0 < step < math.inf):  # NaN fails it too
         raise ValueError("horizon and step must be positive and finite")
     if not horizon / step < math.inf:
         raise ValueError(f"horizon {horizon:g} over step {step:g} is not a finite step count")
+    if horizon / step > MAX_GRID_STEPS:
+        raise ValueError(f"horizon {horizon:.10g} over step {step:.10g} is {horizon / step:.10g} "
+                         f"grid steps, more than {MAX_GRID_STEPS}")
     if not abs(round(horizon / step) * step - horizon) <= 1e-9 * horizon:
         raise ValueError(f"horizon {horizon:g} is not a whole number of steps {step:g}")
     n = int(round(horizon / step))
@@ -190,17 +191,17 @@ def _growth_steps(op):
 
 
 def _evaluated_columns(op, d, t):
-    """Grid columns, of t, at which a search evaluates D: for qubits the
-    windows [k - 2, k + 3] around the steps k of _growth_steps and the first
-    and last three columns (see search_pairs); for d > 2 every column."""
+    """Grid columns, of t, at which a search evaluates D: for qubits column 0,
+    so that no search is empty, and both ends of each step of _growth_steps
+    (see search_pairs); for d > 2 every column."""
     if d > 2:
         return np.arange(t)
-    keep = np.zeros(t + 4, dtype=bool)  # keep[j + 2]: column j
+    keep = np.zeros(t, dtype=bool)
     flags = _growth_steps(op)
-    for shift in range(6):
-        keep[shift : shift + t - 1] |= flags
-    keep[2:5] = keep[t - 1 : t + 2] = True
-    return np.flatnonzero(keep[2:-2])
+    keep[0] = True
+    keep[:-1] |= flags
+    keep[1:] |= flags
+    return np.flatnonzero(keep)
 
 
 def _block_size(times, d):
@@ -261,11 +262,12 @@ def trajectory(flow, pair, times):
     (error,) = _distances(op, diff[None], times, work)
     if error:
         raise InvariantViolation(error)
-    return TrajectoryGrid(times, work[0, 0], _sigma(work[0], times[1] - times[0], work[1])[0])
+    d = work[0, 0]
+    return TrajectoryGrid(times, d, np.gradient(d, times[1] - times[0], edge_order=2))
 
 
 class GrowthInterval:
-    """A maximal interval (a, b) of positive sigma and its D(b) - D(a)."""
+    """A maximal run (a, b) of rising grid steps of D and its rise D(b) - D(a)."""
 
     def __init__(self, a, b, contribution):
         if not a < b:
@@ -279,65 +281,25 @@ class GrowthInterval:
         return type(other) is GrowthInterval and vars(self) == vars(other)
 
 
-def _check_threshold(threshold):
-    """None (relative to the peak |sigma|) or a nonnegative number."""
-    if threshold is not None and not threshold >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+def _growth(times, d, out):
+    """Growth intervals of every row of D, shape (P, C), sampled at times, as
+    arrays (rows, a, b, contributions) in row, then time order: maximal runs
+    of rising steps, D(t_{j+1}) - D(t_j) > RISE_FLOOR, from a = t_j to b =
+    t_j' with contribution D(b) - D(a); out, of the shape of d, is scratch."""
+    rise = np.zeros((len(d), times.size + 1), dtype=bool)  # rise[:, j + 1]: step j
+    np.greater(np.subtract(d[:, 1:], d[:, :-1], out=out[:, :-1]), RISE_FLOOR, out=rise[:, 1:-1])
+    # A row's edges alternate: a run that starts at column j ends at the
+    # column of the next edge. flatnonzero and divmod: 2-D nonzero is ten
+    # times slower here.
+    rows, cols = np.divmod(np.flatnonzero(rise[:, 1:] != rise[:, :-1]), times.size)
+    rows, i0, i1 = rows[::2], cols[::2], cols[1::2]
+    return rows, times[i0], times[i1], d[rows, i1] - d[rows, i0]
 
 
-def _thresholds(sigma, threshold):
-    """Threshold of each row of sigma, shape (P, T): the given one, or the
-    noise floor 1e-9 of the row's peak |sigma|, floored at 1e-12."""
-    if threshold is not None:
-        return np.full(len(sigma), float(threshold))
-    peak = np.maximum(sigma.max(axis=1), -sigma.min(axis=1))  # max |sigma|
-    return np.maximum(THRESHOLD_FLOOR, THRESHOLD_SCALE * peak)
-
-
-def default_threshold(traj):
-    """Noise floor for sigma: 1e-9 of the peak |sigma|, floored at 1e-12."""
-    return float(_thresholds(traj.sigma_values[None], None)[0])
-
-
-def _growth(times, d, s, threshold):
-    """Growth intervals of every row of D and sigma, both (P, T), as arrays
-    (rows, a, b, contributions) in row, then time order: maximal runs of
-    sigma > threshold, with endpoints at sigma's linearly interpolated
-    crossing of the threshold and D interpolated there, so that the interval
-    sum and the quadrature of positive sigma agree to the discretization
-    order."""
-    t = np.asarray(times)
-    thr = _thresholds(s, threshold)
-    mask = np.zeros((len(s), t.size + 2), dtype=bool)
-    np.greater(s, thr[:, None], out=mask[:, 1:-1])
-    # A row's crossings alternate: a run starts at column j, then the next
-    # crossing j' ends it at column j' - 1.
-    # flatnonzero and divmod: 2-D nonzero is ten times slower here.
-    rows, cols = np.divmod(np.flatnonzero(mask[:, 1:] != mask[:, :-1]), t.size + 1)
-    rows, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
-    thr = thr[rows]
-
-    def at(j, crossing):
-        """(t, D) at column j, or where crossing, at the threshold crossing
-        of sigma between columns j and j + 1."""
-        x, y = t[j], d[rows, j]
-        r, j, th = rows[crossing], j[crossing], thr[crossing]
-        frac = (th - s[r, j]) / (s[r, j + 1] - s[r, j])
-        x[crossing] = t[j] + frac * (t[j + 1] - t[j])
-        y[crossing] = d[r, j] + frac * (d[r, j + 1] - d[r, j])
-        return x, y
-
-    a, da = at(i0 - (i0 > 0), i0 > 0)
-    b, db = at(i1, i1 < t.size - 1)
-    keep = b > a
-    return rows[keep], a[keep], b[keep], (db - da)[keep]
-
-
-def growth_intervals(traj, threshold=None):
-    """Maximal runs of sigma > threshold with interpolated endpoints (see
-    _growth), as GrowthIntervals."""
-    _check_threshold(threshold)
-    _, a, b, c = _growth(traj.times, traj.d_values[None], traj.sigma_values[None], threshold)
+def growth_intervals(traj):
+    """Maximal runs of rising grid steps of D (see _growth), as GrowthIntervals."""
+    d = traj.d_values[None]
+    _, a, b, c = _growth(traj.times, d, np.empty_like(d))
     return _interval_list(a, b, c)
 
 
@@ -371,14 +333,14 @@ def _measure_result(intervals, times, pair, samples_evaluated=1, seed=None):
     )
 
 
-def n_from_trajectory(traj, pair, threshold=None):
+def n_from_trajectory(traj, pair):
     """MeasureResult for a precomputed trajectory (e.g. an analytic model)."""
-    return _measure_result(growth_intervals(traj, threshold), traj.times, pair)
+    return _measure_result(growth_intervals(traj), traj.times, pair)
 
 
-def n_for_pair(flow, pair, times, threshold=None):
+def n_for_pair(flow, pair, times):
     """Summed trace-distance growth for one fixed initial pair."""
-    return n_from_trajectory(trajectory(flow, pair, times), pair, threshold)
+    return n_from_trajectory(trajectory(flow, pair, times), pair)
 
 
 def canonical_pairs(dim):
@@ -394,12 +356,11 @@ def canonical_pairs(dim):
             StatePair(*states[2:], label="canonical-x")]
 
 
-def _search_grid(n_pairs, times, threshold, seed):
+def _search_grid(n_pairs, times, seed):
     """times as a grid (see _grid), once every other argument of a search but
     its flow is checked; a seed is a Python or NumPy integer."""
     if not n_pairs >= 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    _check_threshold(threshold)
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return _grid(times)
@@ -464,43 +425,34 @@ class PairSearch(NamedTuple):
     failures: List[str]
 
 
-def _pair_values(op, d, n, diffs, times, threshold=None):
+def _pair_values(op, d, n, diffs, times):
     """(start, block, values, errors, intervals) of each block of _block_size
     of n pairs under the _pair_operator op of dimension d on times, a uniform
     grid array that the caller has checked; diffs(start, stop) gives the
     block of differences rho1 - rho2 of pairs start .. stop - 1, stacked (P,
     d, d), and is called in pair order.
-    D and sigma of a block, on the evaluated columns (see search_pairs), go
-    into two work buffers allocated once, and its growth intervals are found
-    at once. A failed pair has value NaN and its reason in errors (None for
-    the others); its block-mates still score. intervals: (rows, a, b,
-    contributions) of the scored pairs, rows in block."""
-    h = times[1] - times[0]
+    D of a block, on the evaluated columns (see search_pairs), goes into one
+    of two work buffers allocated once, its steps into the other, and its
+    growth intervals are found at once. A failed pair has value NaN, its
+    reason in errors (None for the others) and no interval; its block-mates
+    still score. intervals: (rows, a, b, contributions), rows in block."""
     cols = _evaluated_columns(op, d, times.size)
     if cols.size < times.size:
         op, times = op[..., cols], times[cols]
-    # Columns whose neighbours are not both evaluated: sigma 0 (see search_pairs).
-    gaps = np.flatnonzero(cols[2:] - cols[:-2] != 2) + 1
     size = _block_size(times, d)
     work = np.empty((2, size, times.size))
     for start in range(0, n, size):
         block = diffs(start, min(start + size, n))
         p = len(block)
-        errs = _distances(op, block, times, work)
-        dist, sigma = work[0, :p], _sigma(work[0, :p], h, work[1, :p])
-        sigma[:, gaps] = 0.0
-        rows, a, b, c = _growth(times, dist, sigma, threshold)
-        for r, x in zip(rows[c < -1e-12], c[c < -1e-12]):
-            errs[r] = errs[r] or f"negative contribution {float(x)}"
+        errs = _distances(op, block, times, work)  # a failed row of D is zeroed
+        rows, a, b, c = _growth(times, work[0, :p], work[1, :p])
         ok = np.array([e is None for e in errs])
         # bincount adds each row's contributions in order, as sum() does.
         totals = np.bincount(rows, weights=c, minlength=p)
-        keep = ok[rows]
-        found = (rows[keep], a[keep], b[keep], c[keep])
-        yield start, block, np.where(ok, totals, np.nan), errs, found
+        yield start, block, np.where(ok, totals, np.nan), errs, (rows, a, b, c)
 
 
-def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
+def search_pairs(flow, n_pairs, times, seed=0):
     """Evaluate the canonical pairs, then sample directions 0 .. n_pairs - 1
     of the stream of seed (see _directions), under the flow on times,
     tracking the maximum. Sample i is direction i of the stream, whatever the
@@ -511,22 +463,19 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
     value is monotone in n_pairs. Only the best pair gets its interval list
     and, if it is a sample, its states (see _direction_pair).
 
-    D is evaluated on _evaluated_columns only. A positive sigma_j needs a
-    flagged step j - 1 or j, and an interval endpoint interpolates from one
-    column further out, so the windows hold both; outside them D falls, as
-    does the first D beyond 1 + 1e-8. sigma at the edge of an evaluated run,
-    whose two steps are unflagged, is set to 0. The default threshold is 1e-9
-    of the peak |sigma| over the evaluated columns, floored at 1e-12 (where
-    growth_intervals reads the whole row); a given threshold is used as is.
+    D is evaluated on _evaluated_columns only: a rise of D needs a flagged
+    step, whose two ends are evaluated; across every other step D falls, so
+    that no rise spans unevaluated columns and the first D beyond 1 + 1e-8
+    is evaluated too. A pair's value is then its positive variation on the
+    whole grid (see _growth).
 
     The flow is an array (T, d^2, d^2) or a stream of (k0, block) that tiles
     the grid in order (see dynamics.flow_blocks). A stream is consumed: it
     is read once, after every other argument has been checked, so that a bad
-    n_pairs, threshold, seed or grid is reported before a flow that blows
-    up. For qubits the search holds the Pauli map (96 B per grid point)
-    rather than the flow.
+    n_pairs, seed or grid is reported before a flow that blows up. For qubits
+    the search holds the Pauli map (96 B per grid point) rather than the flow.
     """
-    times = _search_grid(n_pairs, times, threshold, seed)
+    times = _search_grid(n_pairs, times, seed)
     dim, op = _pair_operator(flow, times.size)
     canonical = canonical_pairs(dim)
     first = np.stack([p.rho1.matrix - p.rho2.matrix for p in canonical])
@@ -541,7 +490,7 @@ def search_pairs(flow, n_pairs, times, threshold=None, seed=0):
 
     # Of the samples only their failures and maximum stay, so that memory
     # does not grow with n_pairs; of op, only its evaluated columns.
-    blocks = _pair_values(op, dim, m + n_pairs, diffs, times, threshold)
+    blocks = _pair_values(op, dim, m + n_pairs, diffs, times)
     del op
     n_canonical, n_sampled_max, failures, peak = [], 0.0, [], -np.inf
     for start, block, vals, errs, (rows, a, b, c) in blocks:
@@ -578,7 +527,7 @@ class SweepRecord(NamedTuple):
     error: Optional[str] = None
 
 
-def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
+def sweep(flow_family, parameters, times, n_pairs, seed=0):
     """search_pairs on the flow flow_family(value), an array or a stream of
     blocks, for each parameter value; per-point failures, building the flow
     included, are recorded in the output instead of aborting the sweep."""
@@ -586,11 +535,11 @@ def sweep(flow_family, parameters, times, n_pairs, threshold=None, seed=0):
     if not parameters:
         raise ValueError("parameter grid is empty")
     # Here, before any flow is built: a point's ValueError is recorded, not raised.
-    times = _search_grid(n_pairs, times, threshold, seed)
+    times = _search_grid(n_pairs, times, seed)
     records = []
     for value in parameters:
         try:
-            search = search_pairs(flow_family(value), n_pairs, times, threshold, seed)
+            search = search_pairs(flow_family(value), n_pairs, times, seed)
             best = search.best
             records.append(SweepRecord(float(value), best.n_value, search.n_canonical,
                                        search.n_sampled_max, best.best_pair.label, best.diverging))

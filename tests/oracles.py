@@ -8,7 +8,7 @@ stacking, the closed-form amplitude-damping solution,
 a brute-force bath average for the central-spin model, a cyclic Jacobi
 eigenvalue sweep in place of LAPACK, a step-by-step RK4 flow, the canonical
 decoherence rates of a generator, and the one-pair-at-a-time measure: trace
-distances, sigma and growth intervals of each pair on its own, the
+distances and the rising steps of each pair on its own, the
 SplitMix64 pair-direction stream in Python integers, and the CLI's output
 writers as they were written cell by cell on csv.writer and json.dump.
 
@@ -250,41 +250,23 @@ def pair_distances(flow, pair):
     return np.array([0.5 * np.sum(np.abs(np.linalg.eigvalsh(x))) for x in m])
 
 
-def pair_growth(times, d_values, threshold=None):
-    """Growth intervals (a, b, D(b) - D(a)) of one sampled D(t): sigma by
-    np.gradient, maximal runs of sigma > threshold (default 1e-9 of the peak
-    |sigma|, floored at 1e-12), endpoints interpolated at the crossings."""
-    t, d = times, d_values
-    s = np.gradient(d, t[1] - t[0], edge_order=2)
-    if threshold is None:
-        threshold = max(1e-12, 1e-9 * float(np.max(np.abs(s))))
-    mask = s > threshold
-    starts, ends = [], []
-    for k in range(mask.size):
-        if mask[k] and (k == 0 or not mask[k - 1]):
-            starts.append(k)
-        if mask[k] and (k == mask.size - 1 or not mask[k + 1]):
-            ends.append(k)
-    intervals = []
-    for i0, i1 in zip(starts, ends):
-        if i0 > 0:
-            frac = (threshold - s[i0 - 1]) / (s[i0] - s[i0 - 1])
-            a = t[i0 - 1] + frac * (t[i0] - t[i0 - 1])
-            da = d[i0 - 1] + frac * (d[i0] - d[i0 - 1])
-        else:
-            a, da = t[0], d[0]
-        if i1 < mask.size - 1:
-            frac = (s[i1] - threshold) / (s[i1] - s[i1 + 1])
-            b = t[i1] + frac * (t[i1 + 1] - t[i1])
-            db = d[i1] + frac * (d[i1 + 1] - d[i1])
-        else:
-            b, db = t[-1], d[-1]
-        if b > a:
-            intervals.append((float(a), float(b), float(db - da)))
+def pair_growth(times, d_values):
+    """Growth intervals (a, b, D(b) - D(a)) of one sampled D(t), one grid
+    step at a time: the maximal runs of steps on which D rises by more than
+    1e-13."""
+    t, d = np.asarray(times).tolist(), np.asarray(d_values).tolist()
+    intervals, start = [], None
+    for k in range(len(d)):
+        rising = k + 1 < len(d) and d[k + 1] - d[k] > 1e-13
+        if rising and start is None:
+            start = k
+        elif not rising and start is not None:
+            intervals.append((t[start], t[k], d[k] - d[start]))
+            start = None
     return intervals
 
 
-def pair_value(flow, pair, times, threshold=None):
+def pair_value(flow, pair, times):
     """(N, intervals) of one pair, or (None, reason) if its D leaves [0, 1]
     beyond 1e-8 or is not finite."""
     d = pair_distances(flow, pair)
@@ -292,7 +274,7 @@ def pair_value(flow, pair, times, threshold=None):
     if bad.any():
         k = int(np.argmax(bad))
         return None, f"trace distance {d[k]:.6g} exceeds 1 or is not finite at t={times[k]:.6g}"
-    intervals = pair_growth(np.asarray(times), np.clip(d, 0.0, 1.0), threshold)
+    intervals = pair_growth(times, np.clip(d, 0.0, 1.0))
     return sum(c for _, _, c in intervals), intervals
 
 
@@ -347,20 +329,21 @@ def state_rng(seed, worker=None):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def random_states(dim, seed, workers, mixed):
+def random_states(dim, seeds, workers, mixed):
     """Stack (n, dim, dim) of unvalidated draws (see check_states), state k
-    from the stream state_rng(seed, workers[k]): a Haar pure state
+    from the stream state_rng(seeds[k], workers[k]): a Haar pure state
     |psi><psi|, or where mixed[k] a Hilbert-Schmidt state G G^dag / tr with
     G square complex Ginibre. Each state only fills its row of normals (real
     parts first, then imaginary); the arithmetic runs stacked."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     # Pure states fill rows[0] and raw[0], mixed ones rows[1] and raw[1].
-    rows, raw = ([], []), (np.empty((len(workers), 2 * dim)), np.empty((len(workers), 2 * dim**2)))
-    for k, (worker, m) in enumerate(zip(workers, map(bool, mixed), strict=True)):
+    n = len(workers)
+    rows, raw = ([], []), (np.empty((n, 2 * dim)), np.empty((n, 2 * dim**2)))
+    for k, (seed, worker, m) in enumerate(zip(seeds, workers, map(bool, mixed), strict=True)):
         state_rng(seed, worker).standard_normal(out=raw[m][len(rows[m])])
         rows[m].append(k)
-    out = np.empty((len(workers), dim, dim), dtype=complex)
+    out = np.empty((n, dim, dim), dtype=complex)
     (pure, mixed), (x, y) = rows, raw
     if pure:
         psi = x[: len(pure), :dim] + 1j * x[: len(pure), dim:]
@@ -376,12 +359,12 @@ def random_states(dim, seed, workers, mixed):
 
 def random_pure_state(dim, seed, worker=None):
     """Rank-1 projector |psi><psi| with |psi| Haar-distributed on the sphere."""
-    return DensityMatrix(random_states(dim, seed, [worker], [False])[0])
+    return DensityMatrix(random_states(dim, [seed], [worker], [False])[0])
 
 
 def random_mixed_state(dim, seed, worker=None):
     """Hilbert-Schmidt-ensemble state: G G^dag / tr with G square complex Ginibre."""
-    return DensityMatrix(random_states(dim, seed, [worker], [True])[0])
+    return DensityMatrix(random_states(dim, [seed], [worker], [True])[0])
 
 
 def callable_d3_generator():

@@ -167,12 +167,19 @@ class TestConfigHandling:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["measure", "sweep"])
-    def test_negative_sigma_threshold_is_exit_2(self, tmp_path, capsys, command):
-        code = run(command, "--model", "jc", "--sigma-threshold", "-1",
-                   "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
-                   "--output", str(tmp_path / "o.csv"))
-        assert code == 2
-        assert "sigma_threshold must be nonnegative" in capsys.readouterr().err
+    def test_sigma_threshold_is_not_a_key(self, tmp_path, capsys, command):
+        # N is the positive variation of D, with no threshold to set.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma_threshold = 1\n")
+        args = (command, "--model", "jc", "--n-pairs", "1", "--horizon", "1", "--step", "0.01",
+                "--output", str(tmp_path / "o.csv"))
+        assert run(*args, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "nmflow: config error: unknown config key 'sigma_threshold' for model 'jc'\n")
+        with pytest.raises(SystemExit) as exc:
+            run(*args, "--sigma-threshold", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sigma-threshold 1" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("argv, config, key", [
@@ -260,6 +267,9 @@ class TestConfigHandling:
          "interval length 5e+19 over step 0.001 needs more RK4 steps than an int64 count holds"),
         (["rate", "--model", "jc", "--horizon", "1e300", "--step", "1e-300"],
          "horizon 1e+300 over step 1e-300 is not a finite step count"),
+        # Refused before NumPy is asked for the grid.
+        (["rate", "--model", "jc", "--horizon", "1e300", "--step", "1e-3"],
+         "horizon 1e+300 over step 0.001 is 1e+303 grid steps, more than 10000000"),
     ])
     def test_step_count_out_of_range_is_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o.out"
@@ -402,7 +412,7 @@ class TestRate:
         assert run("rate", "--model", "semigroup", "--horizon", "2",
                    "--step", "0.1", "--format", "json", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert all(rec["gamma_over_gamma0"] == 1.0 for rec in payload["rate"])
 
     def test_json_pole_rows_are_strict_json(self, tmp_path):
@@ -718,8 +728,15 @@ class TestMeasure:
 
 
 class TestNumericalFailure:
+    # A sigma_minus channel at rate -50, within the RK4 step bound at step
+    # 1e-2 (h ||K|| = 0.5), whose flow overflows at t=14.21; at rate -1e5 the
+    # step bound refuses the flow at t=0 (h ||K|| = 1e3).
+    @pytest.mark.parametrize("rate, message", [
+        (-50.0, "propagator has non-finite entries at t=14.21"),
+        (-1e5, "step 0.01 cannot resolve the generator at t=0: h*||K|| = 1e+03 > 1"),
+    ])
     @pytest.mark.parametrize("command", ["measure", "trajectory", "divisibility"])
-    def test_non_finite_flow_is_exit_3(self, tmp_path, capsys, command):
+    def test_non_finite_flow_is_exit_3(self, tmp_path, capsys, command, rate, message):
         gen_file = tmp_path / "gen.json"
         zeros = [[0.0, 0.0], [0.0, 0.0]]
         gen_file.write_text(json.dumps({
@@ -727,26 +744,29 @@ class TestNumericalFailure:
             "hamiltonian": {"re": zeros, "im": zeros},
             "channels": [{
                 "operator": {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros},
-                "rate": -1e5,
+                "rate": rate,
             }],
         }))
         extra = ["--grid-points", "1"] if command == "divisibility" else []
         code = run(command, "--model", "custom-file", "--generator-file", str(gen_file),
-                   "--horizon", "1", "--step", "1e-2", *extra,
+                   "--horizon", "20", "--step", "1e-2", *extra,
                    "--output", str(tmp_path / "out.json"), "--format", "json")
         assert code == 3
-        assert "non-finite entries at t=" in capsys.readouterr().err
+        where = "interval 0 [0.0, 20.0]: " if command == "divisibility" else ""
+        assert capsys.readouterr().err == f"nmflow: numerical failure: {where}{message}\n"
+        assert not (tmp_path / "out.json").exists()
 
     # The clamped jc rate at strong coupling, integrated by RK4 on a coarse
     # grid across the poles of the unclamped rate, which that step cannot
-    # resolve: the canonical z pair fails (a negative contribution).
+    # resolve: the step bound refuses it.
     CLAMPED_POLES = ("--gamma0", "20", "--clamp-rate", "--horizon", "20", "--step", "5e-2")
+    UNRESOLVED = "step 0.05 cannot resolve the generator at t=0.475: h*||K|| = 1.29 > 1"
 
     def test_failed_canonical_pair_is_exit_3(self, tmp_path, capsys):
         code = run("measure", "--model", "jc", *self.CLAMPED_POLES, "--delta", "0",
                    "--n-pairs", "10", "--format", "json", "--output", str(tmp_path / "m.json"))
         assert code == 3
-        assert "canonical pair failed: canonical-z" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"nmflow: numerical failure: {self.UNRESOLVED}\n"
 
     def test_failed_canonical_pair_is_a_sweep_error(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -754,8 +774,25 @@ class TestNumericalFailure:
                    "--delta-max", "8", "--delta-points", "2", "--n-pairs", "2",
                    "--output", str(out)) == 0
         _, rows = read_csv_grid(str(out))
-        assert rows[0][5].startswith("canonical pair failed: canonical-z")
+        assert rows[0][5] == self.UNRESOLVED
         assert rows[1][5] == "" and math.isfinite(rows[1][3])
+
+    # gamma0 = 5 lambda on resonance, where the rate has poles at the zeros
+    # of G: the clamped RK4 measure and the RK4 divisibility used to exit 0.
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--clamp-rate"], "step 0.001 cannot resolve the generator at t=1.26: "
+                                      "h*||K|| = 1.18 > 1"),
+        (["divisibility", "--grid-points", "40"],
+         "interval 2 [1.0, 1.5]: step 0.001 cannot resolve the generator at t=1.26: "
+         "h*||K|| = 1.18 > 1"),
+    ])
+    def test_strong_coupling_rk4_is_exit_3(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.json"
+        code = run(*argv, "--model", "jc", "--gamma0", "5", "--delta", "0", "--horizon", "20",
+                   "--step", "1e-3", "--format", "json", "--output", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == f"nmflow: numerical failure: {message}\n"
+        assert not out.exists()
 
 
 class TestStrongCoupling:
@@ -770,10 +807,7 @@ class TestStrongCoupling:
     def abs_g(self, times):
         return np.abs(jc_amplitude(JCParams(gamma0=5.0, lam=1.0, delta=0.0), times))
 
-    def test_measure_is_the_x_pair_within_the_endpoint_interpolation(self, tmp_path):
-        # The gap to N_x is O(h): the growth intervals interpolate their ends
-        # at the cusps of |G| (2.36e-4, 1.30e-4 and 5.6e-5 at h = 2e-3, 1e-3
-        # and 5e-4).
+    def test_measure_is_the_positive_variation_of_the_x_pair(self, tmp_path):
         out = tmp_path / "m.json"
         assert run("measure", *self.ARGS, "--n-pairs", "100", "--format", "json",
                    "--output", str(out)) == 0
@@ -782,7 +816,7 @@ class TestStrongCoupling:
         assert payload["flow"] == "exact"
         assert payload["best_pair"]["label"] == "canonical-x"
         assert payload["failures"] == []
-        assert abs(payload["n_value"] - n_x) <= 2e-4
+        assert abs(payload["n_value"] - n_x) <= 1e-13
 
     def test_trajectory_of_the_x_pair_is_abs_g(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -890,7 +924,7 @@ class TestFlowMethod:
         assert run(*argv.split(), *extra, "--horizon", "1", "--step", "0.01",
                    "--format", "json", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 3 and payload["flow"] == flow
+        assert payload["schema_version"] == 4 and payload["flow"] == flow
         if not argv.startswith("divisibility"):
             assert bool(integrated) == (flow == "rk4")
 

@@ -91,16 +91,14 @@ class TestEvolveState:
         with pytest.raises(InvariantViolation, match="t="):
             evolve_state(gen, PLUS, np.linspace(0.0, 2.0, 201))
 
-    @pytest.mark.parametrize("rate, least", [
-        (-1.0, "-1.005e-02"), (-50.0, "-6.484e-01"), (-1e5, "-4.183e+10"),
-    ])
+    @pytest.mark.parametrize("rate, least", [(-1.0, "-1.005e-02"), (-50.0, "-6.484e-01")])
     def test_first_offending_time_wins(self, rate, least):
-        # At rate -1e5 the flow turns non-finite at t=0.3, in the same block of
-        # steps as t=0.01; the state check still names the earlier time.
+        # At rate -50 the flow turns non-finite only at t=14.21, blocks later;
+        # the state check names the first time.
         gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
         message = f"state has eigenvalue {least} below -1.0e-08 at t=0.01"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-            evolve_state(gen, PLUS, np.linspace(0.0, 1.0, 101))
+            evolve_state(gen, PLUS, np.linspace(0.0, 20.0, 2001))
 
     @pytest.mark.parametrize("name", ["jc-delta-8", "callable-d3"])
     def test_states_meet_the_state_rules_and_are_checked_once(self, monkeypatch, name):
@@ -299,20 +297,69 @@ class TestFlowMatchesStepByStepOracle:
 
 class TestNonFiniteFlow:
     def test_blow_up_names_the_first_non_finite_time(self):
-        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1e5)])
-        grid = np.linspace(0.0, 1.0, 101)
-        with pytest.raises(InvariantViolation, match=r"non-finite entries at t=0\.3$"):
+        # Rate -50 at step 1e-2 is within the step bound (h ||K|| = 0.5), and
+        # the flow overflows at step 1421, in the sixth block of STEP_BLOCK.
+        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -50.0)])
+        grid = np.linspace(0.0, 20.0, 2001)
+        with pytest.raises(InvariantViolation, match=r"non-finite entries at t=14\.21$"):
             propagator_grid(gen, grid)
         # The stream raises when the block after the first non-finite map is
         # asked for; that map's block comes first. Its consumer silences
         # NumPy's overflow warnings.
         blocks = flow_blocks(gen, grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert [k0 for k0, _ in itertools.islice(blocks, 2)] == [0, 1]
-            with pytest.raises(InvariantViolation, match=r"non-finite entries at t=0\.3$"):
+            assert [k0 for k0, _ in itertools.islice(blocks, 7)] == [0, 1, 257, 513, 769, 1025, 1281]
+            with pytest.raises(InvariantViolation, match=r"non-finite entries at t=14\.21$"):
                 next(blocks)
-        with pytest.raises(InvariantViolation, match="non-finite entries at t="):
-            propagator_between(gen, 0.0, 1.0, 1e-2)
+        with pytest.raises(InvariantViolation, match=r"non-finite entries at t=14\.21$"):
+            propagator_between(gen, 0.0, 20.0, 1e-2)
+
+
+class TestStepBound:
+    """The RK4 step bound h ||K(t)||_inf <= 1, checked on the real stage
+    matrices by every integrator."""
+
+    @staticmethod
+    def refused(step, t, value):
+        return f"^step {step} cannot resolve the generator at t={t}: h\\*\\|\\|K\\|\\| = {value} > 1$"
+
+    def test_every_integrator_refuses_a_step_beyond_the_bound(self):
+        # For sigma_minus at rate r the largest row sum is |r|: h ||K|| is 1 at
+        # rate -100 and step 1e-2, which passes, and 1.01 at rate -101.
+        ok, beyond = (constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, r)]) for r in (-100.0, -101.0))
+        grid = np.linspace(0.0, 0.1, 11)
+        propagator_grid(ok, grid)
+        message = self.refused(0.01, 0, 1.01)
+        with pytest.raises(InvariantViolation, match=message):
+            propagator_grid(beyond, grid)
+        with pytest.raises(InvariantViolation, match=message):
+            next(itertools.islice(flow_blocks(beyond, grid), 1, None))
+        with pytest.raises(InvariantViolation, match=message):
+            evolve_state(beyond, PLUS, grid)
+        with pytest.raises(InvariantViolation, match=message):
+            propagator_between(beyond, 0.0, 0.1, 1e-2)
+        with pytest.raises(InvariantViolation, match=r"^interval 0 \[0\.0, 0\.05\]: " + message[1:]):
+            divisibility_report(beyond, [0.0, 0.05, 0.1], h=1e-2)
+
+    def test_first_stage_time_beyond_the_bound_is_named(self):
+        # Stage times are the grid points and the midpoints, 0.005 apart.
+        rate = lambda t: np.where(np.asarray(t) > 0.3, -1e5, 1.0)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        with pytest.raises(InvariantViolation, match=self.refused(0.01, 0.305, "1e\\+03")):
+            propagator_grid(gen, np.linspace(0.0, 1.0, 101))
+        with pytest.raises(InvariantViolation, match=self.refused(0.01, 0.305, "1e\\+03")):
+            evolve_state(gen, PLUS, np.linspace(0.0, 1.0, 101))
+
+    def test_strong_coupling_jc_poles_are_refused(self):
+        # gamma0 = 5 lambda on resonance: the rate has a pole at the first
+        # zero of G, which RK4 at step 1e-3 cannot cross.
+        gen = jc_generator(JCParams(gamma0=5.0, delta=0.0), nonnegative_rate=True)
+        with pytest.raises(InvariantViolation, match=self.refused(0.001, 1.26, 1.18)):
+            propagator_grid(gen, np.linspace(0.0, 2.0, 2001))
+        with pytest.raises(InvariantViolation,
+                           match=r"^interval 2 \[1\.0, 1\.5\]: " + self.refused(0.001, 1.26, 1.18)[1:]):
+            divisibility_report(jc_generator(JCParams(gamma0=5.0, delta=0.0)),
+                                np.linspace(0.0, 20.0, 41), h=1e-3)
 
 
 def random_d3_generator():
@@ -640,31 +687,35 @@ class TestLockstepDivisibility:
             divisibility_report(gen, grid, h=0.0125)
 
     def test_blow_up_in_a_group_names_its_interval(self):
+        # The step bound refuses the first stage time past 0.3 in the group;
+        # the group is run again one interval at a time.
         rate = lambda t: np.where(np.asarray(t) > 0.3, -1e15, 1.0)
         gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
         grid = 0.125 * np.arange(6)
         with pytest.raises(
             InvariantViolation,
-            match=r"^interval 2 \[0\.25, 0\.375\]: propagator has non-finite entries at t=0\.3",
+            match=r"^interval 2 \[0\.25, 0\.375\]: step 0\.00625 cannot resolve the generator "
+                  r"at t=0\.303125: h\*\|\|K\|\| = 6\.25e\+12 > 1$",
         ):
             divisibility_report(gen, grid, h=0.00625)
 
     def test_blow_up_in_a_later_block_names_its_first_time(self):
-        # 3000 qubit steps in blocks of 1024: the rate turns at t = 25, inside
-        # the third block, and the maps are first non-finite at step 2507.
-        rate = lambda t: np.where(np.asarray(t) > 25.0, -1e15, 1.0)
-        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
-        message = "propagator has non-finite entries at t=25.07"
+        # 2000 qubit steps in blocks of 1024 at rate -50, within the step
+        # bound: the maps are first non-finite at step 1421, in the second block.
+        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -50.0)])
+        message = "propagator has non-finite entries at t=14.21"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-            propagator_between(gen, 0.0, 30.0, 1e-2)
+            propagator_between(gen, 0.0, 20.0, 1e-2)
         with pytest.raises(InvariantViolation,
-                           match=f"^interval 0 \\[0\\.0, 30\\.0\\]: {re.escape(message)}$"):
-            divisibility_report(gen, [0.0, 30.0], h=1e-2)
+                           match=f"^interval 0 \\[0\\.0, 20\\.0\\]: {re.escape(message)}$"):
+            divisibility_report(gen, [0.0, 20.0], h=1e-2)
 
-    def test_blow_up_in_a_wide_group_names_its_first_time(self, monkeypatch):
-        # 300 one-step intervals, more than STEP_BLOCK, in one qubit group: only
-        # an interval whose map is not finite is scanned again, alone, and the
-        # first of them, from t = 2, names the time.
+    def test_bound_in_a_wide_group_names_its_first_time(self, monkeypatch):
+        # 300 one-step intervals, more than STEP_BLOCK, in one qubit group: the
+        # step bound names the first stage time past 2.001, the midpoint of
+        # the interval from t = 2, and no interval is scanned again. Within
+        # the bound a group's maps stay finite: a step map's norm is at most
+        # e, and a group of two or more intervals holds at most 512 steps each.
         import nmflow.dynamics
 
         scanned = []
@@ -673,9 +724,10 @@ class TestLockstepDivisibility:
                             lambda c, t0, h, n: scanned.append(t0) or running(c, t0, h, n))
         rate = lambda t: np.where(np.asarray(t) > 2.001, -1e200, 1.0)
         compiled = _CompiledGenerator(GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)]))
-        with pytest.raises(InvariantViolation, match=r"^propagator has non-finite entries at t=2\.01$"):
+        with pytest.raises(InvariantViolation, match=r"^step 0\.01 cannot resolve the generator "
+                                                     r"at t=2\.005: h\*\|\|K\|\| = 1e\+198 > 1$"):
             _interval_maps(compiled, 1e-2 * np.arange(300), np.full(300, 1e-2), 1)
-        assert scanned == [2.0]
+        assert scanned == []
 
     def test_equal_intervals_get_equal_step_counts(self):
         # span / h rounds to just above 20 on some of these intervals.

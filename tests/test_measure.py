@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from nmflow.dynamics import (
 )
 from nmflow.exceptions import InvariantViolation, NumericalError
 from nmflow.measure import (
+    MAX_GRID_STEPS,
     PAIR_BLOCK,
     GrowthInterval,
     _block_size,
@@ -34,7 +37,6 @@ from nmflow.measure import (
     _pair_values,
     _splitmix64,
     canonical_pairs,
-    default_threshold,
     growth_intervals,
     make_time_grid,
     n_for_pair,
@@ -83,9 +85,11 @@ def test_canonical_pairs_are_exact(dim):
         assert bloch_from_qubit(x.rho2) == (-1.0, 0.0, 0.0)
 
 
-def blow_up_generator():
-    """sigma_minus channel at rate -1e5: the RK4 flow overflows at step 1e-2."""
-    return constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1e5)])
+def blow_up_generator(rate=-50.0):
+    """sigma_minus channel at a negative rate. At -50 and step 1e-2, h ||K|| =
+    0.5 is within the step bound, and the RK4 flow overflows at t=14.21; at
+    -1e5, h ||K|| = 1e3 and the step bound refuses the flow at t=0."""
+    return constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
 
 
 def grid_flow(gen, horizon, step):
@@ -249,8 +253,11 @@ class TestTrajectory:
         assert np.array_equal(op, pauli_map(flow))
 
     def test_non_finite_flow_is_invariant_violation(self):
-        with pytest.raises(InvariantViolation, match="non-finite"):
-            grid_flow(blow_up_generator(), 1.0, 1e-2)
+        with pytest.raises(InvariantViolation, match=r"^propagator has non-finite entries at t=14\.21$"):
+            grid_flow(blow_up_generator(), 20.0, 1e-2)
+        message = r"^step 0\.01 cannot resolve the generator at t=0: h\*\|\|K\|\| = 1e\+03 > 1$"
+        with pytest.raises(InvariantViolation, match=message):
+            grid_flow(blow_up_generator(-1e5), 1.0, 1e-2)
         flow, times = grid_flow(semigroup_generator(1.0), 1.0, 1e-2)
         flow[40] = np.nan
         with pytest.raises(InvariantViolation, match="not finite"):
@@ -312,17 +319,15 @@ class TestGrowthIntervals:
         quad = float(np.sum(np.maximum(traj.sigma_values, 0.0)) * h)
         assert total == pytest.approx(quad, abs=1e-6)
 
-    def test_threshold_must_be_nonnegative(self):
-        traj = spinbath_trajectory(SpinBathParams(), 2.0, 1e-3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            growth_intervals(traj, threshold=-1.0)
-
-    def test_default_threshold_scaling(self):
-        traj = spinbath_trajectory(SpinBathParams(), 2.0, 1e-3)
-        peak = float(np.max(np.abs(traj.sigma_values)))
-        assert default_threshold(traj) == pytest.approx(1e-9 * peak)
-        flat = trajectory_from_values(np.linspace(0, 1, 101), np.full(101, 0.5))
-        assert default_threshold(flat) == 1e-12
+    def test_intervals_are_the_runs_of_rising_steps(self):
+        # Runs from column 0 and to the last column; a rise of 5e-14, below
+        # the floor of 1e-13, and a flat step end a run.
+        d = [0.5, 0.6, 0.6 + 5e-14, 0.7, 0.65, 0.8, 0.9, 0.9, 0.95, 0.94, 1.0]
+        traj = trajectory_from_values(np.arange(11.0), d)
+        got = [(iv.a, iv.b, iv.contribution) for iv in growth_intervals(traj)]
+        assert got == [(0.0, 1.0, d[1] - d[0]), (2.0, 3.0, d[3] - d[2]), (4.0, 6.0, d[6] - d[4]),
+                       (7.0, 8.0, d[8] - d[7]), (9.0, 10.0, d[10] - d[9])]
+        assert n_from_trajectory(traj, X_PAIR).n_value == sum(c for _, _, c in got)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="a < b"):
@@ -478,19 +483,30 @@ class TestPairSearch:
             search_pairs(flow, 2, times, seed=0)
 
     def test_failed_canonical_pair_raises(self):
-        # Strong coupling on resonance: RK4 crosses a zero of G(t), where the
-        # rate diverges, and the canonical z pair leaves [0, 1].
-        gen = jc_generator(JCParams(gamma0=2.0, delta=0.0))
-        flow, times = grid_flow(gen, 10.0, 1e-2)
+        # A negative sigma_minus rate stretches the z Bloch component, so the
+        # canonical z pair leaves [0, 1], while strong dephasing keeps the x
+        # pair's D below 1.
+        gen = constant_generator(np.zeros((2, 2)), [(SIGMA_MINUS, -1.0), (SIGMA_Z, 1.0)])
+        flow, times = grid_flow(gen, 5.0, 1e-2)
         with pytest.raises(NumericalError, match="canonical pair failed: canonical-z: "):
             search_pairs(flow, 2, times, seed=0)
 
-    def test_negative_threshold_rejected_before_any_pair(self):
-        flow, times = grid_flow(semigroup_generator(1.0), 5.0, 1e-2)
-        with pytest.raises(ValueError, match="^threshold must be nonnegative, got -1.0$"):
-            search_pairs(flow, 2, times, threshold=-1.0)
-        with pytest.raises(ValueError, match="^threshold must be nonnegative, got -1.0$"):
-            sweep(lambda d: flow, [0.0, 1.0], times, 2, threshold=-1.0)
+    # (gamma0, delta, horizon) of the README jc example and three points of
+    # strong coupling or detuning, where the best pair is canonical; D is |G|^2
+    # for the z pair and |G| for the x pair.
+    @pytest.mark.parametrize("gamma0, delta, horizon", [
+        (0.01, 8.0, 60.0), (5.0, 0.0, 20.0), (2.0, 0.0, 20.0), (5.0, 3.0, 20.0)])
+    def test_value_is_the_positive_variation_of_the_best_canonical_pair(self, gamma0, delta,
+                                                                         horizon):
+        params = JCParams(gamma0=gamma0, delta=delta)
+        times = make_time_grid(horizon, 1e-3)
+        search = search_pairs(jc_flow(params, times), 100, times, seed=0)
+        g = np.abs(jc_amplitude(params, times))
+        closed = {label: np.maximum(np.diff(x), 0.0).sum()
+                  for label, x in (("canonical-z", g * g), ("canonical-x", g))}
+        label = search.best.best_pair.label
+        assert search.failures == [] and label == max(closed, key=closed.get)
+        assert abs(search.best.n_value - closed[label]) <= 1e-13
 
     def test_spinbath_search_matches_closed_form_canonical_pair(self):
         params = SpinBathParams(coupling_a=1.0, n_spins=20)
@@ -743,8 +759,7 @@ class TestBatchedPairs:
             assert got.shape == (len(intervals), 3)
             if intervals:
                 assert np.max(np.abs(got[:, 2] - [x for _, _, x in intervals])) <= PAIR_VALUE_TOL
-                # A crossing time moves by the rounding of sigma over its slope.
-                assert np.max(np.abs(got[:, :2] - [(x, y) for x, y, _ in intervals])) <= 1e-9
+                assert np.array_equal(got[:, :2], [(x, y) for x, y, _ in intervals])
 
     def test_failing_pair_is_recorded_while_its_block_mates_score(self):
         times = make_time_grid(3.0, 2e-3)
@@ -781,17 +796,17 @@ class TestBatchedPairs:
         with pytest.raises(NumericalError, match="^canonical pair failed: " + failures[0][:40]):
             search_pairs(flow, 8, times, seed=1)
 
-    def test_negative_contribution_fails_only_its_pair(self):
-        # D of the x pair zigzags: a one-point run of sigma > 0 whose end lies
-        # far below its start.
+    def test_zigzag_scores_its_two_rising_steps(self):
+        # D of the x pair zigzags: each one-step rise is an interval of its own.
         times = make_time_grid(0.02, 1e-3)
         zigzag = np.array([1.0] * 8 + [0.2, 0.99, 0.2, 1.0, 0.0] + [0.0] * 8)
         flow = bloch_map_flow(times, lambda t: zigzag, np.ones_like)
-        values, errors, _ = pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
-        assert errors == [None, "negative contribution -0.7519046867142857"]
-        assert values[0] == 0.0 and np.isnan(values[1])
-        with pytest.raises(ValueError, match="^negative contribution -0.7519046867142857$"):
-            n_for_pair(flow, X_PAIR, times)
+        values, errors, (rows, a, b, c) = pair_values(flow, diffs_of([Z_PAIR, X_PAIR]), times)
+        assert errors == [None, None] and rows.tolist() == [1, 1]
+        assert np.column_stack([a, b]).tolist() == [[times[8], times[9]], [times[10], times[11]]]
+        assert np.max(np.abs(c - [0.79, 0.8])) <= PAIR_VALUE_TOL
+        assert values[0] == 0.0 and values[1] == c[0] + c[1]
+        assert n_for_pair(flow, X_PAIR, times).n_value == values[1]
 
     def test_exact_tie_goes_to_the_first_evaluated_pair(self, monkeypatch):
         import nmflow.measure
@@ -897,12 +912,12 @@ class TestWindowedSearch:
         op[entry + (40,)] = 1e-12 if entry[0] == 0 else kept
         assert not _growth_steps(op).any()
 
-    def test_zero_detuning_evaluates_only_the_six_edge_columns(self):
+    def test_zero_detuning_evaluates_only_column_0(self):
         # |G| falls monotonically on resonance at weak coupling: no step can
-        # raise D, and only the one-sided sigma stencils are evaluated.
+        # raise D, and only the first column is evaluated.
         flow, times = grid_flow(jc_generator(JCParams(delta=0.0)), 10.0, 1e-3)
         cols = _evaluated_columns(*pair_operator(flow, times), times.size)
-        assert cols.tolist() == [0, 1, 2, times.size - 3, times.size - 2, times.size - 1]
+        assert cols.tolist() == [0]
         search = search_pairs(flow, 500, times, seed=1)
         assert search.best.n_value == search.n_canonical == search.n_sampled_max == 0.0
         assert search.best.intervals == [] and search.failures == []
@@ -922,7 +937,7 @@ class TestWindowedSearch:
         assert errors == full_errors == [None] * len(diffs)
         assert np.max(np.abs(values - full)) <= 1e-12
         assert np.array_equal(rows, full_rows)
-        assert np.max(np.abs(np.column_stack([a, b]) - np.column_stack([full_a, full_b]))) <= 1e-9
+        assert np.array_equal(np.column_stack([a, b]), np.column_stack([full_a, full_b]))
         assert np.max(np.abs(c - full_c)) <= 1e-12
         search = search_pairs(flow, n_pairs, times, seed=1)
         assert windowed.best.best_pair.label == search.best.best_pair.label == "canonical-z"
@@ -1018,23 +1033,23 @@ class TestFlowStream:
         assert times.size == steps + 1
         flow = np.concatenate([block for _, block in stream(times)])
         dim = round(np.sqrt(flow.shape[-1]))
-        for threshold in (None, 1e-6):
-            on_array = search_pairs(flow, 40, times, threshold, seed=2)
-            on_stream = search_pairs(stream(times), 40, times, threshold, seed=2)
-            assert search_record(on_stream) == search_record(on_array)
+        on_array = search_pairs(flow, 40, times, seed=2)
+        on_stream = search_pairs(stream(times), 40, times, seed=2)
+        assert search_record(on_stream) == search_record(on_array)
         for pair in random_pairs(dim, 9, 2) + canonical_pairs(dim):
             expected = trajectory(flow, pair, times)
             got = trajectory(stream(times), pair, times)
             assert np.array_equal(got.d_values, expected.d_values)
             assert np.array_equal(got.sigma_values, expected.sigma_values)
             assert n_for_pair(stream(times), pair, times) == n_for_pair(flow, pair, times)
-        # A sweep whose second point blows up; repr, as its values are NaN.
-        blow_up = blow_up_generator()
+        # A sweep whose second point the step bound refuses; repr, as its
+        # values are NaN.
+        blow_up = blow_up_generator(-1e5)
         records = [repr(sweep(make, [0.0, 1.0], times, 10, seed=3)) for make in (
             lambda p: propagator_grid(blow_up, times) if p else flow,
             lambda p: flow_blocks(blow_up, times) if p else stream(times))]
         assert records[0] == records[1]
-        assert "error=None" in records[0] and "non-finite entries" in records[0]
+        assert "error=None" in records[0] and "cannot resolve the generator" in records[0]
 
     def test_search_reads_a_stream_once_and_in_order(self):
         # A qubit generator with every Pauli map entry in play, cut into
@@ -1075,40 +1090,45 @@ class TestFlowStream:
         with pytest.raises(ValueError, match=message):
             trajectory(blocks(flow), Z_PAIR, times)
 
-    def test_blow_up_raises_before_any_pair_is_evaluated(self, monkeypatch):
+    @pytest.mark.parametrize("rate, message", [
+        (-50.0, "propagator has non-finite entries at t=14.21"),
+        (-1e5, "step 0.01 cannot resolve the generator at t=0: h*||K|| = 1e+03 > 1"),
+    ])
+    def test_blow_up_raises_before_any_pair_is_evaluated(self, monkeypatch, rate, message):
         import nmflow.measure
 
-        times = make_time_grid(1.0, 1e-2)
+        times = make_time_grid(20.0, 1e-2)
         evaluated = []
         distances = nmflow.measure._distances
         monkeypatch.setattr(nmflow.measure, "_distances",
                             lambda *args: evaluated.append(1) or distances(*args))
-        message = r"^propagator has non-finite entries at t=0\.3$"
-        with pytest.raises(InvariantViolation, match=message):
-            search_pairs(flow_blocks(blow_up_generator(), times), 5, times)
-        with pytest.raises(InvariantViolation, match=message):
-            trajectory(flow_blocks(blow_up_generator(), times), X_PAIR, times)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            search_pairs(flow_blocks(blow_up_generator(rate), times), 5, times)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            trajectory(flow_blocks(blow_up_generator(rate), times), X_PAIR, times)
         assert evaluated == []
-        (record,) = sweep(lambda _: flow_blocks(blow_up_generator(), times), [0.0], times, 5)
-        assert record.error == "propagator has non-finite entries at t=0.3"
+        (record,) = sweep(lambda _: flow_blocks(blow_up_generator(rate), times), [0.0], times, 5)
+        assert record.error == message
 
     @pytest.mark.parametrize("args, message", [
-        ((0, None, 0), "n_pairs must be >= 1"),
-        ((5, -1.0, 0), "threshold must be nonnegative"),
-        ((5, None, -1), "seed must be an integer"),
+        ((0, 0), "n_pairs must be >= 1"),
+        ((5, -1), "seed must be an integer"),
+        ((5, 1e-6), "seed must be an integer"),
+        ((5, None), "seed must be an integer"),
     ])
     def test_arguments_are_checked_before_the_flow_is_read(self, args, message):
+        # A float or None where the growth threshold once was is a bad seed.
         times = make_time_grid(1.0, 1e-2)
-        n_pairs, threshold, seed = args
+        n_pairs, seed = args
         with pytest.raises(ValueError, match=message):
-            search_pairs(flow_blocks(blow_up_generator(), times), n_pairs, times, threshold, seed)
+            search_pairs(flow_blocks(blow_up_generator(-1e5), times), n_pairs, times, seed)
         with pytest.raises(ValueError, match="grid intervals; sigma needs >= 10"):
             search_pairs(flow_blocks(blow_up_generator(), times), 5, times[:5])
         # sweep checks them once, before it builds the flow of any point.
         built = []
-        family = lambda p: built.append(p) or flow_blocks(blow_up_generator(), times)
+        family = lambda p: built.append(p) or flow_blocks(blow_up_generator(-1e5), times)
         with pytest.raises(ValueError, match=message):
-            sweep(family, [0.0, 1.0], times, n_pairs, threshold, seed)
+            sweep(family, [0.0, 1.0], times, n_pairs, seed)
         with pytest.raises(ValueError, match="grid intervals; sigma needs >= 10"):
             sweep(family, [0.0, 1.0], times[:5], 5)
         assert built == []
@@ -1146,3 +1166,9 @@ def test_grid_must_end_at_the_horizon():
     # Finite inputs whose step count horizon / step is not.
     with pytest.raises(ValueError, match=r"^horizon 1e\+300 over step 1e-300 is not a finite step count$"):
         make_time_grid(1e300, 1e-300)
+    # More than MAX_GRID_STEPS steps, refused before the grid is allocated.
+    assert MAX_GRID_STEPS == 10**7
+    for horizon, count in ((1e300, "1e+303"), (10_000.001, "10000001")):
+        message = f"horizon {horizon:.10g} over step 0.001 is {count} grid steps, more than 10000000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_time_grid(horizon, 1e-3)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_map, pair_distances, pair_value
+from oracles import apply_map, pair_value
 
 import nmflow.measure
 from nmflow.dynamics import GeneratorSpec, divisibility_report, propagator_between, propagator_grid
@@ -88,8 +88,9 @@ N_TOL = 1e-12
 @PROPERTY_SETTINGS
 @given(rho1=qubit_states(), rho2=qubit_states(), delta=detunings, c=st.floats(0.1, 1.0))
 def test_n_is_homogeneous_in_the_pair_difference(rho1, rho2, delta, c):
-    # rho1 - ((1 - c) rho1 + c rho2) = c (rho1 - rho2): D and sigma scale by
-    # c, and so does the default threshold, relative to the peak of sigma.
+    # rho1 - ((1 - c) rho1 + c rho2) = c (rho1 - rho2): D and its steps scale
+    # by c. The rise floor 1e-13 does not: a step that rises by more than
+    # 1e-13 at full scale but not at c moves c N by at most 1e-13.
     flow, times = flow_for(delta)
     mixed = DensityMatrix((1.0 - c) * rho1.matrix + c * rho2.matrix)
     full = n_for_pair(flow, StatePair(rho1, rho2), times)
@@ -148,14 +149,10 @@ def test_cp_interval_maps_contract_the_trace_distance(rho1, rho2, delta, gamma0,
 RATE_PARAMETERS = st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.5), st.floats(0.5, 6.0),
                             st.floats(0.0, 2.0 * np.pi))
 WINDOW_HORIZON = 4.0
-# Fixed before the windowed search was written: with a given threshold the
-# windows hold every run of the full evaluation, so values agree to the
-# rounding of D (PAIR_VALUE_TOL of test_measure.py) and crossing times to
-# that rounding over sigma's slope; with the default threshold, read on the
-# windows only, runs with sigma <= tau (the full row's threshold) may appear
-# or vanish, each adding at most tau per unit time.
+# Fixed before the windowed search was written: the windows hold every rising
+# step of the full evaluation, so values agree to the rounding of D
+# (PAIR_VALUE_TOL of test_measure.py) and interval ends, grid times, exactly.
 PAIR_VALUE_TOL = 1e-14
-ENDPOINT_TOL = 1e-9
 
 
 def oscillating_qubit_generator(hx, hz, rates):
@@ -167,12 +164,12 @@ def oscillating_qubit_generator(hx, hz, rates):
     return GeneratorSpec(2, hx * SIGMA_X + hz * SIGMA_Z, channels)
 
 
-def joined_pair_values(flow, diffs, times, threshold):
+def joined_pair_values(flow, diffs, times):
     """Values, errors and intervals (rows indexing pairs) of _pair_values."""
     values, errors, found = [], [], []
     d, op = _pair_operator(flow, times.size)
     for start, _, vals, errs, (rows, a, b, c) in _pair_values(
-        op, d, len(diffs), lambda i, j: diffs[i:j], times, threshold
+        op, d, len(diffs), lambda i, j: diffs[i:j], times
     ):
         values.append(vals)
         errors += errs
@@ -183,11 +180,11 @@ def joined_pair_values(flow, diffs, times, threshold):
 @PROPERTY_SETTINGS
 @given(hx=st.floats(-2.0, 2.0), hz=st.floats(-2.0, 2.0),
        rates=st.tuples(RATE_PARAMETERS, RATE_PARAMETERS, RATE_PARAMETERS),
-       threshold=st.sampled_from([None, 0.0, 1e-6]), seed=st.integers(0, 2**64 - 1))
+       seed=st.integers(0, 2**64 - 1))
 # 31% of the steps flagged; 6 of the 24 pairs leave D <= 1 and fail, 11 score.
 @example(hx=-0.83, hz=-0.4, rates=((0.97, 0.11, 4.8, 2.99), (0.17, 0.55, 2.59, 1.53),
-                                   (0.33, 0.63, 5.79, 2.88)), threshold=None, seed=5)
-def test_windowed_pair_values_equal_the_full_evaluation(hx, hz, rates, threshold, seed):
+                                   (0.33, 0.63, 5.79, 2.88)), seed=5)
+def test_windowed_pair_values_equal_the_full_evaluation(hx, hz, rates, seed):
     times = make_time_grid(WINDOW_HORIZON, 1e-2)
     flow = propagator_grid(oscillating_qubit_generator(hx, hz, rates), times)
     # The flags against a stacked eigensolve of dQ_k: no step where some Bloch
@@ -203,32 +200,21 @@ def test_windowed_pair_values_equal_the_full_evaluation(hx, hz, rates, threshold
     assert np.all(top[~flags] <= -0.5e-13 * np.maximum(tr[1:], tr[:-1])[~flags])
     pairs = canonical_pairs(2) + [_direction_pair(x, "sample") for x in _directions(2, seed, 0, 22)]
     diffs = np.stack([p.rho1.matrix - p.rho2.matrix for p in pairs])
-    values, errors, found = joined_pair_values(flow, diffs, times, threshold)
+    values, errors, found = joined_pair_values(flow, diffs, times)
     every_column = lambda op, d, t: np.arange(t)
     with mock.patch.object(nmflow.measure, "_evaluated_columns", every_column):
-        _, full_errors, _ = joined_pair_values(flow, diffs, times, threshold)
+        _, full_errors, _ = joined_pair_values(flow, diffs, times)
+    assert errors == full_errors
     for i, pair in enumerate(pairs):
-        sigma = np.gradient(np.clip(pair_distances(flow, pair), 0.0, 1.0), 1e-2, edge_order=2)
-        tau = max(1e-12, 1e-9 * float(np.max(np.abs(sigma))))
-        bound = PAIR_VALUE_TOL + (0.0 if threshold is not None else 2.0 * tau * WINDOW_HORIZON)
-        kind = "negative contribution "
-        if threshold is None and (errors[i] or "").startswith(kind):
-            # The value in the message is a contribution, which moves with the threshold.
-            assert full_errors[i].startswith(kind)
-            assert abs(float(errors[i][len(kind):]) - float(full_errors[i][len(kind):])) <= bound
-        else:
-            assert errors[i] == full_errors[i]
-        n, intervals = pair_value(flow, pair, times, threshold)
+        n, intervals = pair_value(flow, pair, times)
         if n is None:
             assert errors[i] == intervals + (
                 " (step too coarse, or the generator is not positivity preserving)")
+            assert not np.any(found[:, 0] == i)
             continue
-        if errors[i] is not None:  # a negative contribution, as in full_errors
-            continue
-        assert abs(values[i] - n) <= bound
+        assert abs(values[i] - n) <= PAIR_VALUE_TOL
         got = found[found[:, 0] == i, 1:]
-        if threshold is not None:
-            assert got.shape == (len(intervals), 3)
-        if threshold is not None and intervals:
-            assert np.max(np.abs(got[:, :2] - [iv[:2] for iv in intervals])) <= ENDPOINT_TOL
+        assert got.shape == (len(intervals), 3)
+        if intervals:
+            assert np.array_equal(got[:, :2], [iv[:2] for iv in intervals])
             assert np.max(np.abs(got[:, 2] - [iv[2] for iv in intervals])) <= PAIR_VALUE_TOL

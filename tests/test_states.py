@@ -13,6 +13,7 @@ from nmflow.states import (
     DensityMatrix,
     StatePair,
     bloch_from_qubit,
+    check_states,
     qubit_from_bloch,
     read_state_text,
     trace_distance,
@@ -141,9 +142,9 @@ class TestRandomStates:
 
     def test_workers_and_mixed_flags_must_match_in_length(self):
         with pytest.raises(ValueError, match="is shorter than"):
-            random_states(2, 0, [0, 1, 2], [True])
+            random_states(2, [0, 0, 0], [0, 1, 2], [True])
         with pytest.raises(ValueError, match="is longer than"):
-            random_states(2, 0, [0], [True, False])
+            random_states(2, [0], [0], [True, False])
 
     @pytest.mark.parametrize("seed", [7.9, 7.0, np.float64(7.0), "7"])
     def test_seed_that_is_not_an_integer_rejected(self, seed):
@@ -162,37 +163,38 @@ class TestRandomStates:
         for seed in (0, 9, 2**40 + 5):
             workers = list(range(40))
             for mixed in ([False] * 40, [True] * 40, [w % 4 == 3 for w in workers]):
-                stack = random_states(dim, seed, workers, mixed)
+                stack = random_states(dim, [seed] * 40, workers, mixed)
                 for k, (w, m) in enumerate(zip(workers, mixed)):
                     assert np.array_equal(stack[k], seeded_state(dim, seed, w, m))
             for m in (False, True):
                 for worker in (None, 3):
-                    one = random_states(dim, seed, [worker], [m])
+                    one = random_states(dim, [seed], [worker], [m])
                     assert one.shape == (1, dim, dim)
                     assert np.array_equal(one[0], seeded_state(dim, seed, worker, m))
 
+    # The bulk tests draw the states of random_pure_state(2, seed) and
+    # random_mixed_state(2, seed), one stack of 10^5 seeds at a time, and
+    # check them as those constructors do, by one check_states on the stack.
+
     def test_generators_respect_invariants_bulk(self):
-        # Constructor validation runs on every draw, so surviving the loop is
-        # the assertion. 10^5 draws split across both ensembles.
-        for seed in range(50_000):
-            random_pure_state(2, 9_000_000 + seed)
-            random_mixed_state(2, 9_100_000 + seed)
+        # The state rules run on every draw, so passing them is the
+        # assertion. 10^5 draws split across both ensembles.
+        n = 50_000
+        seeds = [*range(9_000_000, 9_000_000 + n), *range(9_100_000, 9_100_000 + n)]
+        check_states(random_states(2, seeds, [None] * (2 * n), [False] * n + [True] * n))
 
     def test_pure_population_mean_is_unbiased(self):
         # Unitary invariance forces <0|rho|0> to average 1/d.
-        total = 0.0
         n = 100_000
-        for seed in range(n):
-            total += random_pure_state(2, 31_000_000 + seed).matrix[0, 0].real
-        assert total / n == pytest.approx(0.5, abs=0.01)
+        rho = random_states(2, range(31_000_000, 31_000_000 + n), [None] * n, [False] * n)
+        check_states(rho)
+        assert rho[:, 0, 0].real.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_mixed_purity_matches_independent_sampler(self):
         n = 100_000
-        ours = 0.0
-        for seed in range(n):
-            rho = random_mixed_state(2, 47_000_000 + seed).matrix
-            ours += np.trace(rho @ rho).real
-        ours /= n
+        rho = random_states(2, range(47_000_000, 47_000_000 + n), [None] * n, [True] * n)
+        check_states(rho)
+        ours = np.einsum("kij,kji->k", rho, rho).real.mean()
         rng = np.random.default_rng(2024)
         theirs = 0.0
         for _ in range(n):
