@@ -100,7 +100,22 @@ class TestEvolveState:
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             evolve_state(gen, PLUS, np.linspace(0.0, 20.0, 2001))
 
-    @pytest.mark.parametrize("name", ["jc-delta-8", "callable-d3"])
+    def test_first_offending_time_wins_over_a_later_non_finite_map(self):
+        # Dephasing at rate -40 grows the coherences of the flow within the
+        # step bound (h ||K|| = 0.805) until the maps overflow at t=8.89; the
+        # diagonal state meets no coherence and stays valid until the sigma_minus
+        # rate turns to -1 after t=8. Both times lie in the block of steps
+        # 769-1024, and the state check names the earlier one.
+        rate = lambda t: np.where(np.asarray(t) > 8.0, -1.0, 0.0)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_Z, -40.0), (SIGMA_MINUS, rate)])
+        grid = np.linspace(0.0, 20.0, 2001)
+        with pytest.raises(InvariantViolation, match=r"^propagator has non-finite entries at t=8\.89$"):
+            propagator_grid(gen, grid)
+        message = "state has eigenvalue -8.367e-03 below -1.0e-08 at t=8.01"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            evolve_state(gen, PLUS, grid)
+
+    @pytest.mark.parametrize("name",["jc-delta-8", "callable-d3"])
     def test_states_meet_the_state_rules_and_are_checked_once(self, monkeypatch, name):
         # The block check applies check_states' rules to states that are
         # Hermitian with a real trace by construction, so the returned states
