@@ -23,7 +23,7 @@ import numpy as np
 from . import models
 from .dynamics import constant_generator, divisibility_report, flow_blocks
 from .exceptions import ConfigError, NumericalError
-from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory
+from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory, whole_steps
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
 SCHEMA_VERSION = 4
@@ -312,12 +312,11 @@ def _jc_params(cfg):
 
 
 def build_generator(cfg):
-    """The generator of a jc, semigroup or custom-file run, for divisibility and RK4."""
+    """The generator of a clamped jc or custom-file run, for RK4: the flows
+    and two-time maps of the other models are exact (see flow_method)."""
     values = cfg.values
     if cfg.model == "jc":
         return models.jc_generator(_jc_params(cfg), nonnegative_rate=values["clamp_rate"])
-    if cfg.model == "semigroup":
-        return models.semigroup_generator(1.0)
     if "generator_file" not in values:
         raise ConfigError("model custom-file needs key generator_file")
     return load_custom_generator(values["generator_file"])
@@ -333,9 +332,10 @@ def time_grid(cfg):
 
 
 def flow_method(cfg):
-    """How build_flow gets the flow: "exact" for the closed forms of the spin
-    bath, the semigroup and the unclamped jc model, "rk4" for the clamped jc
-    model and custom-file, whose flow is integrated."""
+    """How build_flow gets the flow, and cmd_divisibility its two-time maps:
+    "exact" for the closed forms of the spin bath, the semigroup and the
+    unclamped jc model, "rk4" for the clamped jc model and custom-file, whose
+    maps are integrated."""
     rk4 = cfg.model == "custom-file" or (cfg.model == "jc" and cfg.values["clamp_rate"])
     return "rk4" if rk4 else "exact"
 
@@ -578,14 +578,33 @@ def cmd_sweep(cfg):
     return 0
 
 
+def divisibility_grid(cfg):
+    """The grid_points intervals of [0, horizon]. Each must be a whole number
+    of steps (see make_time_grid), so that the interval ends lie on the grid
+    of rate, trajectory and measure at that step; otherwise the run is a
+    configuration error."""
+    span = cfg.horizon / cfg.values["grid_points"]
+    if not whole_steps(span, cfg.step):
+        raise ConfigError(f"interval length {span:g} (horizon over grid_points) is not a "
+                          f"whole number of steps {cfg.step:g}")
+    return np.linspace(0.0, cfg.horizon, cfg.values["grid_points"] + 1)
+
+
 def cmd_divisibility(cfg):
-    """Per-interval CP verdicts with least Choi eigenvalues."""
-    gen = build_generator(cfg)
-    grid = np.linspace(0.0, cfg.horizon, cfg.values["grid_points"] + 1)
-    report = divisibility_report(gen, grid, tol=cfg.values["cp_tol"], h=cfg.step)
+    """Per-interval CP verdicts with least Choi eigenvalues; each interval,
+    horizon/grid_points, must be a whole number of steps."""
+    grid = divisibility_grid(cfg)
+    tol = cfg.values["cp_tol"]
+    if flow_method(cfg) == "rk4":
+        report = divisibility_report(build_generator(cfg), grid, tol=tol, h=cfg.step)
+    elif cfg.model == "semigroup":
+        report = models.semigroup_divisibility(1.0, grid, tol)
+    else:
+        report = models.jc_divisibility(_jc_params(cfg), grid, tol)
     header = ["t_start", "t_end", "is_cp", "least_choi_eigenvalue"]
     rows = report.intervals  # IntervalVerdict tuples, in header order
-    payload = {"flow": "rk4", "divisible": report.divisible, "intervals": Records(header, rows)}
+    payload = {"flow": flow_method(cfg), "divisible": report.divisible,
+               "intervals": Records(header, rows)}
     write_output(cfg, header, rows, payload)
     return 0
 
@@ -615,7 +634,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        sub.add_parser(name, help=fn.__doc__, parents=[flags])
+        sub.add_parser(name, help=fn.__doc__, description=fn.__doc__, parents=[flags])
     return parser
 
 

@@ -364,24 +364,39 @@ def evolve_state(gen, rho0, t_grid):
 def _check_maps(s):
     """s, a map or a stack of maps (..., d^2, d^2), as a complex array, and d.
     Raises ValueError unless s has that shape and finite entries, and
-    InvariantViolation unless every map preserves trace and Hermiticity."""
+    InvariantViolation unless every map preserves trace and Hermiticity to
+    PROPAGATOR_TOL; where the largest entry times the machine epsilon
+    exceeds that tolerance, the message says that the map's scale is beyond
+    double-precision resolution instead."""
     s = np.asarray(s, dtype=complex)
     d = math.isqrt(s.shape[-1]) if s.ndim >= 2 else 0
     if s.ndim < 2 or s.shape[-2] != s.shape[-1] or d * d != s.shape[-1] or s.size == 0:
         raise ValueError(f"expected a (d^2, d^2) map or a stack of them, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("map has non-finite entries")
+
+    def refuse(what, defect):
+        # Entries so large that their rounding alone exceeds the tolerance
+        # leave the defect unresolved: it says nothing of the generator.
+        scale = np.max(np.abs(s))
+        if scale * np.finfo(float).eps > PROPAGATOR_TOL:
+            raise InvariantViolation(
+                f"propagator entries reach {scale:.3e}, a scale beyond double-precision "
+                f"resolution: its {what} defect {defect:.3e} cannot be checked to "
+                f"{PROPAGATOR_TOL:.0e}")
+        raise InvariantViolation(f"propagator not {what} preserving: defect {defect:.3e}")
+
     # Trace preservation: the adjoint must fix vec(identity).
     w = np.eye(d, dtype=complex).reshape(-1)
     tp_defect = np.max(np.abs(w @ s - w))
     if tp_defect > PROPAGATOR_TOL:
-        raise InvariantViolation(f"propagator not trace preserving: defect {tp_defect:.3e}")
+        refuse("trace", tp_defect)
     # Hermiticity preservation, entrywise: S[(i,j),(k,l)] = conj(S[(j,i),(l,k)]);
     # s5[g, j, i, l, k] = S[(i,j),(k,l)].
     s5 = s.reshape(-1, d, d, d, d)
     hp_defect = np.max(np.abs(s5 - s5.transpose(0, 2, 1, 4, 3).conj()))
     if hp_defect > PROPAGATOR_TOL:
-        raise InvariantViolation(f"propagator not Hermiticity preserving: defect {hp_defect:.3e}")
+        refuse("Hermiticity", hp_defect)
     return s, d
 
 
@@ -478,6 +493,15 @@ class IntervalVerdict(NamedTuple):
 class DivisibilityReport(NamedTuple):
     intervals: List[IntervalVerdict]
 
+    @classmethod
+    def of(cls, grid, least, tol):
+        """The report of the grid's intervals whose maps have the least Choi
+        eigenvalues least: an interval is CP where its eigenvalue is >= -tol."""
+        _check_cp_tol(tol)
+        times, least = np.asarray(grid).tolist(), np.asarray(least)
+        return cls(list(map(IntervalVerdict, times, times[1:], (least >= -tol).tolist(),
+                            least.tolist())))
+
     @property
     def divisible(self):
         return all(v.is_cp for v in self.intervals)
@@ -518,23 +542,21 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     n, step = _substeps(span, span / 100.0 if h is None else h)
     compiled = _CompiledGenerator(gen)
 
-    def verdicts(a, b):
-        return is_cp(_interval_maps(compiled, t[a:b], step[a:b], n[a]), tol)
+    def least(a, b):
+        return is_cp(_interval_maps(compiled, t[a:b], step[a:b], n[a]), tol)[1]
 
     groups = []
     for a, b in _lockstep_groups(n, gen.dim):
         try:
-            groups.append(verdicts(a, b))
+            groups.append(least(a, b))
         except (NumericalError, ValueError):
             for k in range(a, b):
                 try:
-                    groups.append(verdicts(k, k + 1))
+                    groups.append(least(k, k + 1))
                 except (NumericalError, ValueError) as exc:
                     # Name the interval in place: rebuilding the exception would
                     # need its constructor's signature, and its type sets the
                     # exit code.
                     exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
                     raise
-    ok, least = (np.concatenate(column).tolist() for column in zip(*groups))
-    times = t.tolist()
-    return DivisibilityReport(list(map(IntervalVerdict, times, times[1:], ok, least)))
+    return DivisibilityReport.of(t, np.concatenate(groups), tol)

@@ -82,6 +82,13 @@ def trajectory_from_values(times, d_values):
     return TrajectoryGrid(times=t, d_values=d, sigma_values=np.gradient(d, h, edge_order=2))
 
 
+def whole_steps(length, step):
+    """Whether a positive length is a whole number of steps, to a relative
+    1e-9; a step count that overflows is not."""
+    n = length / step
+    return n < math.inf and abs(round(n) * step - length) <= 1e-9 * length
+
+
 def make_time_grid(horizon, step):
     """The uniform grid 0, step, ..., horizon, which must end at the horizon:
     a whole number of steps, to a relative 1e-9, at least 10 and at most
@@ -93,7 +100,7 @@ def make_time_grid(horizon, step):
     if horizon / step > MAX_GRID_STEPS:
         raise ValueError(f"horizon {horizon:.10g} over step {step:.10g} is {horizon / step:.10g} "
                          f"grid steps, more than {MAX_GRID_STEPS}")
-    if not abs(round(horizon / step) * step - horizon) <= 1e-9 * horizon:
+    if not whole_steps(horizon, step):
         raise ValueError(f"horizon {horizon:g} is not a whole number of steps {step:g}")
     n = int(round(horizon / step))
     if n < 10:

@@ -7,7 +7,9 @@ goes negative at large detuning; its integral Gamma(t) = -2 ln|G(t)| stays
 nonnegative, so the full map remains CP. That map is amplitude damping with
 coherence factor |G(t)|, which jc_flow gives exactly on a time grid, also
 across the zeros of G where the rate has poles; semigroup_flow is the case
-of a constant rate.
+of a constant rate. The two-time maps Phi(t_b, t_a) are amplitude damping
+too, with factor |G(t_b)/G(t_a)|: jc_divisibility and semigroup_divisibility
+give their CP verdicts in closed form.
 
 Central spin dephasing in a bath of N spins (maximally mixed bath):
 populations are frozen and coherences are multiplied by f(t) = cos^N(2At),
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .dynamics import STEP_BLOCK, GeneratorSpec
+from .dynamics import STEP_BLOCK, DivisibilityReport, GeneratorSpec
 from .exceptions import NumericalError
 from .states import SIGMA_MINUS
 
@@ -130,6 +132,38 @@ def jc_flow(params, times):
     return _phase_covariant_flow(times, lambda t: np.abs(jc_amplitude(params, t)), damped=True)
 
 
+def _damping_divisibility(start, end, grid, tol):
+    """The DivisibilityReport (see dynamics.divisibility_report) of
+    amplitude damping on the grid's intervals [t_a, t_b], from its
+    coherence factors start = c(t_a) and end = c(t_b). Phi(t_b, t_a) is
+    amplitude damping with factor r = c_b / c_a, whose Choi spectrum is 0,
+    0, 1 + r^2 and 1 - r^2, so its least eigenvalue is min(0, 1 - r^2).
+    Only c_a is divided by, never the population factor c_a^2, which
+    underflows long before c_a does.
+
+    Raises NumericalError naming the first interval whose map is undefined,
+    c_a <= AMPLITUDE_FLOOR as in jc_rate, or whose eigenvalue is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = end / start
+        least = np.minimum(0.0, 1.0 - r * r)
+    start = np.broadcast_to(start, least.shape)
+    undefined = ~(start > AMPLITUDE_FLOOR)
+    bad = undefined | ~np.isfinite(least)
+    if bad.any():
+        k = int(np.argmax(bad))
+        why = (f"undefined: the coherence factor at t={grid[k]} is {start[k]:.3g}, at most "
+               f"{AMPLITUDE_FLOOR:.0e}" if undefined[k] else "not finite")
+        raise NumericalError(f"interval {k} [{grid[k]}, {grid[k + 1]}]: two-time map {why}")
+    return DivisibilityReport.of(grid, least, tol)
+
+
+def jc_divisibility(params, grid, tol):
+    """The exact DivisibilityReport of jc_generator(params) on the grid's
+    intervals: coherence factors |G(t)| (see _damping_divisibility)."""
+    c = np.abs(jc_amplitude(params, np.asarray(grid, dtype=float)))
+    return _damping_divisibility(c[:-1], c[1:], grid, tol)
+
+
 class SpinBathParams:
     """Central-spin model: coupling A (inverse time) and bath size N."""
 
@@ -202,3 +236,14 @@ def semigroup_flow(gamma0, times):
     if gamma0 < 0:
         raise ValueError(f"semigroup rate must be nonnegative, got {gamma0}")
     return _phase_covariant_flow(times, lambda t: np.exp(-0.5 * gamma0 * t), damped=True)
+
+
+def semigroup_divisibility(gamma0, grid, tol):
+    """The exact DivisibilityReport of semigroup_generator(gamma0) on the
+    grid's intervals. The semigroup is time-homogeneous, Phi(t_b, t_a) =
+    Phi(t_b - t_a, 0), so its factor is exp(-gamma0 (t_b - t_a) / 2) and no
+    flow value at t_a is divided by: that would fail where the flow
+    underflows (see _damping_divisibility)."""
+    if gamma0 < 0:
+        raise ValueError(f"semigroup rate must be nonnegative, got {gamma0}")
+    return _damping_divisibility(1.0, np.exp(-0.5 * gamma0 * np.diff(grid)), grid, tol)

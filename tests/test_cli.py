@@ -260,10 +260,30 @@ class TestConfigHandling:
         assert "horizon 4 is not a whole number of steps 0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [["jc"], ["jc", "--clamp-rate"], ["semigroup"]])
+    def test_divisibility_interval_off_the_step_grid_is_exit_2(self, tmp_path, capsys, model):
+        # --step is the grid step of every model's divisibility, exact or RK4:
+        # each interval horizon/grid_points must be a whole number of steps.
+        out = tmp_path / "d.csv"
+        assert run("divisibility", "--model", *model, "--horizon", "1", "--grid-points", "3",
+                   "--step", "0.1", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "nmflow: config error: interval length 0.333333 (horizon over grid_points) is not "
+            "a whole number of steps 0.1\n")
+        assert not out.exists()
+        assert run("divisibility", "--model", *model, "--horizon", "1", "--grid-points", "4",
+                   "--step", "0.05", "--output", str(out)) == 0
+
+    def test_divisibility_help_states_the_step_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            run("divisibility", "--help")
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "horizon/grid_points, must be a whole number of steps" in help_text
+
     @pytest.mark.parametrize("argv, message", [
         # A step count beyond int64 would wrap to -2^63 and return the identity.
-        (["divisibility", "--model", "semigroup", "--horizon", "1e20", "--grid-points", "2",
-          "--step", "1e-3", "--format", "json"],
+        (["divisibility", "--model", "jc", "--clamp-rate", "--horizon", "1e20",
+          "--grid-points", "2", "--step", "1e-3", "--format", "json"],
          "interval length 5e+19 over step 0.001 needs more RK4 steps than an int64 count holds"),
         (["rate", "--model", "jc", "--horizon", "1e300", "--step", "1e-300"],
          "horizon 1e+300 over step 1e-300 is not a finite step count"),
@@ -756,6 +776,47 @@ class TestNumericalFailure:
         assert capsys.readouterr().err == f"nmflow: numerical failure: {where}{message}\n"
         assert not (tmp_path / "out.json").exists()
 
+    def test_map_beyond_double_precision_is_named_so(self, tmp_path, capsys):
+        # The sigma_minus rate -50 over [0, 10]: the map is finite, of scale
+        # e^500, so its rounding alone makes a trace defect of order 1.
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        gen_file.write_text(json.dumps({
+            "hamiltonian": {"re": zeros, "im": zeros},
+            "channels": [{"operator": {"re": [[0.0, 0.0], [1.0, 0.0]], "im": zeros},
+                          "rate": -50.0}],
+        }))
+        assert run("divisibility", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--horizon", "20", "--grid-points", "2", "--step", "1e-2",
+                   "--output", str(tmp_path / "d.csv")) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"nmflow: numerical failure: interval 0 \[0.0, 10.0\]: propagator entries reach "
+            r"\d\.\d{3}e\+21\d, a scale beyond double-precision resolution: its trace defect "
+            r"\S+ cannot be checked to 1e-08\n", err), err
+
+    def test_undefined_two_time_map_is_exit_3(self, tmp_path, capsys):
+        # |G| falls below AMPLITUDE_FLOOR = 1e-300 at about t = 1380
+        # (gamma0 = 5 on resonance).
+        out = tmp_path / "d.csv"
+        assert run("divisibility", "--model", "jc", "--gamma0", "5", "--horizon", "1500",
+                   "--grid-points", "15", "--step", "1", "--output", str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            "nmflow: numerical failure: interval 14 [1400.0, 1500.0]: two-time map undefined")
+        assert not out.exists()
+
+    def test_weak_coupling_past_the_underflow_of_the_population_is_cp(self, tmp_path):
+        # gamma0 = 0.4 on resonance: |G|^2 is subnormal for t in about
+        # [1281, 1348] and 0 past it, |G| stays above AMPLITUDE_FLOOR, and
+        # every map contracts: its least Choi eigenvalue is exactly 0.
+        out = tmp_path / "d.json"
+        assert run("divisibility", "--model", "jc", "--gamma0", "0.4", "--horizon", "1400",
+                   "--grid-points", "140", "--step", "1e-2", "--format", "json",
+                   "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["divisible"]
+        assert {iv["least_choi_eigenvalue"] for iv in payload["intervals"]} == {0.0}
+
     # The clamped jc rate at strong coupling, integrated by RK4 on a coarse
     # grid across the poles of the unclamped rate, which that step cannot
     # resolve: the step bound refuses it.
@@ -778,11 +839,11 @@ class TestNumericalFailure:
         assert rows[1][5] == "" and math.isfinite(rows[1][3])
 
     # gamma0 = 5 lambda on resonance, where the rate has poles at the zeros
-    # of G: the clamped RK4 measure and the RK4 divisibility used to exit 0.
+    # of G: the clamped RK4 measure and divisibility used to exit 0.
     @pytest.mark.parametrize("argv, message", [
         (["measure", "--clamp-rate"], "step 0.001 cannot resolve the generator at t=1.26: "
                                       "h*||K|| = 1.18 > 1"),
-        (["divisibility", "--grid-points", "40"],
+        (["divisibility", "--clamp-rate", "--grid-points", "40"],
          "interval 2 [1.0, 1.5]: step 0.001 cannot resolve the generator at t=1.26: "
          "h*||K|| = 1.18 > 1"),
     ])
@@ -817,6 +878,20 @@ class TestStrongCoupling:
         assert payload["best_pair"]["label"] == "canonical-x"
         assert payload["failures"] == []
         assert abs(payload["n_value"] - n_x) <= 1e-13
+
+    def test_divisibility_is_the_closed_form(self, tmp_path):
+        # Phi(b, a) is amplitude damping with factor |G(b)/G(a)|, its least
+        # Choi eigenvalue min(0, 1 - |G(b)/G(a)|^2), large near the zeros of G.
+        out = tmp_path / "d.json"
+        assert run("divisibility", *self.ARGS, "--grid-points", "40", "--format", "json",
+                   "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["flow"] == "exact"
+        least = np.array([iv["least_choi_eigenvalue"] for iv in payload["intervals"]])
+        g2 = self.abs_g(np.linspace(0.0, 20.0, 41)) ** 2
+        ref = np.minimum(0.0, 1.0 - g2[1:] / g2[:-1])
+        assert np.all(np.abs(least - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert ref.min() < -1.0 and not payload["divisible"]
 
     def test_trajectory_of_the_x_pair_is_abs_g(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -886,10 +961,11 @@ class TestDivisibility:
 
 
 class TestFlowMethod:
-    """Every command that evolves a pair names its flow in JSON: the closed
-    forms of the spin bath, the semigroup and the unclamped jc model are
-    "exact", the clamped jc model and custom-file integrate RK4
-    (dynamics.flow_blocks), and divisibility always integrates."""
+    """Every command that evolves a pair, and divisibility, names its flow in
+    JSON: the closed forms of the spin bath, the semigroup and the unclamped
+    jc model are "exact", the clamped jc model and custom-file integrate RK4
+    (dynamics.flow_blocks, and dynamics.divisibility_report for two-time
+    maps)."""
 
     @pytest.mark.parametrize("argv, flow", [
         ("trajectory --model jc --delta 5", "exact"),
@@ -902,16 +978,19 @@ class TestFlowMethod:
         ("measure --model custom-file --n-pairs 2", "rk4"),
         ("sweep --model jc --delta-points 2 --n-pairs 2", "exact"),
         ("sweep --model jc --delta-points 2 --n-pairs 2 --clamp-rate", "rk4"),
-        ("divisibility --model jc --delta 5 --grid-points 2", "rk4"),
-        ("divisibility --model semigroup --grid-points 2", "rk4"),
+        ("divisibility --model jc --delta 5 --grid-points 2", "exact"),
+        ("divisibility --model jc --delta 5 --grid-points 2 --clamp-rate", "rk4"),
+        ("divisibility --model semigroup --grid-points 2", "exact"),
+        ("divisibility --model custom-file --grid-points 2", "rk4"),
     ])
     def test_json_names_the_flow_it_used(self, tmp_path, monkeypatch, argv, flow):
         import nmflow.cli
 
         integrated = []
-        flow_blocks = nmflow.cli.flow_blocks
-        monkeypatch.setattr(nmflow.cli, "flow_blocks",
-                            lambda *args: integrated.append(1) or flow_blocks(*args))
+        for name in ("flow_blocks", "divisibility_report"):
+            integrator = getattr(nmflow.cli, name)
+            monkeypatch.setattr(nmflow.cli, name, lambda *args, integrator=integrator, **kw:
+                                integrated.append(1) or integrator(*args, **kw))
         gen_file = tmp_path / "gen.json"
         zeros = [[0.0, 0.0], [0.0, 0.0]]
         gen_file.write_text(json.dumps({
@@ -925,8 +1004,7 @@ class TestFlowMethod:
                    "--format", "json", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == 4 and payload["flow"] == flow
-        if not argv.startswith("divisibility"):
-            assert bool(integrated) == (flow == "rk4")
+        assert bool(integrated) == (flow == "rk4")
 
 
 def _same_cell(csv_cell, json_cell):

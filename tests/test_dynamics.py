@@ -226,6 +226,14 @@ class TestPropagator:
         with pytest.raises(InvariantViolation, match="^propagator not trace preserving"):
             propagator_between(semigroup_generator(1.0), 0.0, 1.0, 1e-2)
 
+    def test_map_beyond_double_precision_is_named_so(self):
+        # At 1e9 the rounding of the entries alone exceeds PROPAGATOR_TOL.
+        with pytest.raises(InvariantViolation, match=r"^propagator entries reach 1.000e\+09, a "
+                           "scale beyond double-precision resolution: its trace defect"):
+            is_cp(1e9 * np.eye(4))
+        with pytest.raises(InvariantViolation, match="^propagator not trace preserving"):
+            is_cp(1e7 * np.eye(4))
+
     def test_step_count_beyond_int64_is_refused(self):
         # 1e23 steps: the cast to an int64 count would wrap to -2^63, run no
         # step and return the identity.

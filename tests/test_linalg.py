@@ -61,7 +61,9 @@ def test_solver_failure_is_convergence_error(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceError, match="did not converge"):
         hermitian_eigenvalues(np.eye(3))
     # A LinAlgError is a ValueError; the CLI must still report exit 3, not 2.
-    assert main(["divisibility", "--model", "semigroup", "--horizon", "1",
+    # The clamped jc model's two-time maps are integrated and scored by the
+    # Choi eigensolve.
+    assert main(["divisibility", "--model", "jc", "--clamp-rate", "--horizon", "1",
                  "--grid-points", "2", "--step", "0.01",
                  "--output", str(tmp_path / "div.csv")]) == 3
 

@@ -3,17 +3,26 @@ import pytest
 
 from oracles import spin_bath_coherence_factor, state_rng, volterra_amplitude
 
-from nmflow.dynamics import STEP_BLOCK, evolve_state, propagator_grid
+from nmflow.dynamics import (
+    STEP_BLOCK,
+    divisibility_report,
+    evolve_state,
+    is_cp,
+    propagator_grid,
+)
 from nmflow.exceptions import NumericalError
 from nmflow.measure import _pair_operator, canonical_pairs, make_time_grid, search_pairs, trajectory
 from nmflow.models import (
     JCParams,
     SpinBathParams,
+    _damping_divisibility,
     jc_amplitude,
     jc_decay_exponent,
+    jc_divisibility,
     jc_flow,
     jc_generator,
     jc_rate,
+    semigroup_divisibility,
     semigroup_flow,
     semigroup_generator,
     spinbath_f,
@@ -289,6 +298,120 @@ class TestExactFlow:
         d = trajectory(jc_flow(params, times), x_pair, times).d_values
         assert np.max(np.abs(d - np.abs(jc_amplitude(params, times)))) <= 1e-15
         assert search_pairs(jc_flow(params, times), 20, times).failures == []
+
+
+def _flow(stream):
+    return np.concatenate([block for _, block in stream])
+
+
+def _damping_blocks(c):
+    """The column-stacked amplitude-damping maps with coherence factors c,
+    in the layout of the exact flows."""
+    p = c * c
+    block = np.zeros((np.size(c), 4, 4), dtype=complex)
+    block[:, 0, 0], block[:, 3, 0], block[:, 3, 3] = p, 1.0 - p, 1.0
+    block[:, 1, 1] = block[:, 2, 2] = c
+    return block
+
+
+class TestExactDivisibility:
+    """The closed-form two-time verdicts of jc and the semigroup against the
+    integrated maps and the Choi test of nmflow.dynamics. The tolerances were
+    fixed before the code."""
+
+    def test_flow_blocks_are_amplitude_damping(self):
+        params = JCParams(gamma0=0.01, delta=8.0)
+        times = make_time_grid(10.0, 1e-3)
+        for stream, c in ((jc_flow(params, times), np.abs(jc_amplitude(params, times))),
+                          (semigroup_flow(1.0, times), np.exp(-0.5 * 1.0 * times))):
+            assert np.array_equal(_flow(stream), _damping_blocks(c))
+
+    def test_closed_form_least_eigenvalue_matches_is_cp(self):
+        # Factors past 1 are the non-CP maps of a rising |G|.
+        r = np.random.default_rng(27).uniform(0.0, 1.5, 2000)
+        grid = np.arange(2001.0)
+        report = _damping_divisibility(1.0, r, grid, 1e-7)
+        ok, least = is_cp(_damping_blocks(r), 1e-7)
+        got = np.array([iv.least_choi_eigenvalue for iv in report.intervals])
+        assert np.max(np.abs(got - least)) <= 1e-14
+        assert [iv.is_cp for iv in report.intervals] == ok.tolist()
+        assert not all(ok)
+
+    @pytest.mark.parametrize("model", ["jc", "semigroup"])
+    def test_exact_verdicts_match_rk4(self, model):
+        if model == "jc":
+            params = JCParams(gamma0=0.01, delta=5.0)
+            grid = np.linspace(0.0, 12.0, 601)
+            gen, exact = jc_generator(params), jc_divisibility(params, grid, 1e-7)
+        else:
+            grid = np.linspace(0.0, 5.0, 51)
+            gen, exact = semigroup_generator(1.0), semigroup_divisibility(1.0, grid, 1e-7)
+        rk4 = divisibility_report(gen, grid, tol=1e-7, h=1e-3).intervals
+        assert [iv[:3] for iv in exact.intervals] == [iv[:3] for iv in rk4]
+        least = np.array([[a.least_choi_eigenvalue, b.least_choi_eigenvalue]
+                          for a, b in zip(exact.intervals, rk4)])
+        assert np.max(np.abs(least[:, 0] - least[:, 1])) <= 1e-12
+        if model == "jc":
+            assert not exact.divisible
+
+    def test_two_time_maps_compose_to_the_flow(self):
+        # Phi(b, a) Phi(a, 0) = Phi(b, 0) on every interval of the jc grid,
+        # with Phi(b, a) amplitude damping of factor |G(b)| / |G(a)|.
+        params = JCParams(gamma0=0.01, delta=5.0)
+        grid = np.linspace(0.0, 12.0, 601)
+        flow = _flow(jc_flow(params, grid))
+        c = np.abs(jc_amplitude(params, grid))
+        composed = _damping_blocks(c[1:] / c[:-1]) @ flow[:-1]
+        assert np.max(np.abs(composed - flow[1:])) <= 1e-14
+
+    def test_weak_coupling_past_the_underflow_of_the_population(self):
+        # gamma0 = 0.4 on resonance: |G|^2 is subnormal for t in about
+        # [1281, 1348] and 0 past about 1350, but |G| stays above
+        # AMPLITUDE_FLOOR; every map contracts, as RK4 finds.
+        params = JCParams(gamma0=0.4, delta=0.0)
+        grid = np.linspace(1200.0, 1400.0, 21)
+        assert np.abs(jc_amplitude(params, 1300.0)) ** 2 < np.finfo(float).tiny
+        exact = jc_divisibility(params, grid, 1e-7)
+        rk4 = divisibility_report(jc_generator(params), grid, tol=1e-7, h=1e-2)
+        assert exact.divisible and rk4.divisible
+        least = np.array([[a.least_choi_eigenvalue, b.least_choi_eigenvalue]
+                          for a, b in zip(exact.intervals, rk4.intervals)])
+        assert np.max(np.abs(least[:, 0] - least[:, 1])) <= 1e-12
+
+    def test_semigroup_maps_come_from_the_interval_length(self):
+        # Time-homogeneous: past t = 745, where the flow's population factor
+        # underflows to 0, the two-time maps are still those of the length.
+        grid = np.linspace(0.0, 3000.0, 4)
+        report = semigroup_divisibility(1.0, grid, 1e-7)
+        assert report.divisible
+        assert [iv.least_choi_eigenvalue for iv in report.intervals] == [0.0] * 3
+
+    def test_undefined_two_time_map_names_its_interval(self):
+        # gamma0 = 5 on resonance: |G(t)| ~ exp(-t/2) falls below
+        # AMPLITUDE_FLOOR = 1e-300 at about t = 1380.
+        params = JCParams(gamma0=5.0, delta=0.0)
+        grid = np.linspace(0.0, 1500.0, 16)
+        with pytest.raises(NumericalError, match=r"^interval 14 \[1400.0, 1500.0\]: two-time map "
+                           r"undefined: the coherence factor at t=1400.0 is \d.\d+e-30\d, "
+                           r"at most 1e-300$"):
+            jc_divisibility(params, grid, 1e-7)
+
+    @pytest.mark.parametrize("end", [np.nan, np.inf, 1.0])
+    def test_non_finite_eigenvalue_is_refused(self, end):
+        # 1 / 1e-200 squared overflows.
+        grid = np.linspace(0.0, 1.0, 4)
+        start = np.array([1.0, 1e-200 if end == 1.0 else 1.0, 1.0])
+        with pytest.raises(NumericalError, match=r"^interval 1 \[0.333\d*, 0.666\d*\]: "
+                           "two-time map not finite$"):
+            _damping_divisibility(start, np.array([1.0, end, 1.0]), grid, 1e-7)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        grid = np.linspace(0.0, 1.0, 4)
+        for report in (lambda: jc_divisibility(JCParams(), grid, tol),
+                       lambda: semigroup_divisibility(1.0, grid, tol)):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                report()
 
 
 class TestParamValidation:
