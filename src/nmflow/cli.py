@@ -515,10 +515,11 @@ def cmd_rate(cfg):
 def cmd_trajectory(cfg):
     """Columns t, D, sigma for one initial pair."""
     times = time_grid(cfg)
-    # A canonical pair takes the dimension of the flow's first block.
-    k0, first = next(flow := build_flow(cfg, times))
+    # A canonical pair takes the first block's dimension; an exact flow is reread.
+    k0, first = next(rest := iter(flow := build_flow(cfg, times)))
     pair = resolve_pair(cfg, math.isqrt(first.shape[-1]))
-    traj = trajectory(itertools.chain([(k0, first)], flow), pair, times)
+    flow = itertools.chain([(k0, first)], rest) if rest is flow else flow
+    traj = trajectory(flow, pair, times)
     header = [TIME_COLUMN[cfg.model], "trace_distance", "sigma"]
     rows = list(zip(traj.times.tolist(), traj.d_values.tolist(), traj.sigma_values.tolist()))
     write_output(cfg, header, rows,

@@ -3,9 +3,9 @@ non-Markovianity functional of a dynamical map.
 
 The map enters only as its flow Phi(t_k, 0) on a uniform time grid, acting
 on column-stacked density matrices, however it was obtained (RK4 integration
-of a generator or a closed form): an array of shape (T, d^2, d^2), or a
+of a generator or a closed form): an array of shape (T, d^2, d^2), a
 stream of (k0, block) pairs that tile the grid in order, such as
-dynamics.flow_blocks, read once.
+dynamics.flow_blocks, read once, or a models.PhaseCovariantFlow.
 
 The measure is the total rise of the trace distance D, the integral of its
 derivative sigma over sigma > 0, maximized over pairs of initial states. On
@@ -15,9 +15,9 @@ optimal pair is orthogonal, so the maximization is a deterministic seeded
 random search over pair differences (see _directions), drawn from a
 counter-based SplitMix64 stream, with the two canonical qubit pairs always
 evaluated first, so known maximizers are never missed. For qubits a search
-evaluates D only at the ends of the steps whose map can expand some pair
-difference (see _growth_steps), where information can flow back; for d > 2
-at every grid point. Everything is truncated at a finite horizon; a run
+evaluates D only at the ends of the steps across which it can rise, where
+information can flow back (see _evaluated_columns); for d > 2 at every
+grid point. Everything is truncated at a finite horizon; a run
 whose last interval still contributes more than 0.5 is flagged as diverging.
 """
 import math
@@ -28,6 +28,7 @@ import numpy as np
 from .dynamics import _check_uniform_grid
 from .exceptions import InvariantViolation, NumericalError
 from .linalg import _eigvalsh, hermitian_eigenvalues
+from .models import PhaseCovariantFlow
 from .states import DensityMatrix, StatePair
 
 D_VALUE_TOL = 1e-10
@@ -47,8 +48,15 @@ PAIR_BLOCK = 100_000
 # A qubit step is skipped unless it may raise D (see _growth_steps).
 GROWTH_MARGIN = 1e-13
 TRACE_ROW_TOL = 1e-12
+# Grid points per slice of an exact flow's (c, p): slices of 1024 made the
+# searches of the README sweep about a third slower.
+FACTOR_SLICE = 4096
 # Columns: the column-stacked Pauli matrices I, X, Y, Z.
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]).T
+
+
+class _PhaseCovariantMap(np.ndarray):
+    """The _pair_operator op of a models.PhaseCovariantFlow (see _rising_steps)."""
 
 
 class TrajectoryGrid:
@@ -143,7 +151,14 @@ def _pair_operator(flow, t):
     an array or a stream (see _blocks), read once, in order. For qubits op is
     the real Pauli map M(t) = B^dag Phi(t) B / 2 on traceless inputs, stored
     (4, 3, t), so that the flow itself is never held; for d > 2 the flow as
-    one (t d^2, d^2) matrix, a single block reshaped or several assembled."""
+    one (t d^2, d^2) matrix, a single block reshaped or several assembled.
+    A models.PhaseCovariantFlow on t times gives its (c, p) (see _rising_steps)."""
+    if isinstance(flow, PhaseCovariantFlow) and flow.times.size == t:
+        op = np.zeros((4, 3, t)).view(_PhaseCovariantMap)
+        for k0, c, p in flow.factors(FACTOR_SLICE):
+            op[1, 0, k0 : k0 + c.size] = op[2, 1, k0 : k0 + c.size] = c
+            op[3, 2, k0 : k0 + c.size] = p
+        return 2, op
     # M as one real (12, 32) matrix: row 3a + b, column 2(4i + j) (+ 1) is
     # the weight of the real (imaginary) part of Phi[i, j] in M[a, b].
     w = 0.5 * (_PAULI.conj()[:, None, :, None] * _PAULI[None, :, None, 1:]).reshape(16, 12)
@@ -197,14 +212,28 @@ def _growth_steps(op):
     return flags
 
 
+def _rising_steps(op):
+    """Flags of the steps k (t_k to t_{k+1}) where |c| or |p| rises or either
+    is not finite, for the op of an exact flow: c in rows (1, 0) and (2, 1), p
+    in row (3, 2), every other entry an exact 0. The products of _distances add
+    exact zeros, so D = sqrt(fl(x_1 c)^2 + fl(x_2 c)^2 + fl(x_3 p)^2); rounding
+    is monotone, so D cannot rise across an unflagged step: no margin needed."""
+    flags = np.empty(op.shape[-1] - 1, dtype=bool)
+    for k in range(0, flags.size, FACTOR_SLICE):
+        a = np.abs(op[(1, 3), (0, 2), k : k + FACTOR_SLICE + 1])
+        falls = (a[:, 1:] <= a[:, :-1]) & (a[:, :-1] < np.inf)  # False for NaN
+        flags[k : k + FACTOR_SLICE] = ~falls.all(axis=0)
+    return flags
+
+
 def _evaluated_columns(op, d, t):
     """Grid columns, of t, at which a search evaluates D: for qubits column 0,
-    so that no search is empty, and both ends of each step of _growth_steps
-    (see search_pairs); for d > 2 every column."""
+    so that no search is empty, and both ends of each step of _rising_steps
+    (exact flows) or _growth_steps (see search_pairs); for d > 2 every column."""
     if d > 2:
         return np.arange(t)
     keep = np.zeros(t, dtype=bool)
-    flags = _growth_steps(op)
+    flags = _rising_steps(op) if isinstance(op, _PhaseCovariantMap) else _growth_steps(op)
     keep[0] = True
     keep[:-1] |= flags
     keep[1:] |= flags
@@ -471,16 +500,17 @@ def search_pairs(flow, n_pairs, times, seed=0):
     and, if it is a sample, its states (see _direction_pair).
 
     D is evaluated on _evaluated_columns only: a rise of D needs a flagged
-    step, whose two ends are evaluated; across every other step D falls, so
-    that no rise spans unevaluated columns and the first D beyond 1 + 1e-8
-    is evaluated too. A pair's value is then its positive variation on the
-    whole grid (see _growth).
+    step, whose two ends are evaluated; across every other step D falls (see
+    _growth_steps and _rising_steps), so that no rise spans unevaluated
+    columns and the first D beyond 1 + 1e-8 is evaluated too. A pair's value
+    is then its positive variation on the whole grid (see _growth).
 
-    The flow is an array (T, d^2, d^2) or a stream of (k0, block) that tiles
-    the grid in order (see dynamics.flow_blocks). A stream is consumed: it
-    is read once, after every other argument has been checked, so that a bad
-    n_pairs, seed or grid is reported before a flow that blows up. For qubits
-    the search holds the Pauli map (96 B per grid point) rather than the flow.
+    The flow is an array (T, d^2, d^2), a stream of (k0, block) that tiles
+    the grid in order (see dynamics.flow_blocks) or a models.PhaseCovariantFlow,
+    refused on another grid as its stream is. A stream is consumed: it is read
+    once, after every other argument has been checked, so that a bad n_pairs,
+    seed or grid is reported before a flow that blows up. For qubits the
+    search holds the Pauli map (96 B per grid point) rather than the flow.
     """
     times = _search_grid(n_pairs, times, seed)
     dim, op = _pair_operator(flow, times.size)

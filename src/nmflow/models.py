@@ -14,7 +14,7 @@ give their CP verdicts in closed form.
 Central spin dephasing in a bath of N spins (maximally mixed bath):
 populations are frozen and coherences are multiplied by f(t) = cos^N(2At),
 which spinbath_flow gives exactly on a time grid. The three exact flows are
-one phase-covariant qubit map, streamed by _phase_covariant_flow.
+one phase-covariant qubit map, PhaseCovariantFlow.
 The formal rate A*N*tan(2At) is singular at 2At = pi/2 mod pi.
 """
 import math
@@ -104,32 +104,40 @@ def jc_generator(params, nonnegative_rate=False):
                          channels=[(SIGMA_MINUS, rate)])
 
 
-def _phase_covariant_flow(times, coherence, damped):
-    """Exact flow Phi(t_k, 0) of a phase-covariant qubit map on times, as a
-    stream of (k0, block) like dynamics.flow_blocks, of at most STEP_BLOCK
-    grid points per block. On column-stacked 2x2 matrices, index 0 the
-    excited level, both coherences are scaled by c = coherence(t) and the
-    excited population by p, the rest of it going to the ground level: p =
-    c^2 for amplitude damping (damped), where c = 0 is the full decay, not
-    an error, and p = 1 for pure dephasing. c is evaluated one block of
-    times at a time: the complex temporaries of |G| on the whole grid raised
-    the peak RSS of the README jc measure by about 1 MB."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    for k0 in range(0, times.size, STEP_BLOCK):
-        c = coherence(times[k0 : k0 + STEP_BLOCK])
-        p = c * c if damped else 1.0
-        block = np.zeros((c.size, 4, 4), dtype=complex)
-        block[:, 0, 0] = p
-        block[:, 1, 1] = block[:, 2, 2] = c
-        block[:, 3, 0] = 1.0 - p
-        block[:, 3, 3] = 1.0
-        yield k0, block
+class PhaseCovariantFlow:
+    """Exact flow Phi(t_k, 0) on times of a phase-covariant qubit map, Bloch
+    block diag(c, c, p): on column-stacked 2x2 matrices, index 0 the excited
+    level, both coherences scaled by c = coherence(t) and the excited
+    population by p, the rest going to the ground level; p = c^2 for
+    amplitude damping (damped), where c = 0 is the full decay, not an error,
+    and p = 1 for dephasing. Iterating it gives anew a stream of (k0, block)
+    like dynamics.flow_blocks, of at most STEP_BLOCK grid points per block."""
+
+    def __init__(self, times, coherence, damped):
+        self.times = np.atleast_1d(np.asarray(times, dtype=float))
+        self.coherence, self.damped = coherence, damped
+
+    def factors(self, size):
+        """(k0, c, p) of each block of at most size grid points: c on the whole
+        grid raised the peak RSS of the README jc measure by about 1 MB."""
+        for k0 in range(0, self.times.size, size):
+            c = self.coherence(self.times[k0 : k0 + size])
+            yield k0, c, (c * c if self.damped else 1.0)
+
+    def __iter__(self):
+        for k0, c, p in self.factors(STEP_BLOCK):
+            block = np.zeros((c.size, 4, 4), dtype=complex)
+            block[:, 0, 0] = p
+            block[:, 1, 1] = block[:, 2, 2] = c
+            block[:, 3, 0] = 1.0 - p
+            block[:, 3, 3] = 1.0
+            yield k0, block
 
 
 def jc_flow(params, times):
     """Exact flow of jc_generator(params) on times: amplitude damping with
-    coherence factor |G(t)| (see _phase_covariant_flow)."""
-    return _phase_covariant_flow(times, lambda t: np.abs(jc_amplitude(params, t)), damped=True)
+    coherence factor |G(t)| (see PhaseCovariantFlow)."""
+    return PhaseCovariantFlow(times, lambda t: np.abs(jc_amplitude(params, t)), damped=True)
 
 
 def _damping_divisibility(start, end, grid, tol):
@@ -195,8 +203,8 @@ def spinbath_trace_distance(params, a, b, t):
 
 def spinbath_flow(params, times):
     """Exact flow Phi(t_k, 0) = diag(1, f, f, 1) on times: populations
-    frozen, both coherences scaled by f(t_k) (see _phase_covariant_flow)."""
-    return _phase_covariant_flow(times, lambda t: spinbath_f(params, t), damped=False)
+    frozen, both coherences scaled by f(t_k) (see PhaseCovariantFlow)."""
+    return PhaseCovariantFlow(times, lambda t: spinbath_f(params, t), damped=False)
 
 
 def spinbath_pole_distance(params, t):
@@ -232,10 +240,10 @@ def semigroup_generator(gamma0):
 
 def semigroup_flow(gamma0, times):
     """Exact flow of semigroup_generator(gamma0) on times: amplitude damping
-    with coherence factor exp(-gamma0 t / 2) (see _phase_covariant_flow)."""
+    with coherence factor exp(-gamma0 t / 2) (see PhaseCovariantFlow)."""
     if gamma0 < 0:
         raise ValueError(f"semigroup rate must be nonnegative, got {gamma0}")
-    return _phase_covariant_flow(times, lambda t: np.exp(-0.5 * gamma0 * t), damped=True)
+    return PhaseCovariantFlow(times, lambda t: np.exp(-0.5 * gamma0 * t), damped=True)
 
 
 def semigroup_divisibility(gamma0, grid, tol):

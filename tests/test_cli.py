@@ -481,6 +481,16 @@ class TestTrajectory:
         for row in rows[::500]:
             assert row[1] == pytest.approx(np.exp(-row[0]), abs=1e-7)
 
+    def test_exact_flow_is_read_through_its_factors(self, tmp_path):
+        # The z pair under the semigroup's (c, p) is D = p = c^2 to the bit,
+        # c = exp(-t/2); the Pauli map of its blocks differs from p by rounding.
+        out = tmp_path / "traj.csv"
+        assert run("trajectory", "--model", "semigroup", "--pair", "z",
+                   "--horizon", "5", "--step", "0.001", "--output", str(out)) == 0
+        _, rows = read_csv_grid(str(out))
+        times, d_values = np.array([row[:2] for row in rows]).T
+        assert np.array_equal(d_values, np.exp(-0.5 * times) ** 2)
+
     def test_pair_bloch_flag(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert run("trajectory", "--model", "semigroup",
@@ -774,6 +784,25 @@ class TestNumericalFailure:
         assert code == 3
         where = "interval 0 [0.0, 20.0]: " if command == "divisibility" else ""
         assert capsys.readouterr().err == f"nmflow: numerical failure: {where}{message}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_nan_coherence_is_exit_3_as_on_the_blocks(self, tmp_path, capsys, monkeypatch):
+        # A spin-bath coherence spoiled at t = 2: every pair fails there, on
+        # the exact flow's (c, p) as on the array of its blocks.
+        f, build = spinbath_f, cli.build_flow
+        monkeypatch.setattr("nmflow.models.spinbath_f",
+                            lambda params, t: np.where(abs(t - 2.0) < 1e-9, np.nan, f(params, t)))
+        argv = ("measure", "--model", "spinbath", "--n-spins", "3", "--horizon", "5",
+                "--step", "1e-2", "--output", str(tmp_path / "out.json"))
+        assert run(*argv) == 3
+        exact = capsys.readouterr().err
+        monkeypatch.setattr(cli, "build_flow", lambda cfg, times: np.concatenate(
+            [block for _, block in build(cfg, times)]))
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == exact
+        assert exact.startswith("nmflow: numerical failure: all pair evaluations failed; first "
+                                "failure: canonical-z: trace distance nan exceeds 1 or is not "
+                                "finite at t=2 ")
         assert not (tmp_path / "out.json").exists()
 
     def test_map_beyond_double_precision_is_named_so(self, tmp_path, capsys):

@@ -35,6 +35,7 @@ from nmflow.measure import (
     _normals,
     _pair_operator,
     _pair_values,
+    _rising_steps,
     _splitmix64,
     canonical_pairs,
     growth_intervals,
@@ -48,12 +49,15 @@ from nmflow.measure import (
 )
 from nmflow.models import (
     JCParams,
+    PhaseCovariantFlow,
     SpinBathParams,
     jc_amplitude,
     jc_flow,
     jc_generator,
     jc_rate,
+    semigroup_flow,
     semigroup_generator,
+    spinbath_f,
     spinbath_flow,
     spinbath_trace_distance,
 )
@@ -857,6 +861,21 @@ def bloch_block_oracle(flow):
     return np.linalg.eigvalsh(q[1:] - q[:-1])[:, -1], np.maximum(tr[1:], tr[:-1])
 
 
+def blocks_of(flow):
+    """The blocks of an exact flow's stream, as one array."""
+    return np.concatenate([block for _, block in flow])
+
+
+# (flow on times, |c| on times) of exact flows.
+EXACT_COHERENCES = {
+    **{f"jc-delta-{delta:g}": (lambda times, p=JCParams(delta=delta): jc_flow(p, times),
+                               lambda times, p=JCParams(delta=delta): jc_amplitude(p, times))
+       for delta in (0.0, 5.0, 8.0, 10.0)},
+    **{f"spinbath-{n}": (lambda times, p=SpinBathParams(1.0, n): spinbath_flow(p, times),
+                         lambda times, p=SpinBathParams(1.0, n): spinbath_f(p, times))
+       for n in (1, 3, 20)},
+}
+
 WINDOW_CASES = {
     "jc-delta-8": lambda times: propagator_grid(jc_generator(JCParams(delta=8.0)), times),
     "dephasing": lambda times: propagator_grid(GeneratorSpec(2, np.zeros((2, 2)), [
@@ -885,10 +904,68 @@ class TestWindowedSearch:
 
     def test_a_direction_that_never_contracts_flags_every_step(self):
         # The spin bath leaves the z Bloch component alone: dQ_k has a zero
-        # eigenvalue at every step, so no step is skipped.
+        # eigenvalue at every step, so the Gershgorin test of its blocks, as
+        # an array, skips no step (its exact flow is read by _rising_steps).
         times = make_time_grid(6.0, 1e-3)
-        flow = spinbath_flow(SpinBathParams(coupling_a=1.0, n_spins=20), times)
+        flow = blocks_of(spinbath_flow(SpinBathParams(coupling_a=1.0, n_spins=20), times))
         assert _growth_steps(pair_operator(flow, times)[0]).all()
+
+    @pytest.mark.parametrize("name", sorted(EXACT_COHERENCES))
+    def test_exact_flags_are_the_steps_where_the_coherence_grows(self, name):
+        # |c| of the spin bath and of jc, where p = c^2 rises only where |c|
+        # does and p = 1 never does.
+        flow, coherence = EXACT_COHERENCES[name]
+        times = make_time_grid(10.0, 1e-3)
+        op, d = pair_operator(flow(times), times)
+        flags = np.diff(np.abs(coherence(times))) > 0.0
+        assert np.array_equal(_rising_steps(op), flags)
+        keep = np.r_[True, flags] | np.r_[flags, False]  # column 0 and both ends of a step
+        assert np.array_equal(_evaluated_columns(op, d, times.size), np.flatnonzero(keep))
+
+    def test_the_semigroup_flags_no_step(self):
+        times = make_time_grid(20.0, 1e-3)
+        assert evaluated_times(semigroup_flow(1.0, times), times).tolist() == [0.0]
+        search = search_pairs(semigroup_flow(1.0, times), 100, times, seed=1)
+        assert search.best.n_value == search.n_canonical == search.n_sampled_max == 0.0
+
+    @pytest.mark.parametrize("entry, cols, value, flagged", [
+        ((1, 0), [40], np.nan, [39, 40]), ((1, 0), [40, 41], np.inf, [39, 40, 41]),
+        ((3, 2), [40], -np.inf, [39, 40]), ((3, 2), [40], 1.0, [39]), ((1, 0), [40], -1.0, [39]),
+    ])
+    def test_exact_flags_read_both_factors(self, entry, cols, value, flagged):
+        # The semigroup's |c| and |p| never rise, until one is spoiled.
+        times = make_time_grid(1.0, 1e-2)
+        op = pair_operator(semigroup_flow(1.0, times), times)[0]
+        assert not _rising_steps(op).any()
+        op[entry + (cols,)] = value
+        assert np.flatnonzero(_rising_steps(op)).tolist() == flagged
+
+    def test_a_nan_coherence_flags_both_steps_and_fails_as_the_blocks_do(self):
+        times = make_time_grid(1.0, 1e-2)
+
+        def coherence(t):
+            return np.where(t == times[40], np.nan, np.exp(-t))
+
+        flow = PhaseCovariantFlow(times, coherence, damped=True)
+        assert np.flatnonzero(_rising_steps(pair_operator(flow, times)[0])).tolist() == [39, 40]
+        failures = []
+        for source in (flow, blocks_of(flow)):
+            with pytest.raises(NumericalError) as error:
+                search_pairs(source, 10, times)
+            failures.append(str(error.value))
+        assert failures[0] == failures[1]
+        assert "canonical-z: trace distance nan exceeds 1 or is not finite at t=0.4" in failures[0]
+
+    @pytest.mark.parametrize("horizon", [0.5, 3.0])
+    def test_an_exact_flow_on_another_grid_is_refused_as_its_blocks_are(self, horizon):
+        times = make_time_grid(1.0, 1e-2)
+        flow = jc_flow(JCParams(delta=8.0), make_time_grid(horizon, 1e-2))
+        messages = []
+        for source in (flow, iter(flow)):
+            with pytest.raises(ValueError, match=r"^flow shape \(") as error:
+                search_pairs(source, 10, times)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("delta", [0.0, 5.0, 8.0, 10.0])
     def test_jc_flags_are_the_steps_where_the_amplitude_grows(self, delta):
@@ -945,6 +1022,42 @@ class TestWindowedSearch:
         assert abs(windowed.n_sampled_max - search.n_sampled_max) <= 1e-12
 
 
+# Exact flows on times, with their horizons: the jc-measure point at four
+# detunings, strong coupling on resonance, where G crosses zero, the
+# semigroup and the spin bath of 1, 3 and 20 spins over three revivals.
+ORACLE_POINTS = {
+    **{f"jc-delta-{delta:g}": (lambda times, p=JCParams(delta=delta): jc_flow(p, times), 10.0)
+       for delta in (0.0, 5.0, 8.0, 10.0)},
+    "jc-gamma0-5": (lambda times: jc_flow(JCParams(gamma0=5.0, delta=0.0), times), 10.0),
+    "semigroup": (lambda times: semigroup_flow(1.0, times), 10.0),
+    **{f"spinbath-{n}": (lambda times, p=SpinBathParams(1.0, n): spinbath_flow(p, times), 5.0)
+       for n in (1, 3, 20)},
+}
+
+
+class TestExactRoute:
+    """A search on an exact flow's (c, p) against the general route on the
+    same flow's blocks and against the evaluation of every column. The
+    tolerance of 1e-12 was fixed before the route was written."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+    def test_search_matches_the_general_route_and_the_full_evaluation(self, monkeypatch, name):
+        import nmflow.measure
+
+        flow, horizon = ORACLE_POINTS[name]
+        times = make_time_grid(horizon, 1e-3)
+        exact = search_pairs(flow(times), 100, times, seed=1)
+        general = search_pairs(blocks_of(flow(times)), 100, times, seed=1)
+        monkeypatch.setattr(nmflow.measure, "_evaluated_columns", every_column)
+        full = search_pairs(flow(times), 100, times, seed=1)
+        assert exact.failures == general.failures == full.failures == []
+        for other in (general, full):
+            assert other.best.best_pair.label == exact.best.best_pair.label
+            assert abs(other.best.n_value - exact.best.n_value) <= 1e-12
+            assert abs(other.n_canonical - exact.n_canonical) <= 1e-12
+            assert abs(other.n_sampled_max - exact.n_sampled_max) <= 1e-12
+
+
 class TestSearchMemory:
     def test_qubit_search_peak_does_not_grow_with_the_pair_count(self):
         import tracemalloc
@@ -993,8 +1106,8 @@ def rk4_stream(make_gen):
 # (flow stream on a grid, steps, step): the RK4 stream of the jc benchmark
 # grid on resonance, where no step is evaluated but the edges, and detuned; a
 # grid of several flow blocks and a partial one; a d = 3 generator, whose
-# blocks are assembled into one array; and the spin bath's exact stream,
-# whose every step is evaluated.
+# blocks are assembled into one array; and the spin bath's exact flow, whose
+# (c, p) the search reads in place of its blocks, to the same bits.
 STREAM_CASES = {
     "jc-delta-0": (rk4_stream(lambda: jc_generator(JCParams(delta=0.0))), 10_000, 1e-3),
     "jc-delta-8": (rk4_stream(lambda: jc_generator(JCParams(delta=8.0))), 10_000, 1e-3),

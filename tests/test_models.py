@@ -279,9 +279,11 @@ class TestExactFlow:
         assert np.max(np.abs(flow - rk4)) <= 1e-12
         on_exact = search_pairs(exact(times), 50, times, seed=1).best.n_value
         assert abs(on_exact - search_pairs(rk4, 50, times, seed=1).best.n_value) <= 1e-10
-        # The stream and the array of its blocks reduce to the same bits.
-        op = _pair_operator(exact(times), times.size)[1]
+        # The stream and the array of its blocks reduce to the same bits; the
+        # flow's own (c, p) route differs from them by rounding alone.
+        op = _pair_operator(iter(exact(times)), times.size)[1]
         assert np.array_equal(op, _pair_operator(flow, times.size)[1])
+        assert np.max(np.abs(_pair_operator(exact(times), times.size)[1] - op)) <= 1e-15
 
     def test_a_zero_of_g_is_a_valid_grid_point(self):
         # gamma0 = 5 lambda on resonance: G(t) = exp(-t/2) (cos(3t/2) +
