@@ -27,7 +27,7 @@ PROPAGATOR_TOL = 1e-8
 DEFAULT_CP_TOL = 1e-7
 # RK4 steps whose step maps are built together in a flow, which bounds the
 # stage-matrix memory, and grid points per block of a flow stream; a block of
-# two-time maps holds STEP_BLOCK * 16 / d^2 steps (_group_steps).
+# a two-time map holds STEP_BLOCK * 16 / d^2 steps (_group_steps).
 STEP_BLOCK = 256
 
 
@@ -187,9 +187,9 @@ def _check_uniform_grid(t_grid):
 
 def _rk4_increments(compiled, times, h):
     """Increments R - I of classical RK4 step maps R of dS/dt = K(t) S, real
-    and shaped (m, ..., d^2, d^2): row 2j of times, shape (2m + 1, ...), is
-    the left point of step j, row 2j + 1 its midpoint and row 2j + 2 its
-    right point, and h, a step or an array of shape times.shape[1:], the step.
+    and stacked (m, d^2, d^2): times[2j], of 2m + 1 times, is the left point
+    of step j, times[2j + 1] its midpoint and times[2j + 2] its right point,
+    and h the step.
 
     RK4 is linear, so its increment on the identity is the map's. Adding
     E v to v, instead of forming R v, keeps the rounding of the 1 + O(h)
@@ -203,20 +203,17 @@ def _rk4_increments(compiled, times, h):
     exceeds 1: a step that the generator's rates outrun, as across a pole of
     a rate, whose RK4 map cannot be trusted.
     """
-    d2 = compiled.gen.dim ** 2
-    ks = compiled.matrices(times.ravel()).reshape(times.shape + (d2, d2))
+    ks = compiled.matrices(times)
+    d2 = ks.shape[-1]
     # Row sums by one matrix-vector product; the largest of each stage time
-    # only if the largest of all, times the largest step, exceeds 1.
+    # only if the largest of all exceeds 1 / h.
     rows = np.abs(ks).reshape(-1, d2) @ np.ones(d2)
-    if not rows.max() * np.max(h) <= 1.0:  # NaN fails it too
-        hk = rows.reshape(times.shape + (d2,)).max(axis=-1) * h
-        if not np.all(hk <= 1.0):
-            i = np.unravel_index(np.argmin(np.where(hk <= 1.0, np.inf, times)), times.shape)
-            raise InvariantViolation(
-                f"step {np.broadcast_to(h, times.shape)[i]:.6g} cannot resolve the generator "
-                f"at t={times[i]:.6g}: h*||K|| = {hk[i]:.3g} > 1")
+    if not rows.max() * h <= 1.0:  # NaN fails it too
+        hk = rows.reshape(times.size, d2).max(axis=-1) * h
+        i = np.argmin(hk <= 1.0)
+        raise InvariantViolation(f"step {h:.6g} cannot resolve the generator at "
+                                 f"t={times[i]:.6g}: h*||K|| = {hk[i]:.3g} > 1")
     ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
-    h = np.asarray(h)[..., None, None]
     eye = np.eye(d2)
     k = km @ (eye + 0.5 * h * ka)
     acc = ka + 2.0 * k
@@ -266,31 +263,29 @@ def _running_maps(compiled, t0, h, n):
 
 
 def _group_steps(d):
-    """RK4 steps whose stage matrices a block of two-time maps holds at d:
+    """RK4 steps whose stage matrices a block of a two-time map holds at d:
     STEP_BLOCK at d = 4, more below it and fewer above, at least one."""
     return max(1, STEP_BLOCK * 16 // d ** 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _interval_maps(compiled, t0, h, n):
-    """Phi(t0 + n h, t0) of g intervals with the same step count n >= 1,
-    integrated in lockstep (t0 and h of shape (g,)), stacked (g, d^2, d^2)
-    and column-stacked complex.
+def _interval_map(compiled, t0, h, n):
+    """Phi(t0 + n h, t0) of one interval of n >= 1 steps, column-stacked
+    complex, shape (d^2, d^2).
 
-    An interval needs only its last map, so no prefix is formed: the RK4
-    increments E_j of a block of m <= _group_steps(d) // g steps are
-    multiplied pairwise, (I + B)(I + A) = I + (A + B + BA), from the block's
-    end, a tree that gives the last map of _running_maps' scan in m - 1
-    products, ceil(log2 m) batched. S + P S carries the block's I + P into
-    the running map S, so memory does not grow with n. An interval whose
-    map has a non-finite entry is made again by _running_maps, one at a
-    time, which raises InvariantViolation at the first time where one appears.
+    The interval needs only its last map, so no prefix is formed: the RK4
+    increments E_j of a block of m <= _group_steps(d) steps are multiplied
+    pairwise, (I + B)(I + A) = I + (A + B + BA), from the block's end, a tree
+    that gives the last map of _running_maps' scan in m - 1 products,
+    ceil(log2 m) batched. S + P S carries the block's I + P into the running
+    map S, so memory does not grow with n. A map with a non-finite entry is
+    made again by _running_maps, which raises InvariantViolation at the first
+    time where one appears.
     """
-    d2 = compiled.gen.dim ** 2
-    s = np.broadcast_to(np.eye(d2), (t0.size, d2, d2))
-    block = _group_steps(compiled.gen.dim) // t0.size
+    s = np.eye(compiled.gen.dim ** 2)
+    block = _group_steps(compiled.gen.dim)
     for k0 in range(0, n, block):
-        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)[:, None]
+        times = t0 + 0.5 * h * np.arange(2 * k0, 2 * min(k0 + block, n) + 1)
         e = _rk4_increments(compiled, times, h)
         while len(e) > 1:
             odd = len(e) % 2
@@ -300,11 +295,11 @@ def _interval_maps(compiled, t0, h, n):
             later += product
             e = e[1 - odd :: 2]
         s = s + e[0] @ s
-    for i in np.flatnonzero(~np.isfinite(s).all(axis=(1, 2))):
-        for _, maps in _running_maps(compiled, t0[i], h[i], n):
+    if not np.isfinite(s).all():
+        for _, maps in _running_maps(compiled, t0, h, n):
             pass
-        s[i] = maps[-1]
-    return compiled.complex(s)
+        s = maps[-1]
+    return compiled.complex(s[None])[0]
 
 
 def _substeps(span, h):
@@ -402,8 +397,8 @@ def _check_maps(s):
 
 def propagator_between(gen, t1, t2, h):
     """Phi(t2, t1) by RK4 on dS/dt = K(t) S from the identity, in
-    ceil((t2 - t1) / h) equal steps; memory does not grow with the step count.
-    The map, a (d^2, d^2) array, is checked by _check_maps.
+    ceil((t2 - t1) / h) equal steps (_interval_map); memory does not grow with
+    the step count. The map, a (d^2, d^2) array, is checked by _check_maps.
 
     The degenerate interval t1 == t2 returns the identity map. A non-finite
     endpoint makes the length t2 - t1 inf or NaN, which _substeps refuses.
@@ -413,7 +408,7 @@ def propagator_between(gen, t1, t2, h):
     s = np.eye(gen.dim ** 2, dtype=complex)
     n, step = _substeps(np.array([t2 - t1], dtype=float), h)
     if t2 > t1:
-        s = _interval_maps(_CompiledGenerator(gen), np.array([t1], dtype=float), step, n[0])[0]
+        s = _interval_map(_CompiledGenerator(gen), t1, step[0], n[0])
     return _check_maps(s)[0]
 
 
@@ -507,30 +502,13 @@ class DivisibilityReport(NamedTuple):
         return all(v.is_cp for v in self.intervals)
 
 
-def _lockstep_groups(n, d):
-    """(start, stop) of the runs of consecutive intervals with the same step
-    count n[k], cut so that a group of more than one interval holds at most
-    _group_steps(d) steps: 1024 for qubits, STEP_BLOCK at d = 4."""
-    limit = _group_steps(d)
-    a = 0
-    while a < n.size:
-        b = a + 1
-        while b < n.size and b - a < limit // n[a] and n[b] == n[a]:
-            b += 1
-        yield a, b
-        a = b
-
-
-def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
+def divisibility_report(gen, t_grid, h, tol=DEFAULT_CP_TOL):
     """CP verdict for Phi(t_{k+1}, t_k) on every consecutive grid interval.
 
-    h is the RK4 substep used to build each interval propagator; it defaults
-    to 1/100 of the interval length. The generator is compiled once, and
-    consecutive intervals with the same step count are integrated in lockstep
-    (_interval_maps, one product per interval), in groups of at most
-    STEP_BLOCK * 16 / d^2 steps, each group scored by one is_cp call, one
-    stacked eigensolve. A group that fails is re-run one interval at a time, so that
-    the exception names the first failing interval.
+    h is the RK4 step: each interval's map is made in ceil(length / h) equal
+    steps by _interval_map, as propagator_between makes it, from one compiled
+    generator, and scored by is_cp. An interval that fails raises its
+    exception named by the interval.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
@@ -539,24 +517,15 @@ def divisibility_report(gen, t_grid, tol=DEFAULT_CP_TOL, h=None):
     if np.any(span <= 0):
         raise ValueError("divisibility grid must be strictly increasing")
     _check_cp_tol(tol)
-    n, step = _substeps(span, span / 100.0 if h is None else h)
+    n, step = _substeps(span, h)
     compiled = _CompiledGenerator(gen)
-
-    def least(a, b):
-        return is_cp(_interval_maps(compiled, t[a:b], step[a:b], n[a]), tol)[1]
-
-    groups = []
-    for a, b in _lockstep_groups(n, gen.dim):
+    least = []
+    for k in range(span.size):
         try:
-            groups.append(least(a, b))
-        except (NumericalError, ValueError):
-            for k in range(a, b):
-                try:
-                    groups.append(least(k, k + 1))
-                except (NumericalError, ValueError) as exc:
-                    # Name the interval in place: rebuilding the exception would
-                    # need its constructor's signature, and its type sets the
-                    # exit code.
-                    exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
-                    raise
-    return DivisibilityReport.of(t, np.concatenate(groups), tol)
+            least.append(is_cp(_interval_map(compiled, t[k], step[k], n[k]), tol)[1])
+        except (NumericalError, ValueError) as exc:
+            # Name the interval in place: rebuilding the exception would need
+            # its constructor's signature, and its type sets the exit code.
+            exc.args = (f"interval {k} [{t[k]}, {t[k + 1]}]: {exc}",)
+            raise
+    return DivisibilityReport.of(t, least, tol)

@@ -383,6 +383,8 @@ def canonical_pairs(dim):
     """The always-evaluated pairs: antipodal z-axis and x-axis (for d=2) pairs,
     |0><0|, |1><1| and (|0><0| + |1><1| +- |0><1| +- |1><0|) / 2, exact in
     binary (the outer product of (1, +-1) / sqrt(2) has trace 1 - 2^-52)."""
+    if dim < 2:
+        raise ValueError(f"canonical pairs need two levels, got dimension {dim}")
     m = np.zeros((4, dim, dim), dtype=complex)
     m[0, 0, 0] = m[1, 1, 1] = 1.0
     m[2:, 0, 0] = m[2:, 1, 1] = m[2, 0, 1] = m[2, 1, 0] = 0.5
@@ -394,7 +396,9 @@ def canonical_pairs(dim):
 
 def _search_grid(n_pairs, times, seed):
     """times as a grid (see _grid), once every other argument of a search but
-    its flow is checked; a seed is a Python or NumPy integer."""
+    its flow is checked; n_pairs and a seed are Python or NumPy integers."""
+    if not isinstance(n_pairs, (int, np.integer)):
+        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if not n_pairs >= 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):

@@ -156,6 +156,8 @@ def read_state_text(text):
         dim = int(lines[0])
     except ValueError:
         raise ValueError(f"line 1: expected integer dimension, got {lines[0]!r}")
+    if dim < 1:
+        raise ValueError(f"line 1: dimension must be positive, got {dim}")
     expected = dim * dim
     if len(lines) - 1 != expected:
         raise ValueError(f"expected {expected} entry lines for dim {dim}, got {len(lines) - 1}")

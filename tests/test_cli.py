@@ -308,6 +308,17 @@ class TestConfigHandling:
             f"[Errno 2] No such file or directory: '{missing}'\n")
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("dim", ["-1", "0"])
+    def test_state_file_dimension_below_one_is_exit_2(self, tmp_path, capsys, dim):
+        state = tmp_path / "s.txt"
+        state.write_text(f"{dim}\n1,0\n")
+        out = tmp_path / "t.csv"
+        assert run("trajectory", "--model", "semigroup", "--horizon", "1", "--step", "0.1",
+                   "--pair-files", f"{state};{state}", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"nmflow: config error: {state}: line 1: dimension must be positive, got {dim}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("format", ["csv", "json"])
     @pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, format, where):
@@ -754,6 +765,19 @@ class TestMeasure:
                    "--output", str(out)) == 2
         assert capsys.readouterr().err == (f"nmflow: config error: {gen_file}: {what} matrix "
                                            f"has re of shape (2, 2), im {np.shape(im)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["measure", "trajectory"])
+    def test_one_level_generator_is_exit_2(self, tmp_path, capsys, command):
+        # A one-level system has no two distinct states to start from.
+        gen_file = tmp_path / "g1.json"
+        gen_file.write_text(json.dumps({"hamiltonian": {"re": [[0]], "im": [[0]]},
+                                        "channels": []}))
+        out = tmp_path / "o.json"
+        assert run(command, "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--horizon", "1", "--step", "0.1", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "nmflow: config error: canonical pairs need two levels, got dimension 1\n")
         assert not out.exists()
 
 

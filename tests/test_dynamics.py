@@ -24,9 +24,7 @@ from nmflow.dynamics import (
     STEP_BLOCK,
     TRACE_DRIFT_TOL,
     _CompiledGenerator,
-    _group_steps,
-    _interval_maps,
-    _lockstep_groups,
+    _interval_map,
     _rk4_increments,
     _running_maps,
     _substeps,
@@ -221,8 +219,8 @@ class TestPropagator:
         # A map spoiled after integration is refused, not returned.
         import nmflow.dynamics
 
-        monkeypatch.setattr(nmflow.dynamics, "_interval_maps",
-                            lambda *args: 1.5 * np.eye(4, dtype=complex)[None])
+        monkeypatch.setattr(nmflow.dynamics, "_interval_map",
+                            lambda *args: 1.5 * np.eye(4, dtype=complex))
         with pytest.raises(InvariantViolation, match="^propagator not trace preserving"):
             propagator_between(semigroup_generator(1.0), 0.0, 1.0, 1e-2)
 
@@ -457,44 +455,21 @@ class TestRealBasis:
         assert got.shape == (n, d2, d2)
         assert np.max(np.abs(got - np.stack(expected))) < 1e-13
 
-    # (intervals g, steps n): lockstep groups of g > 1 intervals, the last with
-    # more steps than a d = 4 block of five intervals holds.
-    @pytest.mark.parametrize("g, n", [(3, 5), (12, 20), (5, STEP_BLOCK // 5 + 3)])
-    @pytest.mark.parametrize("name", ["jc-delta-8", "rotating-d4"])
-    def test_lockstep_maps_equal_the_sequential_product(self, name, g, n):
-        compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
-        t0 = 0.1 * np.arange(g)
-        h = 1e-2 * (1.0 + 0.1 * np.arange(g))
-        d2 = compiled.gen.dim ** 2
-        s = np.broadcast_to(np.eye(d2), (g, d2, d2))
-        for k in range(n):
-            times = t0 + 0.5 * h * np.arange(2 * k, 2 * k + 3)[:, None]
-            s = s + _rk4_increments(compiled, times, h)[0] @ s
-        got = _interval_maps(compiled, t0, h, n)
-        assert got.shape == (g, d2, d2)
-        assert np.max(np.abs(got - compiled.complex(s))) < 1e-13
-
     # One, two and three steps; one below, at and one above STEP_BLOCK and the
-    # qubit group size 1024; and several blocks at every d.
+    # qubit block of 1024 steps; and several blocks at every d.
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025, 3000])
     @pytest.mark.parametrize("name", ["jc-delta-8", "callable-d3", "rotating-d4"])
     def test_interval_product_equals_the_last_scanned_map(self, name, n):
-        # The scan, which flows keep, run once per interval, is the oracle of
-        # the two-time maps. The product tree is the scan's last map where
-        # their blocks agree, so only block boundaries may move the rounding.
+        # The scan, which flows keep, is the oracle of the two-time maps. The
+        # product tree is the scan's last map where their blocks agree, so
+        # only block boundaries may move the rounding.
         compiled = _CompiledGenerator(REAL_BASIS_GENERATORS[name]())
-        g = max(1, min(3, _group_steps(compiled.gen.dim) // n))
-        t0 = 0.1 * np.arange(g)
-        h = 1e-2 * (1.0 + 0.1 * np.arange(g))
-        last = []
-        for a, step in zip(t0, h):
-            for _, maps in _running_maps(compiled, a, step, n):
+        for t0, h in ((0.0, 1e-2), (0.1, 1.1e-2)):
+            for _, maps in _running_maps(compiled, t0, h, n):
                 pass
-            last.append(maps[-1])
-        expected = compiled.complex(np.stack(last))
-        got = _interval_maps(compiled, t0, h, n)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= LOCKSTEP_TOL
+            got = _interval_map(compiled, t0, h, n)
+            assert got.shape == maps[-1].shape
+            assert np.max(np.abs(got - compiled.complex(maps[-1:])[0])) <= TREE_TOL
 
 
 class TestChoi:
@@ -569,13 +544,13 @@ class TestChoi:
         with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
             is_cp(propagator_between(gen, 0.0, 0.5, 1e-3), tol=float("nan"))
         with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
-            divisibility_report(gen, np.linspace(0.0, 1.0, 5), tol=float("nan"))
+            divisibility_report(gen, np.linspace(0.0, 1.0, 5), h=2.5e-3, tol=float("nan"))
 
 
 class TestDivisibility:
     def test_semigroup_all_intervals_cp(self):
         gen = semigroup_generator(1.0)
-        report = divisibility_report(gen, np.linspace(0.0, 3.0, 13))
+        report = divisibility_report(gen, np.linspace(0.0, 3.0, 13), h=2.5e-3)
         assert report.divisible
         assert all(v.is_cp for v in report.intervals)
 
@@ -599,12 +574,12 @@ class TestDivisibility:
 
     def test_needs_two_grid_points(self):
         with pytest.raises(ValueError):
-            divisibility_report(semigroup_generator(1.0), [0.0])
+            divisibility_report(semigroup_generator(1.0), [0.0], h=1e-3)
 
     def test_infinite_interval_rejected(self):
         gen = semigroup_generator(1.0)
         with pytest.raises(ValueError, match="^interval length must be finite"):
-            divisibility_report(gen, [0.0, 1.0, np.inf])
+            divisibility_report(gen, [0.0, 1.0, np.inf], h=1e-2)
         with pytest.raises(ValueError, match="^interval length must be finite"):
             propagator_between(gen, 0.0, np.inf, 1e-3)
 
@@ -635,53 +610,47 @@ def per_interval_report(gen, t_grid, h):
     """(is_cp, least Choi eigenvalue) per interval, one propagator_between and
     one is_cp call at a time."""
     t = np.asarray(t_grid, dtype=float)
-    return [
-        is_cp(propagator_between(gen, a, b, (b - a) / 100.0 if h is None else h))
-        for a, b in zip(t[:-1], t[1:])
-    ]
+    return [is_cp(propagator_between(gen, a, b, h)) for a, b in zip(t[:-1], t[1:])]
 
 
 jc8 = FLOW_GENERATORS["jc-delta-8"]
 
 
-# Fixed before the batched report was written. It does the per-interval
-# arithmetic in the same order, so the values should agree to the last bit;
-# 1e-14 is far below the 1e-7 CP tolerance.
-LOCKSTEP_TOL = 1e-14
+# The product tree against the scan: rounding only, far below the 1e-7 CP
+# tolerance.
+TREE_TOL = 1e-14
 # (generator, grid, h)
-LOCKSTEP_CASES = {
+DIVISIBILITY_CASES = {
     "jc-delta-8": (jc8, np.linspace(0.0, 4.0, 41), 1e-3),
     "random-d4": (random_d4_generator, np.linspace(0.0, 2.0, 21), 5e-3),
     # One-step intervals whose steps total one below, at and one above
-    # STEP_BLOCK, one qubit group, and the same at the qubit group size of
-    # 1024 steps: one group, one full group, a full group and one more.
+    # STEP_BLOCK and the qubit block of 1024 steps.
     "one-step-x255": (jc8, 1e-2 * np.arange(STEP_BLOCK), 1e-2),
     "one-step-x256": (jc8, 1e-2 * np.arange(STEP_BLOCK + 1), 1e-2),
     "one-step-x257": (jc8, 1e-2 * np.arange(STEP_BLOCK + 2), 1e-2),
     "one-step-x1023": (jc8, 1e-2 * np.arange(1024), 1e-2),
     "one-step-x1024": (jc8, 1e-2 * np.arange(1025), 1e-2),
     "one-step-x1025": (jc8, 1e-2 * np.arange(1026), 1e-2),
-    # 20 steps each: one qubit group of 13 intervals; a full group of 1024 //
-    # 20 = 51 intervals, and a full group and one more.
+    # 20 steps each: 13, 51 and 52 intervals, about 1024 steps in all.
     "20-steps-x13": (jc8, 0.2 * np.arange(14), 1e-2),
     "20-steps-x51": (jc8, 0.2 * np.arange(52), 1e-2),
     "20-steps-x52": (jc8, 0.2 * np.arange(53), 1e-2),
-    # 300 steps each: one qubit group of three intervals, 900 steps.
+    # 300 steps each: three intervals, 900 steps.
     "300-steps-x3": (jc8, 3.0 * np.arange(4), 1e-2),
-    # Step counts 5, 5, 2, 2, 2, 10, 1, 30, 5: runs of different lengths.
+    # Step counts 5, 5, 2, 2, 2, 10, 1, 30, 5: runs of equal counts.
     "non-uniform": (
         random_d4_generator,
         np.cumsum([0.0, 0.05, 0.05, 0.02, 0.02, 0.02, 0.1, 0.01, 0.3, 0.05]),
         1e-2,
     ),
-    "h-none": (lambda: jc_generator(JCParams(delta=5.0)), np.linspace(0.0, 3.0, 13), None),
+    "100-steps-x12": (lambda: jc_generator(JCParams(delta=5.0)), np.linspace(0.0, 3.0, 13), 2.5e-3),
 }
 
 
-class TestLockstepDivisibility:
-    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+class TestIntervalDivisibility:
+    @pytest.mark.parametrize("name", sorted(DIVISIBILITY_CASES))
     def test_matches_per_interval_loop(self, name):
-        make_gen, grid, h = LOCKSTEP_CASES[name]
+        make_gen, grid, h = DIVISIBILITY_CASES[name]
         gen = make_gen()
         report = divisibility_report(gen, grid, h=h)
         expected = per_interval_report(gen, grid, h=h)
@@ -689,10 +658,9 @@ class TestLockstepDivisibility:
             zip(grid[:-1], grid[1:])
         )
         assert [v.is_cp for v in report.intervals] == [ok for ok, _ in expected]
-        least = np.array([v.least_choi_eigenvalue for v in report.intervals])
-        assert np.max(np.abs(least - [x for _, x in expected])) <= LOCKSTEP_TOL
+        assert [v.least_choi_eigenvalue for v in report.intervals] == [x for _, x in expected]
 
-    def test_failure_in_a_group_names_its_interval(self):
+    def test_failure_names_its_interval(self):
         class RateBlowUp(NumericalError):
             def __init__(self, t, why):
                 super().__init__(t, why)
@@ -704,14 +672,13 @@ class TestLockstepDivisibility:
             return np.ones_like(t)
 
         gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
-        # Five intervals of 10 steps: one lockstep group.
+        # Five intervals of 10 steps.
         grid = 0.125 * np.arange(6)
         with pytest.raises(RateBlowUp, match=r"^interval 2 \[0\.25, 0\.375\]: "):
             divisibility_report(gen, grid, h=0.0125)
 
-    def test_blow_up_in_a_group_names_its_interval(self):
-        # The step bound refuses the first stage time past 0.3 in the group;
-        # the group is run again one interval at a time.
+    def test_blow_up_names_its_interval(self):
+        # The step bound refuses the first stage time past 0.3, in interval 2.
         rate = lambda t: np.where(np.asarray(t) > 0.3, -1e15, 1.0)
         gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
         grid = 0.125 * np.arange(6)
@@ -733,12 +700,11 @@ class TestLockstepDivisibility:
                            match=f"^interval 0 \\[0\\.0, 20\\.0\\]: {re.escape(message)}$"):
             divisibility_report(gen, [0.0, 20.0], h=1e-2)
 
-    def test_bound_in_a_wide_group_names_its_first_time(self, monkeypatch):
-        # 300 one-step intervals, more than STEP_BLOCK, in one qubit group: the
-        # step bound names the first stage time past 2.001, the midpoint of
-        # the interval from t = 2, and no interval is scanned again. Within
-        # the bound a group's maps stay finite: a step map's norm is at most
-        # e, and a group of two or more intervals holds at most 512 steps each.
+    def test_bound_on_one_step_intervals_names_its_first_time(self, monkeypatch):
+        # 300 one-step intervals, more than STEP_BLOCK: the step bound names
+        # the first stage time past 2.001, the midpoint of the interval from
+        # t = 2, and no interval is scanned again. Within the bound the maps
+        # stay finite: a step map's norm is at most e.
         import nmflow.dynamics
 
         scanned = []
@@ -746,10 +712,11 @@ class TestLockstepDivisibility:
         monkeypatch.setattr(nmflow.dynamics, "_running_maps",
                             lambda c, t0, h, n: scanned.append(t0) or running(c, t0, h, n))
         rate = lambda t: np.where(np.asarray(t) > 2.001, -1e200, 1.0)
-        compiled = _CompiledGenerator(GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)]))
-        with pytest.raises(InvariantViolation, match=r"^step 0\.01 cannot resolve the generator "
-                                                     r"at t=2\.005: h\*\|\|K\|\| = 1e\+198 > 1$"):
-            _interval_maps(compiled, 1e-2 * np.arange(300), np.full(300, 1e-2), 1)
+        gen = GeneratorSpec(2, np.zeros((2, 2)), [(SIGMA_MINUS, rate)])
+        message = ("interval 200 [2.0, 2.0100000000000002]: step 0.01 cannot resolve the "
+                   "generator at t=2.005: h*||K|| = 1e+198 > 1")
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            divisibility_report(gen, 1e-2 * np.arange(301), h=1e-2)
         assert scanned == []
 
     def test_equal_intervals_get_equal_step_counts(self):
@@ -757,25 +724,24 @@ class TestLockstepDivisibility:
         n, step = _substeps(np.diff(np.linspace(0.0, 12.0, 601)), 1e-3)
         assert np.all(n == 20)
         assert np.max(np.abs(step - 1e-3)) < 1e-15
-        assert len(list(_lockstep_groups(n, 2))) == 12
 
     def test_first_stage_is_k_itself_to_the_bit(self):
         # The stage sum starts from k1 = K, as the product K @ I would give it:
         # no -0.0 entry of K may reach an increment.
         rng = np.random.default_rng(5)
-        ks = rng.standard_normal((2 * 40 + 1, 3, 4, 4))
+        ks = rng.standard_normal((2 * 40 + 1, 4, 4))
         ks[rng.random(ks.shape) < 0.3] = -0.0
 
         class Stack:
             gen = GeneratorSpec(2, np.zeros((2, 2)), [])
 
             def matrices(self, times):
-                return ks.reshape(-1, 4, 4)
+                return ks
 
-        h = np.array([1e-2, 2e-2, 5e-3])
-        got = _rk4_increments(Stack(), np.zeros((2 * 40 + 1, 3)), h)
+        h = 2e-2
+        got = _rk4_increments(Stack(), np.zeros(2 * 40 + 1), h)
         ka, km, kb = ks[:-1:2], ks[1::2], ks[2::2]
-        h, eye = h[:, None, None], np.eye(4)
+        eye = np.eye(4)
         k1 = ka @ eye
         k2 = km @ (eye + 0.5 * h * k1)
         k3 = km @ (eye + 0.5 * h * k2)

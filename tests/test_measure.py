@@ -453,6 +453,31 @@ class TestPairSearch:
         top = search_pairs(flow, 6, times, seed=2**64 - 1).best
         assert top.n_value == search_pairs(flow, 6, times, seed=np.uint64(2**64 - 1)).best.n_value
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), "3", None])
+    def test_n_pairs_that_is_not_an_integer_rejected(self, bad):
+        times = make_time_grid(1.0, 1e-2)
+        flow = semigroup_flow(1.0, times)
+        message = f"^n_pairs must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            search_pairs(flow, bad, times)
+        with pytest.raises(ValueError, match=message):
+            sweep(lambda _: semigroup_flow(1.0, times), [0.0], times, bad)
+        # A NumPy integer is the Python integer.
+        flow = propagator_grid(jc_generator(JCParams(delta=8.0)), times)
+        a, b = (search_pairs(flow, n, times).best for n in (np.int64(3), 3))
+        assert (a.n_value, a.best_pair.label) == (b.n_value, b.best_pair.label)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_one_level_system_has_no_pair(self, dim):
+        message = f"^canonical pairs need two levels, got dimension {dim}$"
+        with pytest.raises(ValueError, match=message):
+            canonical_pairs(dim)
+        if dim:
+            times = make_time_grid(1.0, 1e-1)
+            flow = flow_blocks(constant_generator(np.zeros((1, 1)), []), times)
+            with pytest.raises(ValueError, match=message):
+                search_pairs(flow, 3, times)
+
     def test_search_reports_canonical_and_sampled(self):
         flow, times = grid_flow(jc_generator(JCParams(delta=8.0)), 40.0, 2e-3)
         search = search_pairs(flow, 8, times, seed=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nmflow.states import (
     StatePair,
     bloch_from_qubit,
     check_states,
+    load_state,
     qubit_from_bloch,
     read_state_text,
     trace_distance,
@@ -246,4 +249,17 @@ class TestSerialization:
     def test_wrong_entry_count(self):
         with pytest.raises(ValueError, match="entry lines"):
             read_state_text("2\n1,0\n0,0\n")
+
+    @pytest.mark.parametrize("text", ["-1\n1,0\n", "0\n", "0\n1,0\n"],
+                             ids=["minus-one", "zero", "zero-with-an-entry"])
+    def test_dimension_below_one_reports_line_1(self, tmp_path, text):
+        # Not NumPy's messages for a negative or empty reshape.
+        dim = text.split()[0]
+        message = f"line 1: dimension must be positive, got {dim}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_state_text(text)
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_state(str(path))
 
