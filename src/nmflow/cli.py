@@ -22,8 +22,9 @@ import numpy as np
 
 from . import models
 from .dynamics import constant_generator, divisibility_report, flow_blocks
-from .exceptions import ConfigError, NumericalError
-from .measure import canonical_pairs, make_time_grid, search_pairs, sweep, trajectory, whole_steps
+from .exceptions import NumericalError
+from .measure import (MAX_GRID_STEPS, canonical_pairs, make_time_grid, search_pairs, sweep,
+                      trajectory, whole_steps)
 from .states import StatePair, bloch_from_qubit, load_state, qubit_from_bloch
 
 SCHEMA_VERSION = 4
@@ -39,6 +40,7 @@ RULES = {
     "positive": lambda x: x > 0,
     "at least 1": lambda x: x >= 1,
     "in [0, 2^64)": lambda x: 0 <= x < 2**64,
+    "in [1, 10^7]": lambda x: 1 <= x <= MAX_GRID_STEPS,
 }
 BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -85,9 +87,9 @@ class Key(NamedTuple):
             if value is not None and not math.isfinite(value):
                 value = None
         if value is None:
-            raise ConfigError(f"key {self.name}: expected {expected}, got {text!r}")
+            raise ValueError(f"key {self.name}: expected {expected}, got {text!r}")
         if self.rule and not RULES[self.rule](value):
-            raise ConfigError(f"{self.name} must be {self.rule}, got {text!r}")
+            raise ValueError(f"{self.name} must be {self.rule}, got {text!r}")
         return value
 
 
@@ -112,13 +114,14 @@ KEYS = (
             "positive"),
            ("step_over_lambda", float, "1e-3", "--step", "jc: step in units of 1/lambda",
             "positive"),
-           ("gamma0_over_lambda", float, "0.01", "--gamma0", "jc coupling in units of lambda")),
+           ("gamma0_over_lambda", float, "0.01", "--gamma0", "jc coupling in units of lambda",
+            "positive")),
     *_keys({"jc"}, ALL_COMMANDS - {"sweep"},
            ("delta_over_lambda", float, "0", "--delta", "jc detuning in units of lambda")),
     *_keys({"jc"}, {"rate", "sweep"},
            ("delta_over_lambda_min", float, "0", "--delta-min", "first detuning of a range"),
            ("delta_over_lambda_max", float, "10", "--delta-max", "last detuning of a range"),
-           ("delta_points", int, "11", "--delta-points", "detunings in the range", "at least 1")),
+           ("delta_points", int, "11", "--delta-points", "detunings in the range", "in [1, 10^7]")),
     *_keys({"jc"}, ALL_COMMANDS - {"rate"},
            ("clamp_rate", bool, "false", "--clamp-rate", "clamp the jc rate at zero")),
     *_keys({"spinbath"}, {"rate", "trajectory", "measure"},
@@ -141,7 +144,7 @@ KEYS = (
            ("pair_files", str, None, "--pair-files", "'file1;file2'")),
     *_keys(MODELS, {"divisibility"},
            ("grid_points", int, "20", "--grid-points", "intervals of the divisibility grid",
-            "at least 1"),
+            "in [1, 10^7]"),
            ("cp_tol", float, "1e-7", "--cp-tol", "tolerance on the least Choi eigenvalue",
             "positive")),
 )
@@ -169,16 +172,16 @@ def parse_config_file(path):
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -216,10 +219,10 @@ def resolve_config(args, command):
     model_key = KEY_TABLE["model"]
     model = model_key.parse(args.model or file_cfg.get("model") or model_key.default)
     if command not in _flag_key("--horizon", model).commands:
-        raise ConfigError(f"command {command!r} is not defined for model {model!r}")
+        raise ValueError(f"command {command!r} is not defined for model {model!r}")
     for key in file_cfg:
         if key not in KEY_TABLE:
-            raise ConfigError(f"unknown config key {key!r} for model {model!r}")
+            raise ValueError(f"unknown config key {key!r} for model {model!r}")
     given = dict(file_cfg)
     for flag in FLAGS:
         key = _flag_key(flag, model)
@@ -229,23 +232,23 @@ def resolve_config(args, command):
     for name in given:
         key = KEY_TABLE[name]
         if model not in key.models or command not in key.commands:
-            raise ConfigError(
+            raise ValueError(
                 f"key {name!r} ({key.flag}) does not apply to model {model!r} "
                 f"with command {command!r}"
             )
     for groups in ALTERNATIVES:
         if sum(any(name in given for name in group) for group in groups) > 1:
             clash = [name for group in groups for name in group if name in given]
-            raise ConfigError(f"keys {', '.join(map(repr, clash))} give the same input; "
-                              "give only one of them")
+            raise ValueError(f"keys {', '.join(map(repr, clash))} give the same input; "
+                             "give only one of them")
     if "output" not in given:
-        raise ConfigError("no output path given (key 'output' or flag --output)")
+        raise ValueError("no output path given (key 'output' or flag --output)")
     values = {key.name: key.parse(given.get(key.name, key.default))
               for key in KEYS if key.name in given or key.default is not None}
     low, high = values["delta_over_lambda_min"], values["delta_over_lambda_max"]
     if values["delta_points"] == 1 and "delta_over_lambda_max" in given and high != low:
-        raise ConfigError(f"delta_points is 1: delta_over_lambda_max {high} would be ignored; "
-                          f"give it equal to delta_over_lambda_min ({low}) or leave it out")
+        raise ValueError(f"delta_points is 1: delta_over_lambda_max {high} would be ignored; "
+                         f"give it equal to delta_over_lambda_min ({low}) or leave it out")
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir:
         values["output"] = os.path.join(out_dir, os.path.basename(values["output"]))
@@ -263,12 +266,12 @@ def load_custom_generator(path):
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read generator file {path}: {exc}")
+        raise ValueError(f"cannot read generator file {path}: {exc}")
 
     def number(x, what):
         # float() and NumPy would also take a string, a bool or null.
         if type(x) not in (int, float):
-            raise ConfigError(f"{path}: {what} must be a number, got {json.dumps(x)}")
+            raise ValueError(f"{path}: {what} must be a number, got {json.dumps(x)}")
         return x
 
     def matrix(node, what):
@@ -276,16 +279,16 @@ def load_custom_generator(path):
             parts = node["re"], node["im"]
             entries = [x for part in parts for row in part for x in row]
         except (KeyError, TypeError):
-            raise ConfigError(f"{path}: malformed {what} matrix")
+            raise ValueError(f"{path}: malformed {what} matrix")
         for x in entries:
             number(x, f"{what} matrix entry")
         try:
             real, imag = (np.asarray(part, dtype=float) for part in parts)
         except ValueError:
-            raise ConfigError(f"{path}: malformed {what} matrix")
+            raise ValueError(f"{path}: malformed {what} matrix")
         if real.shape != imag.shape:
-            raise ConfigError(f"{path}: {what} matrix has re of shape {real.shape}, "
-                              f"im {imag.shape}")
+            raise ValueError(f"{path}: {what} matrix has re of shape {real.shape}, "
+                             f"im {imag.shape}")
         return real + 1j * imag
 
     try:
@@ -295,13 +298,13 @@ def load_custom_generator(path):
             for ch in data["channels"]
         ]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: missing field {exc}")
+        raise ValueError(f"{path}: missing field {exc}")
     gen = constant_generator(ham, channels)
     dim = data.get("dim", gen.dim)
     if type(dim) is not int:  # a JSON integer: not a float, a string or a bool
-        raise ConfigError(f"{path}: dim must be an integer, got {json.dumps(dim)}")
+        raise ValueError(f"{path}: dim must be an integer, got {json.dumps(dim)}")
     if dim != gen.dim:
-        raise ConfigError(f"{path}: declared dim {dim} != matrix dim {gen.dim}")
+        raise ValueError(f"{path}: declared dim {dim} != matrix dim {gen.dim}")
     return gen
 
 
@@ -318,17 +321,8 @@ def build_generator(cfg):
     if cfg.model == "jc":
         return models.jc_generator(_jc_params(cfg), nonnegative_rate=values["clamp_rate"])
     if "generator_file" not in values:
-        raise ConfigError("model custom-file needs key generator_file")
+        raise ValueError("model custom-file needs key generator_file")
     return load_custom_generator(values["generator_file"])
-
-
-def time_grid(cfg):
-    """The time grid of a run (see make_time_grid); a horizon off the grid
-    is a configuration error."""
-    try:
-        return make_time_grid(cfg.horizon, cfg.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def flow_method(cfg):
@@ -362,22 +356,20 @@ def resolve_pair(cfg, dim):
     if spec:
         halves = [half.split(",") for half in spec.split(";")]
         if len(halves) != 2 or any(len(comps) != 3 for comps in halves):
-            raise ConfigError(f"pair_bloch needs 'x,y,z;x,y,z', got {spec!r}")
+            raise ValueError(f"pair_bloch needs 'x,y,z;x,y,z', got {spec!r}")
         try:
             rho1, rho2 = (qubit_from_bloch(*map(float, comps)) for comps in halves)
         except ValueError as exc:
-            raise ConfigError(f"pair_bloch: {exc}")
+            raise ValueError(f"pair_bloch: {exc}")
         return StatePair(rho1, rho2, label="bloch")
     if cfg.values.get("pair_files"):
         paths = cfg.values["pair_files"].split(";")
         if len(paths) != 2:
-            raise ConfigError("pair_files needs two ';'-separated paths")
+            raise ValueError("pair_files needs two ';'-separated paths")
         try:
             rho1, rho2 = (load_state(p.strip()) for p in paths)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
         except OSError as exc:
-            raise ConfigError(f"cannot read state file {exc.filename}: {exc}")
+            raise ValueError(f"cannot read state file {exc.filename}: {exc}")
         return StatePair(rho1, rho2, label="files")
     label = "canonical-" + cfg.values["pair"]
     return next(pair for pair in canonical_pairs(dim) if pair.label == label)
@@ -465,7 +457,7 @@ def write_json(path, payload):
 
 def write_output(cfg, header, rows, payload):
     """The one writer of every command: the rows under header as CSV, or the
-    payload as JSON, in the configured format (an unwritable path is a ConfigError)."""
+    payload as JSON, in the configured format (an unwritable path is a ValueError)."""
     path = cfg.values["output"]
     try:
         if cfg.values["format"] == "csv":
@@ -473,7 +465,7 @@ def write_output(cfg, header, rows, payload):
         else:
             write_json(path, payload)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}")
+        raise ValueError(f"cannot write output file {path}: {exc}")
 
 
 def _delta_range(cfg):
@@ -486,7 +478,7 @@ def _delta_range(cfg):
 def cmd_rate(cfg):
     """Columns t, gamma(t); with a detuning range, one block of rows per delta."""
     time_col = TIME_COLUMN[cfg.model]
-    times = time_grid(cfg)
+    times = make_time_grid(cfg.horizon, cfg.step)
     values = cfg.values
     if cfg.model == "jc":
         range_keys = {"delta_over_lambda_min", "delta_over_lambda_max", "delta_points"}
@@ -514,7 +506,7 @@ def cmd_rate(cfg):
 
 def cmd_trajectory(cfg):
     """Columns t, D, sigma for one initial pair."""
-    times = time_grid(cfg)
+    times = make_time_grid(cfg.horizon, cfg.step)
     # A canonical pair takes the first block's dimension; an exact flow is reread.
     k0, first = next(rest := iter(flow := build_flow(cfg, times)))
     pair = resolve_pair(cfg, math.isqrt(first.shape[-1]))
@@ -536,7 +528,7 @@ def _pair_report(pair):
 
 def cmd_measure(cfg):
     """Structured report: truncated measure value, intervals, best pair."""
-    times = time_grid(cfg)
+    times = make_time_grid(cfg.horizon, cfg.step)
     values = cfg.values
     search = search_pairs(build_flow(cfg, times), values["n_pairs"], times, values["seed"])
     result = search.best
@@ -564,7 +556,7 @@ def cmd_sweep(cfg):
     """Columns delta, N_sampled_max, N_canonical_pair (the canonical z pair's
     value), N and the best pair across a detuning grid."""
     values = cfg.values
-    times = time_grid(cfg)
+    times = make_time_grid(cfg.horizon, cfg.step)
     family = lambda delta: build_flow(
         cfg._replace(values={**values, "delta_over_lambda": delta}), times
     )
@@ -586,8 +578,8 @@ def divisibility_grid(cfg):
     configuration error."""
     span = cfg.horizon / cfg.values["grid_points"]
     if not whole_steps(span, cfg.step):
-        raise ConfigError(f"interval length {span:g} (horizon over grid_points) is not a "
-                          f"whole number of steps {cfg.step:g}")
+        raise ValueError(f"interval length {span:g} (horizon over grid_points) is not a "
+                         f"whole number of steps {cfg.step:g}")
     return np.linspace(0.0, cfg.horizon, cfg.values["grid_points"] + 1)
 
 
@@ -640,16 +632,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args, args.command)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"nmflow: config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"nmflow: numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        print(f"nmflow: numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -1,12 +1,9 @@
 """Exception hierarchy shared across the package.
 
-ValueError subclasses signal bad user input (CLI exit code 2); NumericalError
-subclasses signal a failed computation on valid input (CLI exit code 3).
+A ValueError signals bad user input (CLI exit code 2); a NumericalError
+signals a failed computation on valid input (CLI exit code 3), as does a
+MemoryError, an allocation that the machine refuses.
 """
-
-
-class ConfigError(ValueError):
-    """Invalid configuration: unknown key, bad value, malformed file."""
 
 
 class NumericalError(RuntimeError):

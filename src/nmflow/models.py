@@ -33,7 +33,8 @@ class JCParams:
     """Lorentzian-reservoir parameters: coupling gamma0, width lam, detuning delta.
 
     All three carry units of inverse time; the weak-coupling default is
-    gamma0/lam = 0.01.
+    gamma0/lam = 0.01. Parameters that make c^2 - 2 gamma0 lam, c = lam - i
+    delta, not finite (a NaN, or |delta| above about 1.34e154) are refused.
     """
 
     def __init__(self, gamma0=0.01, lam=1.0, delta=0.0):
@@ -41,6 +42,10 @@ class JCParams:
             raise ValueError(f"gamma0 must be positive, got {gamma0}")
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
+        c = complex(lam, -delta)
+        if not np.isfinite(c * c - 2.0 * gamma0 * lam):
+            raise ValueError(f"c^2 - 2 gamma0 lam (c = lam - i delta) is not finite for "
+                             f"gamma0={gamma0}, lam={lam}, delta={delta}")
         self.gamma0, self.lam, self.delta = gamma0, lam, delta
 
 

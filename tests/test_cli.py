@@ -23,10 +23,8 @@ from nmflow.cli import (
     load_custom_generator,
     main,
     resolve_config,
-    time_grid,
 )
 from nmflow.dynamics import flow_blocks
-from nmflow.exceptions import ConfigError
 from nmflow.measure import canonical_pairs, make_time_grid, trajectory
 from nmflow.models import (
     POLE_TOL,
@@ -242,12 +240,13 @@ class TestConfigHandling:
         def grid(horizon, step):
             args = build_parser().parse_args(
                 ["measure", "--horizon", horizon, "--step", step, "--output", "o.json"])
-            return time_grid(resolve_config(args, args.command))
+            cfg = resolve_config(args, args.command)
+            return make_time_grid(cfg.horizon, cfg.step)
 
         assert grid("2.5", "1e-3").size == 2501
         assert grid(str(20 * np.pi / 40), str(np.pi / 40)).size == 21
         for horizon, step in (("4", "0.3"), ("1", "0.0999999")):
-            with pytest.raises(ConfigError, match=f"^horizon {horizon} is not a whole "
+            with pytest.raises(ValueError, match=f"^horizon {horizon} is not a whole "
                                f"number of steps {step}$"):
                 grid(horizon, step)
 
@@ -295,6 +294,43 @@ class TestConfigHandling:
         out = tmp_path / "o.out"
         assert run(*argv, "--output", str(out)) == 2
         assert capsys.readouterr().err == f"nmflow: config error: {message}\n"
+        assert not out.exists()
+
+    # A count above 10^7, the grid-step bound of make_time_grid, is refused
+    # when it is parsed: NumPy used to fail on a 7.11 PiB linspace.
+    @pytest.mark.parametrize("argv, key", [
+        (["divisibility", "--horizon", "1e15", "--step", "1", "--grid-points"], "grid_points"),
+        (["rate", "--horizon", "1", "--step", "0.1", "--delta-points"], "delta_points"),
+        (["sweep", "--horizon", "1", "--step", "0.1", "--delta-points"], "delta_points"),
+    ])
+    @pytest.mark.parametrize("count", ["1000000000000000", "10000001", "0"])
+    def test_count_beyond_the_grid_bound_is_exit_2(self, tmp_path, capsys, argv, key, count):
+        out = tmp_path / "o.csv"
+        assert run(*argv, count, "--model", "jc", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"nmflow: config error: {key} must be in [1, 10^7], got '{count}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", RUNS["jc"])
+    @pytest.mark.parametrize("gamma0", ["0", "-1"])
+    def test_coupling_must_be_positive(self, tmp_path, capsys, command, gamma0):
+        # sweep used to record each point's refusal and exit 3 after writing them.
+        out = tmp_path / "o.csv"
+        assert run(command, "--model", "jc", "--gamma0", gamma0, "--horizon", "1",
+                   "--step", "0.01", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"nmflow: config error: gamma0_over_lambda must be positive, got '{gamma0}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rate", "trajectory", "measure", "divisibility"])
+    def test_detuning_with_no_finite_closed_form_is_exit_2(self, tmp_path, capsys, command):
+        # rate used to exit 0 with NaN rates and NumPy warnings, measure to exit 3.
+        out = tmp_path / "o.csv"
+        assert run(command, "--model", "jc", "--delta", "1e200", "--horizon", "1",
+                   "--step", "0.01", "--output", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "nmflow: config error: c^2 - 2 gamma0 lam (c = lam - i delta) is not finite for "
+            "gamma0=0.01, lam=1.0, delta=1e+200\n")
         assert not out.exists()
 
     def test_unreadable_pair_file_is_exit_2(self, tmp_path, capsys):
@@ -809,6 +845,31 @@ class TestNumericalFailure:
         where = "interval 0 [0.0, 20.0]: " if command == "divisibility" else ""
         assert capsys.readouterr().err == f"nmflow: numerical failure: {where}{message}\n"
         assert not (tmp_path / "out.json").exists()
+
+    # An allocation the machine refuses, such as the (d^2, d, d) Hermitian
+    # basis of a d = 300 generator file (121 GiB): NumPy's message, or the
+    # type's name where Python's own MemoryError carries none.
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 121. GiB for an array with shape (90000, 300, 300) "
+                     "and data type complex128"),
+         "Unable to allocate 121. GiB for an array with shape (90000, 300, 300) and data type "
+         "complex128"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_refused_allocation_is_exit_3(self, tmp_path, capsys, monkeypatch, error, message):
+        def refuse(d):
+            raise error
+
+        monkeypatch.setattr("nmflow.dynamics._hermitian_basis", refuse)
+        gen_file = tmp_path / "gen.json"
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        gen_file.write_text(json.dumps({"hamiltonian": {"re": zeros, "im": zeros},
+                                        "channels": []}))
+        out = tmp_path / "m.json"
+        assert run("measure", "--model", "custom-file", "--generator-file", str(gen_file),
+                   "--output", str(out)) == 3
+        assert capsys.readouterr().err == f"nmflow: numerical failure: {message}\n"
+        assert not out.exists()
 
     def test_nan_coherence_is_exit_3_as_on_the_blocks(self, tmp_path, capsys, monkeypatch):
         # A spin-bath coherence spoiled at t = 2: every pair fails there, on

@@ -423,6 +423,22 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             JCParams(lam=-1.0)
 
+    # c^2 - 2 gamma0 lam, c = lam - i delta, overflows for |delta| above
+    # about 1.34e154; a NaN or an infinity in any parameter makes it not
+    # finite too. Each used to give a NaN rate and RuntimeWarnings.
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": 1e200}, {"delta": -1.35e154}, {"gamma0": np.nan}, {"gamma0": np.inf},
+        {"lam": np.nan}, {"delta": np.nan}, {"delta": np.float64(1e200)},
+    ])
+    def test_jc_params_with_no_finite_closed_form_are_refused(self, kwargs):
+        with pytest.raises(ValueError, match=r"^c\^2 - 2 gamma0 lam \(c = lam - i delta\) is not "
+                           "finite for gamma0="):
+            JCParams(**kwargs)
+
+    def test_jc_params_just_below_the_overflow_give_finite_rates(self):
+        rate = jc_rate(JCParams(delta=1.3e154), np.linspace(0.0, 1.0, 11))
+        assert np.isfinite(rate).all()
+
     def test_spinbath_params(self):
         with pytest.raises(ValueError):
             SpinBathParams(coupling_a=0.0)
